@@ -286,3 +286,71 @@ func TestClientInvalidate(t *testing.T) {
 		t.Fatalf("after Invalidate got %q", d3)
 	}
 }
+
+// TestHTTPTrafficAndControlsConcurrent drives downloads, work requests
+// and uploads from several clients at once while controls are set,
+// read and cleared and the traffic totals polled: the request path shares
+// the server lock and counts bytes atomically, so the totals must come
+// out exact and the race detector must stay quiet.
+func TestHTTPTrafficAndControlsConcurrent(t *testing.T) {
+	const clients, perClient = 6, 40
+	srv := NewServer(DefaultSchedulerConfig(), nil, nil)
+	srv.PutFile("model", []byte("0123456789"))
+	for i := 0; i < clients*perClient; i++ {
+		srv.AddWorkunit(Workunit{Name: fmt.Sprintf("wu%d", i), InputFiles: []string{"model"}})
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	stop := make(chan struct{})
+	var tweaker sync.WaitGroup
+	tweaker.Add(1)
+	go func() {
+		defer tweaker.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			id := fmt.Sprintf("c%d", i%clients)
+			srv.SetClientControl(id, ClientControl{SlowFactor: 1})
+			srv.ClientControlFor(id)
+			srv.SetClientControl(id, ClientControl{})
+			srv.Traffic()
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			cl := NewClient(fmt.Sprintf("c%d", c), ts.URL, 1, nil)
+			for i := 0; i < perClient; i++ {
+				if _, err := cl.Download("model"); err != nil {
+					t.Error(err)
+					return
+				}
+				asn, err := cl.RequestWork(1)
+				if err != nil || len(asn) != 1 {
+					t.Errorf("client %d: %d assignments, err %v", c, len(asn), err)
+					return
+				}
+				if err := cl.Upload(asn[0].ResultID, []byte("abc"), nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	tweaker.Wait()
+	// Each client downloads the sticky file once; every upload is 3 bytes.
+	if down, up := srv.Traffic(); down != 10*clients || up != 3*clients*perClient {
+		t.Fatalf("Traffic() = %d down, %d up; want %d, %d", down, up, 10*clients, 3*clients*perClient)
+	}
+	if !srv.Done() {
+		t.Fatal("server not done")
+	}
+}

@@ -31,9 +31,11 @@ import (
 type Candidate struct {
 	// WUID identifies the workunit; Select returns these.
 	WUID int64
-	// Pos is the position of the workunit's first queued copy in the
-	// pending FIFO: lower means queued earlier. Positions are unique
-	// within a view, so (score, Pos) is always a total order.
+	// Pos orders the view by queue age and means nothing else: the
+	// candidate with the lower Pos had its first queued copy enqueued
+	// earlier. Values are unique and ascending within a view, so (score,
+	// Pos) is always a total order, but they are not dense, not an index
+	// into anything, and not comparable between views.
 	Pos int
 	// CacheScore counts how many of the workunit's input files the
 	// requesting client already caches (sticky files, §III-B).
@@ -129,14 +131,24 @@ func PolicyNames() []string {
 	return names
 }
 
-// Term is one weighted scoring dimension of a Scored policy.
+// Term is one weighted scoring dimension of a Scored policy. Exactly one
+// of Score and ClassScore is set, and which one is the term's whole
+// declaration of what it needs from the scheduler.
 type Term struct {
 	// Name labels the term in diagnostics.
 	Name string
 	// Weight scales the term's contribution to a candidate's score.
 	Weight float64
-	// Score rates one candidate; higher is more preferred.
+	// Score rates one candidate; higher is more preferred. A policy with
+	// such a term is handed every eligible candidate on every request.
 	Score func(view PolicyView, client ClientInfo, c Candidate) float64
+	// ClassScore rates a candidate from its CacheScore and Timeout alone
+	// — all its signature can see. Candidates whose workunits share an
+	// input-file list and a timeout then share a score, so when every
+	// term of a policy is class-scored the scheduler rates each such
+	// class once and never materialises the view: view.Candidates is nil
+	// here, and a request costs O(classes), not O(pending).
+	ClassScore func(view PolicyView, client ClientInfo, cacheScore int, timeout float64) float64
 }
 
 // Scored is the composable policy combinator: a candidate's total score
@@ -162,12 +174,32 @@ func (p *Scored) Name() string {
 // tie-break.
 func (p *Scored) Select(view PolicyView, client ClientInfo, max int) []int64 {
 	return selectTopK(view.Candidates, max, func(c Candidate) float64 {
-		total := 0.0
-		for _, t := range p.Terms {
-			total += t.Weight * t.Score(view, client, c)
-		}
-		return total
+		return p.total(view, client, c)
 	})
+}
+
+// total is a candidate's weighted score.
+func (p *Scored) total(view PolicyView, client ClientInfo, c Candidate) float64 {
+	total := 0.0
+	for _, t := range p.Terms {
+		if t.Score != nil {
+			total += t.Weight * t.Score(view, client, c)
+		} else {
+			total += t.Weight * t.ClassScore(view, client, c.CacheScore, c.Timeout)
+		}
+	}
+	return total
+}
+
+// classScored reports whether every term is class-scored, i.e. whether
+// the scheduler may select through its bucket index instead of a view.
+func (p *Scored) classScored() bool {
+	for _, t := range p.Terms {
+		if t.Score != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // topKStack is the rank-buffer size kept on the stack: requests for up
@@ -177,11 +209,10 @@ func (p *Scored) Select(view PolicyView, client ClientInfo, max int) []int64 {
 const topKStack = 16
 
 // selectTopK picks the k highest-scoring candidates (ties broken by
-// queue position) without sorting the whole slice: one pass maintains a
-// small best-k array, so a 100k-workunit backlog costs O(n·k) with k the
-// handful of slots a client asks for — not O(n log n) — and allocates
-// only the result slice (the rank buffer lives on the stack for k ≤
-// topKStack).
+// queue order) without sorting the whole slice: one pass maintains a
+// small best-k array, so a full view costs O(n·k) with k the handful of
+// slots a client asks for — not O(n log n) — and allocates only the
+// result slice (the rank buffer lives on the stack for k ≤ topKStack).
 func selectTopK(cands []Candidate, k int, score func(Candidate) float64) []int64 {
 	if k <= 0 || len(cands) == 0 {
 		return nil
@@ -239,11 +270,11 @@ func paperPolicy() *Scored {
 	return &Scored{Label: "paper", Terms: []Term{{
 		Name:   "sticky-cache",
 		Weight: 1,
-		Score: func(view PolicyView, _ ClientInfo, c Candidate) float64 {
+		ClassScore: func(view PolicyView, _ ClientInfo, cacheScore int, _ float64) float64 {
 			if !view.Sticky {
 				return 0
 			}
-			return float64(c.CacheScore)
+			return float64(cacheScore)
 		},
 	}}}
 }
@@ -301,7 +332,7 @@ func init() {
 	}
 	noArgs("paper", func() Policy { return paperPolicy() })
 	noArgs("fifo", func() Policy {
-		// No terms: every score is 0 and the FIFO tie-break decides.
+		// No terms: every score is 0 and queue order decides.
 		return &Scored{Label: "fifo"}
 	})
 	noArgs("locality-first", func() Policy {
@@ -310,8 +341,8 @@ func init() {
 		return &Scored{Label: "locality-first", Terms: []Term{{
 			Name:   "cache",
 			Weight: 1,
-			Score: func(_ PolicyView, _ ClientInfo, c Candidate) float64 {
-				return float64(c.CacheScore)
+			ClassScore: func(_ PolicyView, _ ClientInfo, cacheScore int, _ float64) float64 {
+				return float64(cacheScore)
 			},
 		}}}
 	})
@@ -332,8 +363,8 @@ func init() {
 		return &Scored{Label: "deadline-aware", Terms: []Term{{
 			Name:   "edf",
 			Weight: 1,
-			Score: func(_ PolicyView, _ ClientInfo, c Candidate) float64 {
-				return -c.Timeout
+			ClassScore: func(_ PolicyView, _ ClientInfo, _ int, timeout float64) float64 {
+				return -timeout
 			},
 		}}}
 	})

@@ -7,17 +7,25 @@ import (
 
 // BenchmarkRequestWork pins the assignment hot path at fleet scale: a
 // 100k-workunit backlog with a 50-client pool, one sub-benchmark per
-// registered policy. Each iteration is one client work fetch; failed
+// registered policy, plus the default paper policy at 1k and 10k so the
+// flat line is visible. Each iteration is one client work fetch; failed
 // completions recycle the issued workunits so the backlog stays at
-// steady state. The per-policy index work (copy-count map, stamped
-// eligibility set, reused candidate buffer, stack-resident top-k
-// selection, scheduler-scratch issued/event slices, shared input-file
-// lists) is what keeps this O(backlog) with a small constant and
-// near-zero transient allocations — run with -benchmem; the CI guard
-// (cmd/benchguard) pins allocs/op against BENCH_kernels.json.
+// steady state. Class-scored policies (paper, fifo, locality-first,
+// deadline-aware) select through the queue's bucket index and cost
+// O(distinct input lists × timeouts), whatever the backlog; random and
+// reliability-weighted are handed the full view and stay O(backlog).
+// Run with -benchmem; the CI guard (cmd/benchguard) pins paper's
+// allocs/op against BENCH_kernels.json.
 func BenchmarkRequestWork(b *testing.B) {
+	for _, name := range PolicyNames() {
+		b.Run(name, func(b *testing.B) { benchRequestWork(b, name, 100_000) })
+	}
+	b.Run("paper@10k", func(b *testing.B) { benchRequestWork(b, "paper", 10_000) })
+	b.Run("paper@1k", func(b *testing.B) { benchRequestWork(b, "paper", 1_000) })
+}
+
+func benchRequestWork(b *testing.B, name string, backlog int) {
 	const (
-		backlog = 100_000
 		clients = 50
 		slots   = 8
 	)
@@ -27,45 +35,41 @@ func BenchmarkRequestWork(b *testing.B) {
 	for c := range ids {
 		ids[c] = fmt.Sprintf("client-%02d", c)
 	}
-	for _, name := range PolicyNames() {
-		b.Run(name, func(b *testing.B) {
-			p, err := NewPolicy(name)
-			if err != nil {
+	p, err := NewPolicy(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultSchedulerConfig()
+	cfg.DefaultMaxErrors = 1 << 30
+	cfg.ReliabilityFloor = 0 // keep every candidate eligible at steady state
+	cfg.Seed = 11
+	s := NewScheduler(cfg)
+	s.SetPolicy(p)
+	for i := 0; i < backlog; i++ {
+		s.AddWorkunit(Workunit{
+			Name:       fmt.Sprintf("wu%06d", i),
+			InputFiles: []string{fmt.Sprintf("shard_%03d", i%200), "model.json"},
+			Timeout:    float64(300 + i%600),
+		})
+	}
+	// Warm some sticky caches so CacheScore differentiates.
+	for c := 0; c < clients; c++ {
+		s.NoteCached(ids[c], fmt.Sprintf("shard_%03d", (c*7)%200))
+	}
+	now := 0.0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += 0.5
+		asns := s.RequestWork(ids[i%clients], now, slots)
+		b.StopTimer()
+		for _, a := range asns {
+			// Invalid completion requeues the workunit, keeping
+			// the backlog size constant across iterations.
+			if _, _, err := s.CompleteResult(a.ResultID, false, now); err != nil {
 				b.Fatal(err)
 			}
-			cfg := DefaultSchedulerConfig()
-			cfg.DefaultMaxErrors = 1 << 30
-			cfg.ReliabilityFloor = 0 // keep every candidate eligible at steady state
-			cfg.Seed = 11
-			s := NewScheduler(cfg)
-			s.SetPolicy(p)
-			for i := 0; i < backlog; i++ {
-				s.AddWorkunit(Workunit{
-					Name:       fmt.Sprintf("wu%06d", i),
-					InputFiles: []string{fmt.Sprintf("shard_%03d", i%200), "model.json"},
-					Timeout:    float64(300 + i%600),
-				})
-			}
-			// Warm some sticky caches so CacheScore differentiates.
-			for c := 0; c < clients; c++ {
-				s.NoteCached(ids[c], fmt.Sprintf("shard_%03d", (c*7)%200))
-			}
-			now := 0.0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				now += 0.5
-				asns := s.RequestWork(ids[i%clients], now, slots)
-				b.StopTimer()
-				for _, a := range asns {
-					// Invalid completion requeues the workunit, keeping
-					// the backlog size constant across iterations.
-					if _, _, err := s.CompleteResult(a.ResultID, false, now); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
-			}
-		})
+		}
+		b.StartTimer()
 	}
 }

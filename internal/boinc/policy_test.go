@@ -2,11 +2,12 @@ package boinc
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 // newPolicyScheduler builds a scheduler running the named registered
@@ -167,111 +168,200 @@ func conformGone(t *testing.T, name string) {
 	}
 }
 
-// referencePaperSelection reimplements the pre-policy-API RequestWork
-// selection (full stable sort over every eligible candidate) directly
-// against the scheduler's state. The paper policy must match it
-// workunit-for-workunit: this is the byte-identical contract.
-func referencePaperSelection(s *Scheduler, clientID string, max int) []int64 {
+// shadowQueue is the naive model the differential test checks the
+// scheduler against: the pending queue as a plain slice of workunit IDs,
+// kept in step from the lifecycle event stream alone, scanned in full
+// and fully sorted on every request. It stays a full scan on purpose.
+type shadowQueue struct {
+	s       *Scheduler
+	pending []int64
+}
+
+func (q *shadowQueue) OnSchedEvent(e SchedEvent) {
+	switch e.Kind {
+	case EvCreated:
+		for i := 0; i < q.s.Workunit(e.WUID).Replication; i++ {
+			q.pending = append(q.pending, e.WUID)
+		}
+	case EvReissued:
+		q.pending = append(q.pending, e.WUID)
+	case EvValid:
+		// A valid result short of quorum may top the queue up by one
+		// copy; no event of its own says so, the depth does.
+		if e.Pending == len(q.pending)+1 {
+			q.pending = append(q.pending, e.WUID)
+		}
+	case EvAssigned:
+		i := slices.Index(q.pending, e.WUID)
+		q.pending = slices.Delete(q.pending, i, i+1)
+	case EvWUDone:
+		q.pending = slices.DeleteFunc(q.pending, func(id int64) bool { return id == e.WUID })
+	}
+}
+
+// selection is what the active policy must pick for the client's next
+// request: every eligible workunit at its first queued copy, then — for
+// Scored policies — a full stable sort by (score descending, position),
+// the pre-policy-API algorithm; other policies decide over the same view.
+func (q *shadowQueue) selection(clientID string, now float64, max int) []int64 {
+	s := q.s
 	c := s.peek(clientID)
-	if c == nil {
-		c = &clientState{id: clientID, reliability: 1, cached: map[string]bool{}}
-	}
-	type cand struct {
-		pos   int
-		id    int64
-		score int
-	}
-	var cands []cand
+	var cands []Candidate
 	seen := map[int64]bool{}
-	for pos, id := range s.pending {
+	for pos, id := range q.pending {
 		wu := s.wus[id]
-		if wu == nil || wu.status == WUDone || wu.status == WUFailed {
-			continue
-		}
-		if seen[id] {
-			continue
-		}
-		if wu.Replication > 1 && s.assignedTo[id][clientID] {
+		if wu.terminal() || seen[id] || wu.assignedTo[clientID] {
 			continue
 		}
 		if wu.errors > 0 && c.reliability < s.cfg.ReliabilityFloor && s.hasReliableClient() {
 			continue
 		}
 		seen[id] = true
-		sc := 0
-		if s.cfg.StickyAffinity {
-			sc = cacheScore(c, wu)
+		cands = append(cands, Candidate{WUID: id, Pos: pos, CacheScore: cacheScore(c, wu.InputFiles),
+			Errors: wu.errors, Timeout: wu.Timeout})
+	}
+	if c.cordoned || len(cands) == 0 {
+		return nil
+	}
+	view := PolicyView{Now: now, Seed: s.cfg.Seed, Request: s.requests + 1, Sticky: s.cfg.StickyAffinity,
+		ReliabilityFloor: s.cfg.ReliabilityFloor, Candidates: cands}
+	client := ClientInfo{ID: c.id, Reliability: c.reliability, InFlight: c.inFlight}
+	var picks []int64
+	if p, ok := s.policy.(*Scored); ok {
+		sort.SliceStable(cands, func(i, j int) bool {
+			return p.total(view, client, cands[i]) > p.total(view, client, cands[j])
+		})
+		for _, cd := range cands {
+			picks = append(picks, cd.WUID)
 		}
-		cands = append(cands, cand{pos: pos, id: id, score: sc})
+	} else {
+		picks = s.policy.Select(view, client, max)
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].pos < cands[j].pos
-	})
-	if len(cands) > max {
-		cands = cands[:max]
-	}
-	var out []int64
-	for _, cd := range cands {
-		out = append(out, cd.id)
-	}
-	return out
+	return picks[:min(max, len(picks))]
 }
 
-// TestPaperPolicyMatchesReference drives randomized workloads and checks
-// every RequestWork against the original algorithm's selection.
+// naiveDone is Scheduler.Done as it used to be computed.
+func naiveDone(s *Scheduler) bool {
+	for _, wu := range s.wus {
+		if !wu.terminal() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPaperPolicyMatchesReference drives a long randomised operation
+// stream under every registered policy — replication and quorum retries,
+// invalid and timed-out results, error-budget exhaustion, RetimePending,
+// policy hot swaps, dropped and cordoned clients — and checks every
+// RequestWork pick for pick against the shadow queue, along with the
+// queue depth and Done after every step.
 func TestPaperPolicyMatchesReference(t *testing.T) {
-	f := func(ops []uint8) bool {
-		cfg := DefaultSchedulerConfig()
-		cfg.DefaultTimeout = 10
-		cfg.DefaultMaxErrors = 1 << 20
-		s := NewScheduler(cfg)
-		for i := 0; i < 12; i++ {
-			s.AddWorkunit(Workunit{
-				Name:        fmt.Sprintf("wu%d", i),
-				InputFiles:  []string{fmt.Sprintf("f%d", i%4), fmt.Sprintf("g%d", i%3)},
-				Replication: 1 + i%2,
-			})
-		}
-		clients := []string{"a", "b", "c"}
-		now := 0.0
-		var open []int64
-		for _, op := range ops {
-			now += float64(op%5) / 2
-			client := clients[int(op)%len(clients)]
-			switch op % 4 {
-			case 0, 1:
-				max := 1 + int(op)%3
-				want := referencePaperSelection(s, client, max)
-				asns := s.RequestWork(client, now, max)
-				var got []int64
-				for _, a := range asns {
-					got = append(got, a.WUID)
-					open = append(open, a.ResultID)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Logf("client %s max %d: got %v want %v", client, max, got, want)
-					return false
-				}
-			case 2:
-				if len(open) > 0 {
-					id := open[0]
-					open = open[1:]
-					if s.Result(id).Status == ResInProgress {
-						s.CompleteResult(id, op%3 != 0, now)
-					}
-				}
-			case 3:
-				s.ExpireTimeouts(now)
+	topUps := 0
+	for i, name := range PolicyNames() {
+		other := PolicyNames()[(i+1)%len(PolicyNames())]
+		t.Run(name, func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				st := runDifferential(t, name, other, seed)
+				topUps += st.QuorumRetries - st.Reissued
 			}
+		})
+	}
+	if topUps == 0 {
+		t.Fatal("no stream topped a failed workunit's quorum up")
+	}
+}
+
+func runDifferential(t *testing.T, name, other string, seed int64) SchedStats {
+	rng := rand.New(rand.NewSource(seed))
+	s := newPolicyScheduler(t, name, 0.8)
+	shadow := &shadowQueue{s: s}
+	s.SetSink(shadow)
+	nextWU := 0
+	add := func() {
+		nextWU++
+		repl := 1 + rng.Intn(3)
+		s.AddWorkunit(Workunit{
+			Name:        fmt.Sprintf("wu%d", nextWU),
+			InputFiles:  []string{"model", fmt.Sprintf("shard%d", rng.Intn(12))},
+			Timeout:     float64(40 * (1 + rng.Intn(3))),
+			MaxErrors:   1 + rng.Intn(6),
+			Replication: repl,
+			Quorum:      1 + rng.Intn(repl),
+		})
+	}
+	for i := 0; i < 240; i++ {
+		add()
+	}
+	clients := []string{"a", "b", "c", "d", "e", "f"}
+	for i, c := range clients {
+		s.NoteCached(c, fmt.Sprintf("shard%d", 2*i))
+		s.NoteCached(c, fmt.Sprintf("shard%d", 2*i+1))
+	}
+	now := 0.0
+	var open []int64
+	swapped := false
+	for step := 0; step < 4000; step++ {
+		client := clients[rng.Intn(len(clients))]
+		switch op := rng.Intn(100); {
+		case op < 45:
+			max := 1 + rng.Intn(4)
+			// A zero-slot request does what the real one does first —
+			// register the client, mark it present — and nothing else.
+			s.RequestWork(client, now, 0)
+			want := shadow.selection(client, now, max)
+			var got []int64
+			for _, a := range s.RequestWork(client, now, max) {
+				got = append(got, a.WUID)
+				open = append(open, a.ResultID)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d policy %s client %s max %d: got %v want %v",
+					seed, step, s.Policy().Name(), client, max, got, want)
+			}
+		case op < 75:
+			if len(open) > 0 {
+				i := rng.Intn(len(open))
+				id := open[i]
+				open = slices.Delete(open, i, i+1)
+				if s.Result(id).Status == ResInProgress {
+					s.CompleteResult(id, rng.Intn(10) < 6, now)
+				}
+			}
+		case op < 85:
+			now += float64(rng.Intn(8))
+			s.ExpireTimeouts(now)
+		case op < 92:
+			add()
+		case op < 94:
+			s.RetimePending(float64(30 * (1 + rng.Intn(3))))
+		case op < 96:
+			swapped = !swapped
+			next := name
+			if swapped {
+				next = other
+			}
+			p, err := NewPolicy(next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetPolicy(p)
+		case op < 98:
+			s.DropClient(client)
+		default:
+			s.SetCordoned(client, !s.Cordoned(client))
 		}
-		return true
+		if s.PendingCount() != len(shadow.pending) {
+			t.Fatalf("seed %d step %d: PendingCount %d, shadow queue holds %d", seed, step, s.PendingCount(), len(shadow.pending))
+		}
+		if s.Done() != naiveDone(s) {
+			t.Fatalf("seed %d step %d: Done() = %v, scan says %v", seed, step, s.Done(), naiveDone(s))
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+	if s.Failures == 0 || s.Timeouts == 0 || s.Invalid == 0 || s.Completions == 0 {
+		t.Fatalf("seed %d: stream too tame: %+v", seed, s.Stats())
 	}
+	return s.Stats()
 }
 
 // rogue policy for TestSchedulerEnforcesInvariants: returns duplicate,

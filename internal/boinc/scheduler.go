@@ -2,6 +2,7 @@ package boinc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -92,30 +93,29 @@ type Scheduler struct {
 	nextWU, nextRes int64
 	wus             map[int64]*Workunit
 	results         map[int64]*Result
-	pending         []int64 // FIFO of workunit IDs awaiting (re)issue
 	clients         map[string]*clientState
-	// assignedTo tracks which clients ever received a copy of a
-	// replicated workunit (BOINC's one-result-per-user rule, so replicas
-	// verify each other across machines).
-	assignedTo map[int64]map[string]bool
 
-	// Per-policy index over the pending queue, maintained incrementally
-	// so the per-request hot path allocates nothing transient:
-	// queued counts pending copies per workunit (O(1) queuedCopies, and
-	// completions skip the queue rebuild when no replicas are queued);
-	// eligible stamps workunits with the request counter that admitted
-	// them, doubling as the per-round dedup set and the validity check
-	// for policy picks; candBuf is the reused candidate scratch.
-	queued   map[int64]int
-	eligible map[int64]int64
+	// q holds the queued copies awaiting (re)issue (see queue.go); depth
+	// is PendingCount, the sum of every workunit's queued count.
+	q     *pendq
+	depth int
+	// open counts workunits that have not reached a terminal state.
+	open int
+	// deadlines is a min-heap on (deadline, result ID) of issued results.
+	// Results that complete stay in it until they surface or until dead
+	// entries outnumber the outstanding ones (lazy deletion).
+	deadlines []*Result
+	// requests numbers RequestWork calls; scanned counts the queue
+	// entries those calls examined (the complexity tests read it).
+	requests, scanned int64
+	// candBuf, mergeBuf, pickBuf and eventBuf are per-request scratch
+	// for the candidate view, the bucket merge, the indexed picks and
+	// the deferred event batch; all are consumed before RequestWork
+	// returns, so the hot path allocates nothing transient.
 	candBuf  []Candidate
-	requests int64
-	// issuedBuf and eventBuf are per-request scratch for the issued-ID
-	// list and the deferred event batch; both are consumed before
-	// RequestWork returns, so reuse is safe and the hot path stops
-	// growing fresh slices every call.
-	issuedBuf []int64
-	eventBuf  []SchedEvent
+	mergeBuf []cursor
+	pickBuf  []int64
+	eventBuf []SchedEvent
 
 	// sink receives lifecycle events (nil = no observation). Every event
 	// is derived from state already at hand plus the caller-supplied
@@ -128,16 +128,6 @@ type Scheduler struct {
 	// inflight counts outstanding results incrementally so queue-depth
 	// reporting is O(1) instead of a scan over every result ever issued.
 	inflight int
-	// expireLB is a lower bound on the earliest outstanding result
-	// deadline (valid when expireLBOK). ExpireTimeouts skips its scan
-	// entirely while now < expireLB — a scan then could not find anything
-	// — which turns the per-request sweep from O(results) into O(1) on
-	// the hot path. The bound is maintained conservatively: issuing a
-	// result lowers it, completions leave it alone (a stale-low bound
-	// only causes one extra scan, never a missed expiry), and each real
-	// scan recomputes it exactly.
-	expireLB   float64
-	expireLBOK bool
 
 	// Counters for reports and tests. Invalid counts results rejected by
 	// validation (or reported failed by the client); QuorumRetries counts
@@ -162,16 +152,14 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 		cfg.DefaultMaxErrors = 8
 	}
 	return &Scheduler{
-		cfg:        cfg,
-		idStep:     1,
-		policy:     paperPolicy(),
-		wus:        make(map[int64]*Workunit),
-		results:    make(map[int64]*Result),
-		clients:    make(map[string]*clientState),
-		assignedTo: make(map[int64]map[string]bool),
-		queued:     make(map[int64]int),
-		eligible:   make(map[int64]int64),
-		assignMix:  make(map[string]int),
+		cfg:       cfg,
+		idStep:    1,
+		policy:    paperPolicy(),
+		wus:       make(map[int64]*Workunit),
+		results:   make(map[int64]*Result),
+		clients:   make(map[string]*clientState),
+		q:         newPendq(),
+		assignMix: make(map[string]int),
 	}
 }
 
@@ -201,7 +189,7 @@ func (s *Scheduler) observe(e SchedEvent) {
 	if s.sink == nil {
 		return
 	}
-	e.Pending = len(s.pending)
+	e.Pending = s.depth
 	e.InFlight = s.inflight
 	s.sink.OnSchedEvent(e)
 }
@@ -246,10 +234,11 @@ func (s *Scheduler) RetimePending(seconds float64) {
 		return
 	}
 	for _, wu := range s.wus {
-		if wu.status != WUDone && wu.status != WUFailed {
+		if !wu.terminal() {
 			wu.Timeout = seconds
 		}
 	}
+	s.q.rebuild() // Timeout is part of the bucket key
 }
 
 // SetReliabilityFloor hot-changes the reliability gate for retried
@@ -285,24 +274,48 @@ func (s *Scheduler) AddWorkunit(wu Workunit) int64 {
 		wu.Replication = wu.Quorum
 	}
 	wu.status = WUPending
-	w := wu
+	w := &wu
 	// Stamped with the last clocked entry point's time: AddWorkunit has
 	// no clock parameter of its own, and the work generator runs inside
 	// the same scheduling turn in both engines.
 	w.queuedAt = s.lastNow
-	s.wus[wu.ID] = &w
-	for i := 0; i < wu.Replication; i++ {
-		s.enqueue(wu.ID)
+	w.qhead = -1
+	w.filesHash = hashFiles(w.InputFiles)
+	s.wus[w.ID] = w
+	s.open++
+	for i := 0; i < w.Replication; i++ {
+		s.enqueue(w)
 	}
-	s.observe(SchedEvent{Kind: EvCreated, T: s.lastNow, WUID: wu.ID, WUName: wu.Name})
-	return wu.ID
+	s.observe(SchedEvent{Kind: EvCreated, T: s.lastNow, WUID: w.ID, WUName: w.Name})
+	return w.ID
 }
 
-// enqueue appends one pending copy of a workunit, keeping the copy
-// count index in step.
-func (s *Scheduler) enqueue(id int64) {
-	s.pending = append(s.pending, id)
-	s.queued[id]++
+// enqueue adds one pending copy of a workunit. A copy added to a failed
+// workunit (a late valid result short of quorum asks for one) can never
+// issue, so it is counted but not queued.
+func (s *Scheduler) enqueue(wu *Workunit) {
+	wu.queued++
+	s.depth++
+	if !wu.terminal() {
+		s.q.push(wu)
+	}
+}
+
+// retire moves a workunit to a terminal status and releases its index
+// state: queued copies leave the queue and the one-result-per-user set
+// is dropped. Done also uncounts the copies.
+func (s *Scheduler) retire(wu *Workunit, status WorkunitStatus) {
+	if !wu.terminal() {
+		s.open--
+	}
+	wu.status = status
+	wu.assignedTo = nil
+	s.q.dropAll(wu)
+	s.q.compact()
+	if status == WUDone {
+		s.depth -= wu.queued
+		wu.queued = 0
+	}
 }
 
 // Workunit returns the tracked workunit by ID, or nil.
@@ -342,10 +355,10 @@ func (s *Scheduler) NoteCached(clientID, file string) {
 	s.client(clientID).cached[file] = true
 }
 
-// cacheScore counts how many of the workunit's input files the client has.
-func cacheScore(c *clientState, wu *Workunit) int {
+// cacheScore counts how many of the input files the client has.
+func cacheScore(c *clientState, files []string) int {
 	n := 0
-	for _, f := range wu.InputFiles {
+	for _, f := range files {
 		if c.cached[f] {
 			n++
 		}
@@ -353,60 +366,132 @@ func cacheScore(c *clientState, wu *Workunit) int {
 	return n
 }
 
-// buildView snapshots the workunits the client may legally receive
-// right now: one candidate per pending workunit, minus terminal states,
-// minus replicas the client already holds a copy of, minus retries
-// reserved for reliable clients. The view reuses the scheduler's
-// candidate scratch buffer and is only valid until the next request.
-func (s *Scheduler) buildView(c *clientState, now float64) PolicyView {
+// retryGate resolves "is any reliable client present" at most once per
+// request: hasReliableClient is O(clients).
+type retryGate struct{ known, any bool }
+
+// admissible reports whether the client may receive the workunit whose
+// first queued copy is being examined: not a replica it already holds a
+// copy of, and not a retry reserved for reliable clients.
+func (s *Scheduler) admissible(wu *Workunit, c *clientState, g *retryGate) bool {
+	if wu.assignedTo[c.id] {
+		return false // replicas must verify each other across clients
+	}
+	if wu.errors > 0 && c.reliability < s.cfg.ReliabilityFloor {
+		if !g.known {
+			g.known, g.any = true, s.hasReliableClient()
+		}
+		if g.any {
+			return false // reserve retries for reliable clients when any exist
+		}
+	}
+	return true
+}
+
+// candidates walks the queue in order and snapshots the workunits the
+// client may legally receive right now — one candidate per workunit, at
+// its first queued copy — stopping after limit of them (limit < 0: all).
+// The result reuses the scheduler's candidate scratch buffer and is only
+// valid until the next request.
+func (s *Scheduler) candidates(c *clientState, limit int) []Candidate {
 	cands := s.candBuf[:0]
-	// hasReliableClient is O(clients); resolve it at most once per
-	// request instead of once per gated candidate.
-	reliableKnown, reliableAny := false, false
-	for pos, id := range s.pending {
-		wu := s.wus[id]
-		if wu == nil || wu.status == WUDone || wu.status == WUFailed {
+	var g retryGate
+	ents := s.q.ents
+	for at := s.q.head; at < len(ents) && len(cands) != limit; at++ {
+		s.scanned++
+		wu := ents[at].wu
+		if wu == nil || wu.qhead != at || !s.admissible(wu, c, &g) {
 			continue
 		}
-		if s.eligible[id] == s.requests {
-			continue // one copy of a workunit per request round
-		}
-		if wu.Replication > 1 && s.assignedTo[id][c.id] {
-			continue // replicas must verify each other across clients
-		}
-		if wu.errors > 0 && c.reliability < s.cfg.ReliabilityFloor {
-			if !reliableKnown {
-				reliableKnown, reliableAny = true, s.hasReliableClient()
-			}
-			if reliableAny {
-				continue // reserve retries for reliable clients when any exist
-			}
-		}
-		s.eligible[id] = s.requests
+		wu.round = s.requests
 		cands = append(cands, Candidate{
-			WUID:       id,
-			Pos:        pos,
-			CacheScore: cacheScore(c, wu),
+			WUID:       wu.ID,
+			Pos:        at,
+			CacheScore: cacheScore(c, wu.InputFiles),
 			Errors:     wu.errors,
 			Timeout:    wu.Timeout,
 		})
 	}
 	s.candBuf = cands
-	return PolicyView{
-		Now:              now,
-		Seed:             s.cfg.Seed,
-		Request:          s.requests,
-		Sticky:           s.cfg.StickyAffinity,
-		ReliabilityFloor: s.cfg.ReliabilityFloor,
-		Candidates:       cands,
+	return cands
+}
+
+// cursor is one bucket's position in the indexed merge: the slot of its
+// next admissible copy and the score every copy in the bucket shares.
+type cursor struct {
+	score float64
+	at    int
+}
+
+// cursorBefore orders cursors the way Scored ranks candidates: higher
+// score first, then earlier in the queue.
+func cursorBefore(a, b cursor) bool {
+	if a.score != b.score {
+		return a.score > b.score
 	}
+	return a.at < b.at
+}
+
+// nextAdmissible follows a bucket's FIFO from slot at to the first copy
+// the client may receive, or -1.
+func (s *Scheduler) nextAdmissible(at int, c *clientState, g *retryGate) int {
+	for ; at >= 0; at = s.q.ents[at].next {
+		s.scanned++
+		if wu := s.q.ents[at].wu; wu.qhead == at && s.admissible(wu, c, g) {
+			return at
+		}
+	}
+	return -1
+}
+
+// selectIndexed is Scored.Select for a class-scored policy without the
+// view: it scores each bucket once and merges the bucket FIFOs by (score
+// descending, queue order), which is the order selectTopK would rank the
+// same candidates in — O(buckets + picks + skipped) instead of
+// O(pending). With no terms every score ties and the merge is a walk
+// from the queue head.
+func (s *Scheduler) selectIndexed(p *Scored, view PolicyView, c *clientState, client ClientInfo, max int) []int64 {
+	picks := s.pickBuf[:0]
+	if len(p.Terms) == 0 {
+		for _, cand := range s.candidates(c, max) {
+			picks = append(picks, cand.WUID)
+		}
+		s.pickBuf = picks
+		return picks
+	}
+	var g retryGate
+	h := s.mergeBuf[:0]
+	for _, b := range s.q.buckets {
+		if at := s.nextAdmissible(b.head, c, &g); at >= 0 {
+			class := Candidate{CacheScore: cacheScore(c, b.files), Timeout: b.timeout}
+			h = append(h, cursor{score: p.total(view, client, class), at: at})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		heapDown(h, i, cursorBefore)
+	}
+	for len(h) > 0 && len(picks) < max {
+		e := &s.q.ents[h[0].at]
+		e.wu.round = s.requests
+		picks = append(picks, e.wu.ID)
+		if at := s.nextAdmissible(e.next, c, &g); at >= 0 {
+			h[0].at = at
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		heapDown(h, 0, cursorBefore)
+	}
+	s.mergeBuf, s.pickBuf = h[:0], picks
+	return picks
 }
 
 // RequestWork assigns up to max workunits to the client at virtual time
 // now. The active Policy orders the eligible candidates (the default
 // paper policy: workunits whose files the client caches first, then
 // FIFO; retried workunits gated on client reliability); RequestWork
-// itself is mechanics — it builds the candidate view, lets the policy
+// itself is mechanics — it offers the candidates (as a view, or through
+// the bucket index when the policy is class-scored), lets the policy
 // choose, and enforces the invariants no policy may break: only
 // eligible workunits are issued, each at most once per round and at
 // most max per request.
@@ -421,31 +506,49 @@ func (s *Scheduler) RequestWork(clientID string, now float64, max int) []Assignm
 	}
 	s.lastNow = now
 	s.requests++
-	view := s.buildView(c, now)
-	if len(view.Candidates) == 0 {
-		return nil
+	view := PolicyView{
+		Now:              now,
+		Seed:             s.cfg.Seed,
+		Request:          s.requests,
+		Sticky:           s.cfg.StickyAffinity,
+		ReliabilityFloor: s.cfg.ReliabilityFloor,
 	}
-	picks := s.policy.Select(view, ClientInfo{ID: c.id, Reliability: c.reliability, InFlight: c.inFlight}, max)
+	client := ClientInfo{ID: c.id, Reliability: c.reliability, InFlight: c.inFlight}
+	var picks []int64
+	if p, ok := s.policy.(*Scored); ok && p.classScored() {
+		picks = s.selectIndexed(p, view, c, client, max)
+		if len(picks) == 0 {
+			return nil
+		}
+	} else {
+		view.Candidates = s.candidates(c, -1)
+		if len(view.Candidates) == 0 {
+			return nil
+		}
+		picks = s.policy.Select(view, client, max)
+	}
 
 	want := len(picks)
 	if max < want {
 		want = max
 	}
 	out := make([]Assignment, 0, want) // escapes to the caller; sized once
-	issued := s.issuedBuf[:0]
-	events := s.eventBuf[:0] // emitted after the queue is settled
+	events := s.eventBuf[:0]           // emitted after the queue is settled
 	for _, id := range picks {
 		if len(out) >= max {
 			break // policy over-selected; hard-cap the batch
 		}
-		if s.eligible[id] != s.requests {
+		wu := s.wus[id]
+		if wu == nil || wu.round != s.requests {
 			continue // not an eligible candidate, or a duplicate pick
 		}
-		s.eligible[id] = 0 // consumed this round
-		wu := s.wus[id]
+		wu.round = 0 // consumed this round
+		s.q.popFirst(wu)
+		wu.queued--
+		s.depth--
 		// Cache hits must be read before the sticky loop below marks the
 		// assigned files as cached.
-		hits := cacheScore(c, wu)
+		hits := cacheScore(c, wu.InputFiles)
 		s.nextRes += s.idStep
 		res := &Result{
 			ID:       s.nextRes,
@@ -456,22 +559,19 @@ func (s *Scheduler) RequestWork(clientID string, now float64, max int) []Assignm
 			Status:   ResInProgress,
 		}
 		s.results[res.ID] = res
-		if !s.expireLBOK || res.Deadline < s.expireLB {
-			s.expireLB, s.expireLBOK = res.Deadline, true
-		}
+		s.pushDeadline(res)
 		wu.active++
 		wu.status = WUInProgress
 		c.inFlight++
 		s.inflight++
 		s.Issued++
-		// The one-result-per-user index only matters for replicated
-		// workunits (buildView consults it under the same guard), so
-		// singleton workunits — the common case — never pay the map.
+		// The one-result-per-user set only matters for replicated
+		// workunits, so singletons — the common case — never pay the map.
 		if wu.Replication > 1 {
-			if s.assignedTo[wu.ID] == nil {
-				s.assignedTo[wu.ID] = make(map[string]bool)
+			if wu.assignedTo == nil {
+				wu.assignedTo = make(map[string]bool)
 			}
-			s.assignedTo[wu.ID][clientID] = true
+			wu.assignedTo[clientID] = true
 		}
 		out = append(out, Assignment{
 			ResultID: res.ID,
@@ -486,7 +586,6 @@ func (s *Scheduler) RequestWork(clientID string, now float64, max int) []Assignm
 			Payload:    wu.Payload,
 			Deadline:   res.Deadline,
 		})
-		issued = append(issued, id)
 		if s.sink != nil {
 			events = append(events, SchedEvent{
 				Kind: EvAssigned, T: now, WUID: wu.ID, ResultID: res.ID,
@@ -501,8 +600,7 @@ func (s *Scheduler) RequestWork(clientID string, now float64, max int) []Assignm
 			}
 		}
 	}
-	s.dequeueFirst(issued)
-	s.issuedBuf = issued[:0]
+	s.q.compact()
 	if len(out) > 0 {
 		s.assignMix[s.policy.Name()] += len(out)
 	}
@@ -512,36 +610,6 @@ func (s *Scheduler) RequestWork(clientID string, now float64, max int) []Assignm
 	s.eventBuf = events[:0]
 	return out
 }
-
-// dequeueFirst removes the first queued copy of each given workunit
-// from the pending FIFO (the copy a candidate's Pos pointed at).
-func (s *Scheduler) dequeueFirst(ids []int64) {
-	if len(ids) == 0 {
-		return
-	}
-	remaining := ids
-	kept := s.pending[:0]
-	for _, id := range s.pending {
-		removed := false
-		if len(remaining) > 0 {
-			for i, want := range remaining {
-				if want == id {
-					remaining = append(remaining[:i], remaining[i+1:]...)
-					s.queued[id]--
-					removed = true
-					break
-				}
-			}
-		}
-		if !removed {
-			kept = append(kept, id)
-		}
-	}
-	s.pending = kept
-}
-
-// queuedCopies counts pending-queue entries for a workunit.
-func (s *Scheduler) queuedCopies(id int64) int { return s.queued[id] }
 
 // DropClient marks a client as gone from the project. Its in-flight
 // results still expire normally; it just stops counting as an available
@@ -636,29 +704,16 @@ func (s *Scheduler) CompleteResult(resultID int64, valid bool, now float64) (*Wo
 		if wu.valid < wu.Quorum {
 			// Quorum not yet reached; make sure enough copies remain in
 			// flight or queued to get there.
-			if wu.valid+wu.active+s.queuedCopies(wu.ID) < wu.Quorum {
+			if wu.valid+wu.active+wu.queued < wu.Quorum {
 				wu.queuedAt = now
-				s.enqueue(wu.ID)
+				s.enqueue(wu)
 				s.QuorumRetries++
 			}
 			s.observe(SchedEvent{Kind: EvValid, T: now, WUID: wu.ID, ResultID: res.ID, Client: res.ClientID, Wait: turnaround})
 			return wu, false, nil
 		}
-		wu.status = WUDone
+		s.retire(wu, WUDone) // drops any still-queued replicas
 		s.Completions++
-		// Drop any still-queued replicas of this workunit. The copy-count
-		// index makes the common case (nothing queued) free instead of a
-		// full queue rebuild per completion.
-		if s.queuedCopies(wu.ID) > 0 {
-			kept := s.pending[:0]
-			for _, id := range s.pending {
-				if id != wu.ID {
-					kept = append(kept, id)
-				}
-			}
-			s.pending = kept
-			delete(s.queued, wu.ID)
-		}
 		s.observe(SchedEvent{Kind: EvValid, T: now, WUID: wu.ID, ResultID: res.ID, Client: res.ClientID, Wait: turnaround})
 		s.observe(SchedEvent{Kind: EvWUDone, T: now, WUID: wu.ID, Client: res.ClientID})
 		return wu, true, nil
@@ -678,51 +733,84 @@ func (s *Scheduler) noteFailure(wu *Workunit) {
 	}
 	wu.errors++
 	if wu.errors > wu.MaxErrors {
-		wu.status = WUFailed
+		s.retire(wu, WUFailed)
 		s.Failures++
 		s.observe(SchedEvent{Kind: EvWUFailed, T: s.lastNow, WUID: wu.ID})
 		return
 	}
 	wu.status = WUPending
 	wu.queuedAt = s.lastNow
-	s.enqueue(wu.ID)
+	s.enqueue(wu)
 	s.Reissued++
 	s.QuorumRetries++
 	s.observe(SchedEvent{Kind: EvReissued, T: s.lastNow, WUID: wu.ID})
 }
 
-// ExpireTimeouts marks overdue results as timed out and requeues their
-// workunits for another client (§III-B fault tolerance). It returns the
-// IDs of expired results.
-func (s *Scheduler) ExpireTimeouts(now float64) []int64 {
-	// Fast path: nothing in flight, or the earliest possible deadline is
-	// still ahead — a scan could not expire anything, so skip it. This is
-	// observationally identical to scanning and finding nothing, and it
-	// keeps the sweep the HTTP server runs before every work request O(1)
-	// instead of O(all results ever issued).
-	if s.inflight == 0 || (s.expireLBOK && now <= s.expireLB) {
-		s.lastNow = now
+// deadlineBefore orders the deadline heap: earliest deadline first, ties
+// by result ID.
+func deadlineBefore(a, b *Result) bool {
+	if a.Deadline != b.Deadline {
+		return a.Deadline < b.Deadline
+	}
+	return a.ID < b.ID
+}
+
+// pushDeadline enters a freshly issued result into the deadline heap,
+// first sweeping out finished results once they are the majority so the
+// heap stays O(in flight) however long deadlines are.
+func (s *Scheduler) pushDeadline(res *Result) {
+	if h := s.deadlines; len(h) > 2*s.inflight+compactSlack {
+		kept := h[:0]
+		for _, r := range h {
+			if r.Status == ResInProgress {
+				kept = append(kept, r)
+			}
+		}
+		clear(h[len(kept):])
+		for i := len(kept)/2 - 1; i >= 0; i-- {
+			heapDown(kept, i, deadlineBefore)
+		}
+		s.deadlines = kept
+	}
+	s.deadlines = append(s.deadlines, res)
+	heapUp(s.deadlines, len(s.deadlines)-1, deadlineBefore)
+}
+
+// earliestDeadline returns the outstanding result with the earliest
+// deadline, or nil, discarding finished results that surface on the way.
+func (s *Scheduler) earliestDeadline() *Result {
+	for len(s.deadlines) > 0 && s.deadlines[0].Status != ResInProgress {
+		s.popDeadline()
+	}
+	if len(s.deadlines) == 0 {
 		return nil
 	}
-	// Collect first and process in ID order so reissue order (and thus
-	// simulation behaviour) is deterministic despite map iteration. The
-	// same pass recomputes the exact earliest surviving deadline, which
-	// re-arms the fast path above.
-	var expired []int64
-	nextLB, nextOK := 0.0, false
-	for id, res := range s.results {
-		if res.Status != ResInProgress {
-			continue
-		}
-		if now > res.Deadline {
-			expired = append(expired, id)
-		} else if !nextOK || res.Deadline < nextLB {
-			nextLB, nextOK = res.Deadline, true
-		}
-	}
-	s.expireLB, s.expireLBOK = nextLB, nextOK
-	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
+	return s.deadlines[0]
+}
+
+func (s *Scheduler) popDeadline() {
+	h := s.deadlines
+	last := len(h) - 1
+	h[0], h[last] = h[last], nil
+	s.deadlines = h[:last]
+	heapDown(s.deadlines, 0, deadlineBefore)
+}
+
+// ExpireTimeouts marks overdue results as timed out and requeues their
+// workunits for another client (§III-B fault tolerance). It returns the
+// IDs of expired results. The sweep pops the deadline heap, so a call
+// that finds nothing overdue — the HTTP server makes one before every
+// work request — costs O(1).
+func (s *Scheduler) ExpireTimeouts(now float64) []int64 {
 	s.lastNow = now
+	var expired []int64
+	for res := s.earliestDeadline(); res != nil && now > res.Deadline; res = s.earliestDeadline() {
+		expired = append(expired, res.ID)
+		s.popDeadline()
+	}
+	// Process in ID order, not deadline order, so reissue order (and thus
+	// simulation behaviour) is what it has always been.
+	slices.Sort(expired)
 	for _, id := range expired {
 		res := s.results[id]
 		res.Status = ResTimedOut
@@ -743,27 +831,17 @@ func (s *Scheduler) ExpireTimeouts(now float64) []int64 {
 // false when nothing is in flight. The simulator uses it to schedule
 // timeout sweeps exactly when they can matter.
 func (s *Scheduler) NextDeadline() (float64, bool) {
-	best, ok := 0.0, false
-	for _, res := range s.results {
-		if res.Status == ResInProgress && (!ok || res.Deadline < best) {
-			best, ok = res.Deadline, true
-		}
+	if res := s.earliestDeadline(); res != nil {
+		return res.Deadline, true
 	}
-	return best, ok
+	return 0, false
 }
 
 // Done reports whether every workunit reached a terminal state.
-func (s *Scheduler) Done() bool {
-	for _, wu := range s.wus {
-		if wu.status != WUDone && wu.status != WUFailed {
-			return false
-		}
-	}
-	return true
-}
+func (s *Scheduler) Done() bool { return s.open == 0 }
 
 // PendingCount returns the number of queued (unassigned) workunit copies.
-func (s *Scheduler) PendingCount() int { return len(s.pending) }
+func (s *Scheduler) PendingCount() int { return s.depth }
 
 // InFlight returns the number of outstanding results. It is maintained
 // incrementally (every transition out of ResInProgress passes through
@@ -791,7 +869,7 @@ func (s *Scheduler) Stats() SchedStats {
 		Completions:   s.Completions,
 		Invalid:       s.Invalid,
 		QuorumRetries: s.QuorumRetries,
-		Pending:       len(s.pending),
+		Pending:       s.depth,
 		InFlight:      s.inflight,
 		Clients:       len(s.clients),
 		Done:          s.Done(),

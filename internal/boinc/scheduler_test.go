@@ -483,16 +483,22 @@ func TestLifecycleInvariantProperty(t *testing.T) {
 			case 2:
 				s.ExpireTimeouts(now)
 			}
+			if s.Done() != naiveDone(s) {
+				return false
+			}
 		}
 		// Drain: give everything valid completions until done or failed.
 		for round := 0; round < 100 && !s.Done(); round++ {
 			now += 1
 			for _, a := range s.RequestWork("c", now, 5) {
 				s.CompleteResult(a.ResultID, true, now)
+				if s.Done() != naiveDone(s) {
+					return false
+				}
 			}
 			s.ExpireTimeouts(now)
 		}
-		return s.Done()
+		return s.Done() && naiveDone(s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

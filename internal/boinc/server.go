@@ -8,6 +8,7 @@ import (
 	"net/http/pprof"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vcdl/internal/blob"
@@ -29,12 +30,13 @@ type ValidateFunc func(wu *Workunit, output []byte) bool
 //
 // Scheduler state lives in a ShardedScheduler: with SchedulerConfig.Shards
 // > 1, work requests, uploads and validations on different shards run
-// concurrently under per-shard locks, while the server's own mutex only
-// guards the file table, client controls and traffic counters — the
-// heavy-traffic layout of DESIGN.md §14. The default single shard
+// concurrently under per-shard locks, while the server's own lock only
+// guards the file table and client controls — both read-mostly, so the
+// request path takes it shared — and the traffic counters are atomics:
+// the heavy-traffic layout of DESIGN.md §14. The default single shard
 // behaves exactly like the historical single-mutex server.
 type Server struct {
-	mu    sync.Mutex
+	mu    sync.RWMutex
 	sched *ShardedScheduler
 	files map[string][]byte
 	// controls holds per-client shaping delivered on scheduler replies
@@ -50,7 +52,7 @@ type Server struct {
 
 	// bytesDown/bytesUp count payload traffic served and received, the
 	// real-mode counterpart of the simulator's transfer accounting.
-	bytesDown, bytesUp int64
+	bytesDown, bytesUp atomic.Int64
 
 	start time.Time
 	mux   *http.ServeMux
@@ -208,29 +210,21 @@ func (s *Server) EnableBlobs(svc *blob.Service) {
 		return
 	}
 	s.blobs = svc
-	svc.OnBytes(func(n int64) {
-		s.mu.Lock()
-		s.bytesDown += n
-		down := s.obsDown
-		s.mu.Unlock()
-		if down != nil {
-			down.Add(n)
-		}
-	})
+	svc.OnBytes(func(n int64) { s.countBytes(&s.bytesDown, s.obsDown, n) })
 	s.mux.Handle("GET /blob/{digest}", svc)
 }
 
 // Blobs returns the data-plane service, or nil when disabled.
 func (s *Server) Blobs() *blob.Service {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.blobs
 }
 
 // Metrics returns the attached registry, or nil.
 func (s *Server) Metrics() *obs.Registry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.obs
 }
 
@@ -304,16 +298,23 @@ func (s *Server) SetClientControl(id string, ctl ClientControl) {
 
 // ClientControlFor returns the shaping currently installed for a client.
 func (s *Server) ClientControlFor(id string) ClientControl {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.controls[id]
 }
 
 // Traffic returns the payload bytes served to and received from clients.
 func (s *Server) Traffic() (down, up int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytesDown, s.bytesUp
+	return s.bytesDown.Load(), s.bytesUp.Load()
+}
+
+// countBytes adds payload traffic to one direction's total and, with
+// metrics enabled, to its exported counter.
+func (s *Server) countBytes(total *atomic.Int64, exported *obs.Counter, n int64) {
+	total.Add(n)
+	if exported != nil {
+		exported.Add(n)
+	}
 }
 
 // Done reports whether all workunits reached a terminal state.
@@ -368,30 +369,25 @@ func (s *Server) handleScheduler(w http.ResponseWriter, r *http.Request) {
 	// shard, and picks coalesce into one batched reply.
 	asn := s.sched.RequestWork(req.ClientID, s.now(), req.MaxTasks, req.CachedFiles)
 	reply := WorkReply{Assignments: asn}
-	s.mu.Lock()
+	s.mu.RLock()
 	if ctl, ok := s.controls[req.ClientID]; ok {
 		c := ctl
 		reply.Control = &c
 	}
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	writeJSON(w, reply)
 }
 
 func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("f")
-	s.mu.Lock()
+	s.mu.RLock()
 	data, ok := s.files[name]
-	if ok {
-		s.bytesDown += int64(len(data))
-		if s.obsDown != nil {
-			s.obsDown.Add(int64(len(data)))
-		}
-	}
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	if !ok {
 		http.Error(w, "no such file: "+name, http.StatusNotFound)
 		return
 	}
+	s.countBytes(&s.bytesDown, s.obsDown, int64(len(data)))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(data)
 }
@@ -415,13 +411,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-
-	s.mu.Lock()
-	s.bytesUp += int64(len(output))
-	if s.obsUp != nil {
-		s.obsUp.Add(int64(len(output)))
-	}
-	s.mu.Unlock()
+	s.countBytes(&s.bytesUp, s.obsUp, int64(len(output)))
 	// The result ID names its owning shard (striped residue classes), so
 	// lookup, validation and completion happen under that one shard's
 	// lock while uploads for other shards proceed in parallel.

@@ -94,7 +94,29 @@ type Workunit struct {
 	// reissue), in the scheduler's time base; assignment latency is
 	// measured from here.
 	queuedAt float64
+
+	// Scheduler index state, kept on the record so that it is released
+	// with it rather than in side maps keyed by ID.
+	//
+	// queued counts this workunit's copies in PendingCount and qhead is
+	// the queue slot of the first of them (-1 for none). The two differ
+	// only for a failed workunit: its copies leave the queue but, as
+	// they always have, stay in the count until the workunit is done.
+	queued, qhead int
+	// filesHash is hashFiles(InputFiles), the fixed part of the bucket key.
+	filesHash uint64
+	// round is the request counter that last offered this workunit to a
+	// policy; only picks stamped with the current round may issue.
+	round int64
+	// assignedTo records which clients ever received a copy of a
+	// replicated workunit (BOINC's one-result-per-user rule, so replicas
+	// verify each other across machines). Nil for singletons and once
+	// the workunit is terminal.
+	assignedTo map[string]bool
 }
+
+// terminal reports whether the workunit is done or failed.
+func (w *Workunit) terminal() bool { return w.status == WUDone || w.status == WUFailed }
 
 // ValidResults returns how many results have been accepted so far.
 func (w *Workunit) ValidResults() int { return w.valid }
