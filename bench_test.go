@@ -6,13 +6,19 @@
 package bench
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"vcdl/internal/baseline"
+	"vcdl/internal/boinc"
 	"vcdl/internal/cloud"
 	"vcdl/internal/core"
 	"vcdl/internal/data"
@@ -511,6 +517,56 @@ func BenchmarkVCASGDAssimilate(b *testing.B) {
 		if err := srv.Assimilate(client, 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkUploadAssimilate drives the server's whole result path for a
+// megabyte model — scheduler request, then upload → validate →
+// assimilate → evaluate — through the HTTP handlers without a socket
+// (the assim_storm shape, one connection). Its B/op is what the pooled
+// single-decode path is pinned by: a second decode or a dropped pool
+// shows as another 1.3 MB per operation.
+func BenchmarkUploadAssimilate(b *testing.B) {
+	dc := data.DefaultSynthConfig()
+	dc.NTrain = 2000
+	corpus, err := data.GenerateSynth(dc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := core.MLPSpec(dc.C*dc.H*dc.W, []int{512, 128}, dc.Classes)
+	spec.Layers = append([]core.LayerSpec{{Kind: "flatten"}}, spec.Layers...)
+	builder, err := spec.Builder()
+	if err != nil {
+		b.Fatal(err)
+	}
+	job := core.DefaultJobConfig(builder)
+	job.Subtasks, job.MaxEpochs, job.ValSubset = 200, 1<<30, 16
+	d, err := core.NewDistributed(job, spec, corpus, 2, store.NewEventual(1, 0, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := d.Server()
+	do := func(method, url string, body []byte) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(method, url, bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			b.Fatalf("%s %s: %d %s", method, url, w.Code, w.Body)
+		}
+		return w
+	}
+	// What a client that did no training would send back: the epoch's
+	// own parameter file.
+	blob := do("GET", "/download?f=params_e001.h5", nil).Body.Bytes()
+	ask := []byte(`{"client_id":"c1","max_tasks":1}`)
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var reply boinc.WorkReply
+		if err := json.Unmarshal(do("POST", "/scheduler", ask).Body.Bytes(), &reply); err != nil || len(reply.Assignments) != 1 {
+			b.Fatalf("scheduler reply: %v, %d assignments", err, len(reply.Assignments))
+		}
+		do("POST", fmt.Sprintf("/upload?result=%d", reply.Assignments[0].ResultID), blob)
 	}
 }
 

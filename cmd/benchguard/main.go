@@ -1,14 +1,19 @@
 // Command benchguard is the allocation-regression gate for the compute
 // hot path. It runs the pinned benchmark set (tensor kernels, wire
-// round-trip, the 100k-backlog scheduler request, the executor subtask)
-// with -benchmem at fixed iteration counts, then compares allocs/op
-// against the baselines committed in BENCH_kernels.json:
+// round-trip, the 100k-backlog scheduler request, the executor subtask,
+// the upload → assimilate path) with -benchmem at fixed iteration counts,
+// then compares allocs/op against the baselines committed in
+// BENCH_kernels.json:
 //
 //   - entries marked pinned_zero_alloc must report exactly 0 allocs/op —
 //     any allocation on those kernels is a regression, full stop;
 //   - every other entry may not exceed its committed allocs/op by more
 //     than max(2, 25%) — slack for map-growth amortization jitter, tight
-//     enough to catch a reintroduced per-call copy.
+//     enough to catch a reintroduced per-call copy;
+//   - entries marked gate_bytes, whose allocations are few and megabytes
+//     each, may not exceed their committed bytes/op by more than 10% —
+//     one more copy of the parameter vector is a single alloc/op, which
+//     the count above would wave through.
 //
 // ns/op and throughput metrics are recorded in the same file but never
 // gated: CI hosts are too noisy for wall-clock thresholds, while
@@ -49,6 +54,8 @@ type target struct {
 	// pinnedZero marks every benchmark this target emits as
 	// zero-allocation-pinned.
 	pinnedZero bool
+	// gateBytes gates bytes/op as well as allocs/op.
+	gateBytes bool
 }
 
 var targets = []target{
@@ -56,6 +63,7 @@ var targets = []target{
 	{pkg: "./internal/wire", bench: "^(BenchmarkParamsRoundTrip|BenchmarkEncodeCheckpoint)$", benchtime: "50x"},
 	{pkg: "./internal/boinc", bench: "^BenchmarkRequestWork$/^paper$", benchtime: "300x"},
 	{pkg: ".", bench: "^BenchmarkExecutorSubtask$", benchtime: "20x"},
+	{pkg: ".", bench: "^(BenchmarkUploadAssimilate|BenchmarkVCASGDAssimilate)$", benchtime: "50x", gateBytes: true},
 }
 
 // Entry is one benchmark measurement in BENCH_kernels.json.
@@ -68,6 +76,7 @@ type Entry struct {
 	AllocsPerOp int64              `json:"allocs_per_op"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 	PinnedZero  bool               `json:"pinned_zero_alloc,omitempty"`
+	GateBytes   bool               `json:"gate_bytes,omitempty"`
 }
 
 // File is the BENCH_kernels.json schema.
@@ -78,7 +87,8 @@ type File struct {
 
 const baselineNote = "Compute hot-path benchmark baselines (cmd/benchguard -update). " +
 	"allocs_per_op is the gated column: pinned_zero_alloc entries must stay at 0, " +
-	"the rest within max(2, 25%) of baseline. ns_per_op and metrics are informational."
+	"the rest within max(2, 25%) of baseline; gate_bytes entries must also keep bytes_per_op within 10%. " +
+	"ns_per_op and metrics are informational."
 
 // benchLine matches one benchmark result row; the trailing -N is the
 // GOMAXPROCS suffix, not part of the benchmark's identity.
@@ -163,6 +173,9 @@ func run() int {
 			failures++
 		case e.AllocsPerOp > limit:
 			fmt.Fprintf(os.Stderr, "FAIL %s: %d allocs/op, baseline %d (limit %d)\n", key, e.AllocsPerOp, want.AllocsPerOp, limit)
+			failures++
+		case want.GateBytes && e.BytesPerOp > want.BytesPerOp+want.BytesPerOp/10:
+			fmt.Fprintf(os.Stderr, "FAIL %s: %d B/op, baseline %d (limit +10%%)\n", key, e.BytesPerOp, want.BytesPerOp)
 			failures++
 		default:
 			fmt.Printf("ok   %s: %d allocs/op (baseline %d), %.0f ns/op\n", key, e.AllocsPerOp, want.AllocsPerOp, e.NsPerOp)
@@ -328,7 +341,7 @@ func runTarget(t target) ([]Entry, error) {
 		if m == nil {
 			continue
 		}
-		e := Entry{Pkg: t.pkg, Name: m[1], PinnedZero: t.pinnedZero}
+		e := Entry{Pkg: t.pkg, Name: m[1], PinnedZero: t.pinnedZero, GateBytes: t.gateBytes}
 		e.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
 		if err := parseMeasurements(&e, m[3]); err != nil {
 			return nil, fmt.Errorf("parse %q: %w", line, err)

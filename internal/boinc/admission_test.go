@@ -23,10 +23,10 @@ func TestAdmissionShedsWith429(t *testing.T) {
 	started := make(chan struct{}, 8)
 	// A validating upload blocks in the handler while holding the one
 	// admission slot, making the overload window deterministic.
-	validate := func(wu *Workunit, output []byte) bool {
+	validate := func(wu *Workunit, output []byte) (Decoded, bool) {
 		started <- struct{}{}
 		<-release
-		return true
+		return nil, true
 	}
 	srv := NewServer(DefaultSchedulerConfig(), validate, nil)
 	srv.EnableAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 0, RetryAfter: 250 * time.Millisecond})
@@ -83,10 +83,10 @@ func TestAdmissionShedsWith429(t *testing.T) {
 func TestAdmissionQueueAdmits(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	validate := func(wu *Workunit, output []byte) bool {
+	validate := func(wu *Workunit, output []byte) (Decoded, bool) {
 		started <- struct{}{}
 		<-release
-		return true
+		return nil, true
 	}
 	srv := NewServer(DefaultSchedulerConfig(), validate, nil)
 	srv.EnableAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 4})

@@ -28,9 +28,9 @@ func echoApp() App {
 func TestHTTPEndToEnd(t *testing.T) {
 	var mu sync.Mutex
 	assimilated := map[string][]byte{}
-	srv := NewServer(DefaultSchedulerConfig(), nil, func(wu *Workunit, output []byte) {
+	srv := NewServer(DefaultSchedulerConfig(), nil, func(wu *Workunit, output []byte, _ Decoded) {
 		mu.Lock()
-		assimilated[wu.Name] = output
+		assimilated[wu.Name] = bytes.Clone(output)
 		mu.Unlock()
 	})
 	srv.PutFile("shard1", []byte("DATA1:"))
@@ -124,7 +124,7 @@ func TestHTTPAppFailureReissues(t *testing.T) {
 }
 
 func TestHTTPValidatorRejects(t *testing.T) {
-	reject := func(wu *Workunit, output []byte) bool { return false }
+	reject := func(wu *Workunit, output []byte) (Decoded, bool) { return nil, false }
 	srv := NewServer(DefaultSchedulerConfig(), reject, nil)
 	srv.AddWorkunit(Workunit{Name: "t", MaxErrors: 1})
 	ts := httptest.NewServer(srv)

@@ -1,6 +1,7 @@
 package boinc
 
 import (
+	"bytes"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -12,9 +13,9 @@ import (
 func TestMultipleApplications(t *testing.T) {
 	var mu sync.Mutex
 	got := map[string][]byte{}
-	srv := NewServer(DefaultSchedulerConfig(), nil, func(wu *Workunit, output []byte) {
+	srv := NewServer(DefaultSchedulerConfig(), nil, func(wu *Workunit, output []byte, _ Decoded) {
 		mu.Lock()
-		got[wu.Name] = output
+		got[wu.Name] = bytes.Clone(output)
 		mu.Unlock()
 	})
 	srv.AddWorkunit(Workunit{Name: "train", App: "trainer", Payload: []byte("x")})

@@ -2,6 +2,7 @@ package boinc
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,26 +16,43 @@ import (
 	"vcdl/internal/obs"
 )
 
+// Decoded is what a validator made of an upload on the way to its
+// verdict — for VCDL the parameter vector it had to decode anyway. The
+// server hands it to the assimilator when the result is canonical and
+// calls Release exactly once when it is done with it, whether or not the
+// assimilator ran.
+type Decoded interface {
+	Release()
+}
+
+// ValidateFunc decides whether an uploaded output is acceptable. It runs
+// outside every scheduler lock, possibly concurrently with itself, and
+// must depend only on its arguments' immutable fields. A non-nil Decoded
+// may accompany either verdict. A nil validator accepts everything.
+type ValidateFunc func(wu *Workunit, output []byte) (dec Decoded, valid bool)
+
 // AssimilateFunc processes the canonical output of a completed workunit —
 // for VCDL this is the parameter server's VC-ASGD update. It runs after
-// validation succeeds.
-type AssimilateFunc func(wu *Workunit, output []byte)
+// validation succeeds, with whatever the validator decoded (nil without
+// a validator). output and dec belong to the server again once the hook
+// returns: copy what must outlive the call.
+type AssimilateFunc func(wu *Workunit, output []byte, dec Decoded)
 
-// ValidateFunc decides whether an uploaded output is acceptable. A nil
-// validator accepts everything.
-type ValidateFunc func(wu *Workunit, output []byte) bool
+// DefaultMaxUpload is the largest upload body a server accepts until
+// SetMaxUpload says otherwise.
+const DefaultMaxUpload = 1 << 20
 
 // Server is the BOINC-style project server: scheduler endpoint, file
 // distribution ("web server"), upload handler, validator and assimilator.
 // It is safe for concurrent use.
 //
 // Scheduler state lives in a ShardedScheduler: with SchedulerConfig.Shards
-// > 1, work requests, uploads and validations on different shards run
-// concurrently under per-shard locks, while the server's own lock only
-// guards the file table and client controls — both read-mostly, so the
-// request path takes it shared — and the traffic counters are atomics:
-// the heavy-traffic layout of DESIGN.md §14. The default single shard
-// behaves exactly like the historical single-mutex server.
+// > 1, work requests and uploads on different shards run concurrently
+// under per-shard locks (validation holds none), while the server's own
+// lock only guards the file table and client controls — both read-mostly,
+// so the request path takes it shared — and the traffic counters are
+// atomics: the heavy-traffic layout of DESIGN.md §14. The default single
+// shard behaves exactly like the historical single-mutex server.
 type Server struct {
 	mu    sync.RWMutex
 	sched *ShardedScheduler
@@ -49,6 +67,10 @@ type Server struct {
 
 	validate   ValidateFunc
 	assimilate AssimilateFunc
+	// maxUpload caps an upload body (413 beyond it); bodies recycles the
+	// buffers validated uploads are read into.
+	maxUpload int64
+	bodies    sync.Pool // of *[]byte
 
 	// bytesDown/bytesUp count payload traffic served and received, the
 	// real-mode counterpart of the simulator's transfer accounting.
@@ -79,6 +101,7 @@ func NewServer(cfg SchedulerConfig, validate ValidateFunc, assimilate Assimilate
 		controls:   make(map[string]ClientControl),
 		validate:   validate,
 		assimilate: assimilate,
+		maxUpload:  DefaultMaxUpload,
 		start:      time.Now(),
 	}
 	s.mux = http.NewServeMux()
@@ -392,6 +415,53 @@ func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
+// SetMaxUpload sets the largest upload body the server reads; anything
+// longer is answered 413 without being buffered. The project that knows
+// its output size calls it once, before serving traffic.
+func (s *Server) SetMaxUpload(n int64) { s.maxUpload = n }
+
+// readUpload reads the request body, at most maxUpload bytes of it. A
+// declared Content-Length is read in one piece into an exactly sized
+// buffer — taken from the pool when pooled, and then the caller must
+// hand it to releaseBody — instead of regrowing one through io.ReadAll.
+func (s *Server) readUpload(w http.ResponseWriter, r *http.Request, pooled bool) (body []byte, buf *[]byte, err error) {
+	n := r.ContentLength
+	if n > s.maxUpload {
+		return nil, nil, &http.MaxBytesError{Limit: s.maxUpload}
+	}
+	if n < 0 {
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxUpload))
+		return body, nil, err
+	}
+	if pooled {
+		buf, _ = s.bodies.Get().(*[]byte)
+		if buf == nil || int64(cap(*buf)) < n {
+			b := make([]byte, n)
+			buf = &b
+		}
+		body = (*buf)[:n]
+	} else {
+		body = make([]byte, n)
+	}
+	_, err = io.ReadFull(r.Body, body)
+	return body, buf, err
+}
+
+func (s *Server) releaseBody(buf *[]byte) {
+	if buf != nil {
+		s.bodies.Put(buf)
+	}
+}
+
+// handleUpload takes one result. With nothing to validate (no validator,
+// or the client reported failure) lookup and completion share a single
+// acquisition of the owning shard's lock. Otherwise the handler runs in
+// three phases — look the result up under the lock, validate with no
+// lock held, complete under the lock — so a megabyte decode never stalls
+// the work requests and uploads queued on the same shard. CompleteResult
+// re-checks the result's state, so one that expired or was completed by
+// a duplicate upload while its bytes were being validated is answered
+// 410, as it was when validation ran under the lock.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if a := s.admit; a != nil {
 		if !a.acquire() {
@@ -406,39 +476,56 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	failed := r.URL.Query().Get("failed") == "1"
-	output, err := io.ReadAll(io.LimitReader(r.Body, 1<<30))
+	validating := s.validate != nil && !failed
+	output, buf, err := s.readUpload(w, r, validating)
+	defer s.releaseBody(buf)
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("upload exceeds %d bytes", s.maxUpload), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	s.countBytes(&s.bytesUp, s.obsUp, int64(len(output)))
 	// The result ID names its owning shard (striped residue classes), so
-	// lookup, validation and completion happen under that one shard's
-	// lock while uploads for other shards proceed in parallel.
+	// uploads for other shards proceed in parallel.
 	var (
 		wu        *Workunit
-		known     bool
 		canonical bool
 		cerr      error
 	)
-	s.sched.ForResult(resultID, func(sc *Scheduler) {
-		res := sc.Result(resultID)
-		if res == nil {
-			return
+	lookup := func(sc *Scheduler) {
+		if res := sc.Result(resultID); res != nil {
+			wu = sc.Workunit(res.WUID)
 		}
-		known = true
-		wu = sc.Workunit(res.WUID)
-		valid := !failed
-		if valid && s.validate != nil {
-			valid = s.validate(wu, output)
+	}
+	var dec Decoded
+	if !validating {
+		s.sched.ForResult(resultID, func(sc *Scheduler) {
+			if lookup(sc); wu != nil {
+				_, canonical, cerr = sc.CompleteResult(resultID, !failed, s.now())
+			}
+		})
+	} else {
+		s.sched.ForResult(resultID, lookup)
+		if wu != nil {
+			var valid bool
+			dec, valid = s.validate(wu, output)
+			if dec != nil {
+				defer dec.Release()
+			}
+			s.sched.ForResult(resultID, func(sc *Scheduler) {
+				_, canonical, cerr = sc.CompleteResult(resultID, valid, s.now())
+			})
 		}
-		_, canonical, cerr = sc.CompleteResult(resultID, valid, s.now())
-	})
-	if !known {
+	}
+	if wu == nil {
 		http.Error(w, "unknown result", http.StatusNotFound)
 		return
 	}
-	if err := cerr; err != nil {
+	if cerr != nil {
 		// Late upload for an already-expired result: acknowledged but
 		// ignored, exactly like BOINC discarding post-deadline results.
 		w.WriteHeader(http.StatusGone)
@@ -449,7 +536,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			s.obsAssim.Inc()
 		}
 		if s.assimilate != nil {
-			s.assimilate(wu, output)
+			s.assimilate(wu, output, dec)
 		}
 	}
 	w.WriteHeader(http.StatusOK)

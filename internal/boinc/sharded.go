@@ -139,8 +139,9 @@ func (ss *ShardedScheduler) RequestWork(clientID string, now float64, max int, c
 }
 
 // ForResult runs f on the shard that owns the given result ID, under
-// that shard's lock. The upload path uses it to look up, validate and
-// complete a result in one acquisition.
+// that shard's lock. The upload path uses it to look up and complete a
+// result (in one acquisition when there is nothing to validate between
+// the two).
 func (ss *ShardedScheduler) ForResult(resultID int64, f func(*Scheduler)) {
 	sh := ss.shardForResult(resultID)
 	sh.mu.Lock()

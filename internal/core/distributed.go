@@ -85,6 +85,17 @@ type Distributed struct {
 	replication int
 	start       time.Time
 
+	// paramCount is the model's parameter count, fixed at construction:
+	// the only length an upload may decode to. decoded recycles the
+	// vectors validate decodes into (each paramCount long).
+	paramCount int
+	decoded    sync.Pool // of *decodedParams
+	// Test seams, left alone in production: decode is the one place an
+	// upload is decompressed; onRelease sees each vector as it goes back
+	// to the pool.
+	decode    func(dst []float64, blob []byte) error
+	onRelease func(params []float64)
+
 	mu      sync.Mutex
 	tracker *ps.EpochTracker
 	stop    ps.StopCriterion
@@ -160,9 +171,12 @@ func NewDistributedJob(cfg JobConfig, spec ModelSpec, corpus *data.Corpus, pn in
 	if pn < 1 {
 		pn = 1
 	}
+	net := nn.NewNetwork(cfg.Builder)
 	d := &Distributed{
 		cfg:         cfg,
 		spec:        spec,
+		paramCount:  net.ParamCount(),
+		decode:      wire.DecodeParamsInto,
 		group:       ps.NewGroup(pn, st, cfg.Alpha),
 		eval:        NewEvaluator(cfg.Builder, corpus.Val, cfg.ValSubset, cfg.BatchSize*4),
 		replication: opts.Replication,
@@ -185,6 +199,7 @@ func NewDistributedJob(cfg JobConfig, spec ModelSpec, corpus *data.Corpus, pn in
 		sched = *opts.Scheduler
 	}
 	d.server = boinc.NewServer(sched, d.validate, d.assimilate)
+	d.server.SetMaxUpload(int64(wire.MaxEncodedSize(d.paramCount)) + uploadSlack)
 	if opts.Policy != nil {
 		d.server.Scheduler(func(s *boinc.Scheduler) { s.SetPolicy(opts.Policy) })
 	}
@@ -213,7 +228,6 @@ func NewDistributedJob(cfg JobConfig, spec ModelSpec, corpus *data.Corpus, pn in
 			}
 		}
 		if !resumed {
-			net := nn.NewNetwork(cfg.Builder)
 			net.Init(rand.New(rand.NewSource(cfg.Seed)))
 			if err := d.group.Publish(net.Parameters()); err != nil {
 				return nil, err
@@ -400,30 +414,48 @@ func (d *Distributed) generateEpoch(epoch int) error {
 	return nil
 }
 
-// validate is the BOINC validator hook: an upload is acceptable if it
-// decodes to a parameter vector of the right length with finite values.
-func (d *Distributed) validate(wu *boinc.Workunit, output []byte) bool {
-	params, err := wire.DecodeParams(output)
-	if err != nil {
-		return false
+// uploadSlack is what an upload may exceed wire.MaxEncodedSize by: room
+// for an encoder that frames its gzip stream less tightly than ours.
+const uploadSlack = 4096
+
+// decodedParams is one upload's parameter vector, decoded by validate
+// and owned by the upload handler until it calls Release.
+type decodedParams struct {
+	params []float64
+	d      *Distributed
+}
+
+// Release returns the vector to its job's pool; nothing may read it
+// afterwards.
+func (p *decodedParams) Release() {
+	if p.d.onRelease != nil {
+		p.d.onRelease(p.params)
 	}
-	want := nn.NewNetwork(d.cfg.Builder).ParamCount()
-	return len(params) == want
+	p.d.decoded.Put(p)
+}
+
+// validate is the BOINC validator hook: an upload is acceptable if it
+// decodes — once, here — to a parameter vector of the model's length
+// with a matching checksum and finite values. The decoded vector rides
+// to assimilate on the verdict.
+func (d *Distributed) validate(wu *boinc.Workunit, output []byte) (boinc.Decoded, bool) {
+	dp, _ := d.decoded.Get().(*decodedParams)
+	if dp == nil {
+		dp = &decodedParams{params: make([]float64, d.paramCount), d: d}
+	}
+	return dp, d.decode(dp.params, output) == nil
 }
 
 // assimilate is the BOINC assimilator hook: VC-ASGD update, validation
-// accuracy, epoch bookkeeping and next-epoch generation.
-func (d *Distributed) assimilate(wu *boinc.Workunit, output []byte) {
+// accuracy, epoch bookkeeping and next-epoch generation. dec is what
+// validate decoded from output.
+func (d *Distributed) assimilate(wu *boinc.Workunit, output []byte, dec boinc.Decoded) {
 	var p SubtaskPayload
 	if err := json.Unmarshal(wu.Payload, &p); err != nil {
 		d.fail(fmt.Errorf("core: assimilate payload: %w", err))
 		return
 	}
-	params, err := wire.DecodeParams(output)
-	if err != nil {
-		d.fail(fmt.Errorf("core: assimilate decode: %w", err))
-		return
-	}
+	params := dec.(*decodedParams).params
 	srv := d.group.Pick()
 	if err := srv.Assimilate(params, p.Epoch); err != nil {
 		d.fail(err)

@@ -1,0 +1,222 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http/httptest"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"vcdl/internal/boinc"
+	"vcdl/internal/opt"
+	"vcdl/internal/ps"
+	"vcdl/internal/store"
+	"vcdl/internal/wire"
+)
+
+// TestUploadPathBufferLifetimes runs 8 concurrent uploaders over
+// replicated workunits against a job whose released vectors are
+// poisoned with NaN on their way back to the pool. Every upload of an
+// epoch carries the same vector, so on a strong store the model after
+// each epoch is a pure function of the epoch count, whatever order the
+// handlers interleave in: the published parameter files, FinalParams
+// and the stored copy must match a serial recomputation bit for bit. A
+// pooled buffer read after release, or handed to two uploads at once,
+// shows up as NaN or as a foreign epoch's values. It also pins the
+// one-decode rule: gzip is entered once per upload handled, and every
+// decoded vector is released exactly once — canonical, redundant
+// replica or not.
+func TestUploadPathBufferLifetimes(t *testing.T) {
+	const uploaders, subtasks, epochs = 8, 12, 3
+	corpus := testCorpus(t)
+	spec := MLPSpec(3*8*8, []int{24}, 10)
+	spec.Layers = append([]LayerSpec{{Kind: "flatten"}}, spec.Layers...)
+	builder, err := spec.Builder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testJobConfig()
+	cfg.Builder, cfg.Subtasks, cfg.MaxEpochs, cfg.ValSubset = builder, subtasks, epochs, 20
+	cfg.Alpha = opt.EpochFraction{}
+	st := store.NewStrong()
+	d, err := NewDistributedJob(cfg, spec, corpus, 2, st, DistOptions{Replication: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decodes, releases atomic.Int64
+	d.decode = func(dst []float64, blob []byte) error {
+		decodes.Add(1)
+		return wire.DecodeParamsInto(dst, blob)
+	}
+	d.onRelease = func(params []float64) {
+		releases.Add(1)
+		for i := range params {
+			params[i] = math.NaN()
+		}
+	}
+	ts := httptest.NewServer(d.Server())
+	defer ts.Close()
+
+	// clientCopy is what every upload of an epoch carries.
+	clientCopy := func(epoch int) []float64 {
+		wc := make([]float64, d.paramCount)
+		for i := range wc {
+			wc[i] = float64(epoch) + float64(i)*1e-3
+		}
+		return wc
+	}
+	blobs := make([][]byte, epochs+1)
+	for e := 1; e <= epochs; e++ {
+		if blobs[e], err = wire.EncodeParams(clientCopy(e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var uploads atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < uploaders; i++ {
+		cl := boinc.NewClient(fmt.Sprintf("u%d", i), ts.URL, 1, nil)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-d.Done():
+					return
+				default:
+				}
+				asns, err := cl.RequestWork(1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(asns) == 0 {
+					time.Sleep(time.Millisecond)
+					continue
+				}
+				var p SubtaskPayload
+				if err := json.Unmarshal(asns[0].Payload, &p); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := cl.Upload(asns[0].ResultID, blobs[p.Epoch], nil); err != nil {
+					t.Error(err)
+					return
+				}
+				uploads.Add(1)
+			}
+		}()
+	}
+	select {
+	case <-d.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("job did not finish")
+	}
+	wg.Wait()
+	res, err := d.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if u := uploads.Load(); decodes.Load() != u || releases.Load() != u {
+		t.Fatalf("%d uploads handled, %d decodes, %d releases: want one of each per upload", u, decodes.Load(), releases.Load())
+	}
+	if sst := d.Server().SchedStats(); sst.Invalid != 0 || sst.Completions != subtasks*epochs || int64(sst.Completions) >= uploads.Load() {
+		t.Fatalf("stats %+v with %d uploads: want no invalid result, %d completions and some redundant replicas", sst, uploads.Load(), subtasks*epochs)
+	}
+
+	// Serial reference: start from the published epoch-1 file and blend
+	// each epoch's client copy in, once per subtask.
+	published := func(epoch int) []float64 {
+		blob, err := boinc.NewClient("reader", ts.URL, 1, nil).Download(paramsFileName(epoch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		params, err := wire.DecodeParams(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return params
+	}
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: word %d is %v, serial reference has %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	ws := published(1)
+	for e := 1; e <= epochs; e++ {
+		alpha, wc := cfg.Alpha.At(e), clientCopy(e)
+		for range subtasks {
+			for i := range ws {
+				ws[i] = alpha*ws[i] + (1-alpha)*wc[i]
+			}
+		}
+		if e < epochs {
+			same(paramsFileName(e+1), published(e+1), ws)
+		}
+	}
+	same("FinalParams", res.FinalParams, ws)
+	stored, _, err := st.Get(ps.DefaultKey)
+	if err != nil || !bytes.Equal(stored, wire.EncodeRaw(ws)) {
+		t.Fatalf("stored copy differs from the serial reference (err %v)", err)
+	}
+}
+
+// TestValidateRejectsAndReleases: each way an upload can be wrong is an
+// invalid verdict, and the vector that came with the verdict goes back
+// to the pool through Release like any other.
+func TestValidateRejectsAndReleases(t *testing.T) {
+	d, _, _ := distTestSetup(t, 1)
+	encode := func(p []float64) []byte {
+		blob, err := wire.EncodeParams(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	good := make([]float64, d.paramCount)
+	nan := append([]float64(nil), good...)
+	nan[len(nan)/2] = math.NaN()
+	inf := append([]float64(nil), good...)
+	inf[0] = math.Inf(-1)
+	corrupt := encode(good)
+	corrupt[len(corrupt)/2] ^= 0xff
+	cases := []struct {
+		name  string
+		blob  []byte
+		valid bool
+	}{
+		{"right length, finite", encode(good), true},
+		{"one short", encode(good[1:]), false},
+		{"one long", encode(append(good, 0)), false},
+		{"NaN", encode(nan), false},
+		{"-Inf", encode(inf), false},
+		{"corrupt", corrupt, false},
+		{"empty", nil, false},
+	}
+	var releases int
+	d.onRelease = func([]float64) { releases++ }
+	for _, tc := range cases {
+		dec, valid := d.validate(nil, tc.blob)
+		if valid != tc.valid {
+			t.Errorf("%s: valid = %v, want %v", tc.name, valid, tc.valid)
+		}
+		if dec == nil {
+			t.Fatalf("%s: no decoded value to release", tc.name)
+		}
+		dec.Release()
+	}
+	if releases != len(cases) {
+		t.Fatalf("%d releases for %d verdicts", releases, len(cases))
+	}
+}

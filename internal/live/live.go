@@ -136,7 +136,14 @@ func StartServer(addr string, cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("live: listen %s: %w", addr, err)
 	}
-	s := &Server{D: d, ln: ln, hs: &http.Server{Handler: d.Server()}}
+	// Header and idle timeouts shed connections that never send a request;
+	// there is deliberately no ReadTimeout, because a megabyte upload over
+	// a volunteer's slow link is legitimate however long it takes.
+	s := &Server{D: d, ln: ln, hs: &http.Server{
+		Handler:           d.Server(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}}
 	host, port, _ := net.SplitHostPort(ln.Addr().String())
 	if ip := net.ParseIP(host); ip == nil || ip.IsUnspecified() {
 		host = "127.0.0.1"

@@ -1,13 +1,19 @@
 package live
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"math"
+	"net/http"
 	"testing"
 	"time"
 
+	"vcdl/internal/boinc"
 	"vcdl/internal/cloud"
 	"vcdl/internal/core"
 	"vcdl/internal/data"
+	"vcdl/internal/wire"
 )
 
 // tinyFleetConfig builds a fleet config that trains in a few seconds at
@@ -144,5 +150,63 @@ func TestFleetWallLimit(t *testing.T) {
 	defer cancel()
 	if _, err := f.Wait(ctx); err == nil {
 		t.Fatal("Wait returned nil past its wall budget")
+	}
+}
+
+// TestServerRefusesPoisonAndOversizeUploads goes through the listener
+// vcdl-server runs: a right-length vector of NaNs is an invalid result
+// that leaves the server copy untouched and finite, and a body longer
+// than any encoding of the model is cut off with 413.
+func TestServerRefusesPoisonAndOversizeUploads(t *testing.T) {
+	srv, err := StartServer("127.0.0.1:0", tinyFleetConfig(t, 1).Server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	_, before, err := srv.D.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := boinc.NewClient("mallory", srv.URL(), 2, nil)
+	asns, err := cl.RequestWork(2)
+	if err != nil || len(asns) != 2 {
+		t.Fatalf("RequestWork = %d assignments, %v", len(asns), err)
+	}
+
+	poison := make([]float64, len(before))
+	for i := range poison {
+		poison[i] = math.NaN()
+	}
+	blob, err := wire.EncodeParams(poison)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Upload(asns[0].ResultID, blob, nil); err != nil {
+		t.Fatalf("poison upload: %v (an invalid result is still acknowledged)", err)
+	}
+	if st := srv.D.Server().SchedStats(); st.Invalid != 1 || st.Completions != 0 {
+		t.Fatalf("stats %+v, want the poison counted invalid once", st)
+	}
+	_, after, err := srv.D.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range before {
+		if math.IsNaN(after[i]) || math.IsInf(after[i], 0) || after[i] != before[i] {
+			t.Fatalf("server copy word %d went from %v to %v", i, before[i], after[i])
+		}
+	}
+
+	oversize := make([]byte, wire.MaxEncodedSize(len(before))+1<<16)
+	resp, err := http.Post(fmt.Sprintf("%s/upload?result=%d", srv.URL(), asns[1].ResultID), "application/octet-stream", bytes.NewReader(oversize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize upload: %d, want 413", resp.StatusCode)
+	}
+	if _, up := srv.D.Server().Traffic(); up != int64(len(blob)) {
+		t.Fatalf("bytes up = %d, want only the %d the poison upload carried", up, len(blob))
 	}
 }

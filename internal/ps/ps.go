@@ -13,7 +13,9 @@
 package ps
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -68,21 +70,30 @@ func (s *Server) Current() ([]float64, error) {
 // Assimilate applies Equation 1 for a client parameter copy delivered
 // during epoch e. It is a single read-modify-write on the shared store:
 // the update is applied immediately, regardless of subtask order.
+//
+// The blend runs in place on the private copy Store.Update hands its
+// callback, one little-endian word at a time. Reading a word with
+// Float64frombits and writing the result with Float64bits is what
+// DecodeRaw and EncodeRaw did around the same expression, so the stored
+// bytes — and the lengths the store's Stats count — are what the
+// decode–blend–encode form produced.
 func (s *Server) Assimilate(clientParams []float64, epoch int) error {
 	alpha := s.Alpha.At(epoch)
 	if alpha < 0 || alpha > 1 {
 		return fmt.Errorf("ps: alpha %v out of [0,1] at epoch %d", alpha, epoch)
 	}
+	n := len(clientParams)
 	err := s.Store.Update(s.Key, func(old []byte) []byte {
-		ws, derr := wire.DecodeRaw(old)
-		if derr != nil || len(ws) != len(clientParams) {
+		if len(old) < 8 || len(old)-8 != wire.RawSize(n) || binary.LittleEndian.Uint64(old) != uint64(n) {
 			// First write or schema change: adopt the client copy.
 			return wire.EncodeRaw(clientParams)
 		}
-		for i := range ws {
-			ws[i] = alpha*ws[i] + (1-alpha)*clientParams[i]
+		for i, wc := range clientParams {
+			word := old[8+8*i : 16+8*i]
+			ws := math.Float64frombits(binary.LittleEndian.Uint64(word))
+			binary.LittleEndian.PutUint64(word, math.Float64bits(alpha*ws+(1-alpha)*wc))
 		}
-		return wire.EncodeRaw(ws)
+		return old
 	})
 	if err != nil {
 		return fmt.Errorf("ps: assimilate: %w", err)

@@ -43,7 +43,8 @@ type Store interface {
 	Set(key string, value []byte) error
 	// Update performs a read-modify-write cycle using the backend's
 	// native concurrency semantics: serializable for Strong (no lost
-	// updates), optimistic and lossy for Eventual.
+	// updates), optimistic and lossy for Eventual. old is a private copy
+	// (nil for a missing key): f may modify it in place and return it.
 	Update(key string, f func(old []byte) []byte) error
 	// Stats returns operation counters accumulated so far.
 	Stats() Stats

@@ -1,0 +1,88 @@
+package wire
+
+import (
+	"bytes"
+	"math"
+	"testing"
+)
+
+// The fuzz targets take the bytes a volunteer could send. Whatever they
+// are, a decoder must return — never panic — and must not allocate more
+// than a fixed multiple of its input on the way to saying no. The seed
+// corpora under testdata/fuzz hold a valid blob, a truncated one, a
+// huge-count header and a bad checksum for each target.
+
+// fuzzAllocSlack covers what a decode allocates whatever the input: the
+// first-use gzip reader state and staging chunk the pools then keep.
+const fuzzAllocSlack = 1 << 20
+
+func checkAlloc(t *testing.T, blob []byte, decode func()) {
+	t.Helper()
+	if got, limit := allocatedBy(decode), uint64(maxInflate*len(blob)+fuzzAllocSlack); got > limit {
+		t.Fatalf("%d input bytes made the decoder allocate %d (limit %d)", len(blob), got, limit)
+	}
+}
+
+func FuzzDecodeParams(f *testing.F) {
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var (
+			params []float64
+			err    error
+		)
+		checkAlloc(t, blob, func() { params, err = DecodeParams(blob) })
+		if err != nil {
+			return
+		}
+		again, err := EncodeParams(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeParams(again)
+		if err != nil || len(back) != len(params) {
+			t.Fatalf("accepted vector does not round-trip: %v", err)
+		}
+	})
+}
+
+// fuzzIntoLen is the model size FuzzDecodeParamsInto's server expects;
+// the seed corpus is built for it.
+const fuzzIntoLen = 64
+
+func FuzzDecodeParamsInto(f *testing.F) {
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		dst := make([]float64, fuzzIntoLen)
+		var err error
+		checkAlloc(t, blob, func() { err = DecodeParamsInto(dst, blob) })
+		if err != nil {
+			return
+		}
+		want, err := DecodeParams(blob)
+		if err != nil || len(want) != len(dst) {
+			t.Fatalf("strict decoder accepted what DecodeParams does not: %v, %d values", err, len(want))
+		}
+		for i, v := range dst {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted non-finite value at %d", i)
+			}
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("word %d differs from DecodeParams", i)
+			}
+		}
+	})
+}
+
+func FuzzDecodeRaw(f *testing.F) {
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var (
+			params []float64
+			err    error
+		)
+		checkAlloc(t, blob, func() { params, err = DecodeRaw(blob) })
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(EncodeRaw(params), blob) {
+			t.Fatal("accepted raw blob does not re-encode to itself")
+		}
+	})
+}

@@ -25,8 +25,10 @@ func DecodeRaw(blob []byte) ([]float64, error) {
 	if len(blob) < 8 {
 		return nil, fmt.Errorf("wire: raw blob too short (%d bytes)", len(blob))
 	}
-	n := int(binary.LittleEndian.Uint64(blob[0:]))
-	if len(blob) != 8+8*n {
+	// Compared in uint64 and divided, not multiplied: a hostile count
+	// must not overflow its way past the length check.
+	n := binary.LittleEndian.Uint64(blob[0:])
+	if body := uint64(len(blob) - 8); body%8 != 0 || n != body/8 {
 		return nil, fmt.Errorf("wire: raw blob length %d does not match %d params", len(blob), n)
 	}
 	params := make([]float64, n)

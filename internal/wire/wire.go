@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -117,46 +118,116 @@ func EncodeParamsTo(w io.Writer, params []float64) error {
 	return nil
 }
 
-// DecodeParams reverses EncodeParams, verifying the checksum.
-func DecodeParams(blob []byte) ([]float64, error) {
+// maxInflate is the most deflate can expand its input by (RFC 1951: a
+// run of 258 bytes costs at least two bits), so a blob of c compressed
+// bytes cannot hold more than maxInflate*c bytes of payload.
+const maxInflate = 1032
+
+// ErrNonFinite is returned by DecodeParamsInto for a blob that is
+// structurally sound but carries a NaN or an infinity.
+var ErrNonFinite = errors.New("wire: non-finite parameter value")
+
+// paramHeader checks the fixed header and returns the declared count.
+func paramHeader(blob []byte) (int, error) {
 	if len(blob) < 8 {
-		return nil, fmt.Errorf("wire: blob too short (%d bytes)", len(blob))
+		return 0, fmt.Errorf("wire: blob too short (%d bytes)", len(blob))
 	}
 	if m := binary.LittleEndian.Uint32(blob[0:]); m != paramMagic {
-		return nil, fmt.Errorf("wire: bad magic %#x", m)
+		return 0, fmt.Errorf("wire: bad magic %#x", m)
 	}
-	n := int(binary.LittleEndian.Uint32(blob[4:]))
-	zr, err := getReader(bytes.NewReader(blob[8:]))
+	return int(binary.LittleEndian.Uint32(blob[4:])), nil
+}
+
+// DecodeParams reverses EncodeParams, verifying the checksum. The
+// declared count is checked against what the compressed bytes present
+// could possibly inflate to before anything is allocated, so a hostile
+// header costs at most maxInflate times the blob it arrived in.
+func DecodeParams(blob []byte) ([]float64, error) {
+	n, err := paramHeader(blob)
 	if err != nil {
-		return nil, fmt.Errorf("wire: open gzip: %w", err)
+		return nil, err
+	}
+	if int64(n)*8+4 > int64(len(blob)-8)*maxInflate {
+		return nil, fmt.Errorf("wire: %d params cannot fit in %d compressed bytes", n, len(blob)-8)
+	}
+	params := make([]float64, n)
+	if _, err := inflateInto(params, blob[8:]); err != nil {
+		return nil, err
+	}
+	return params, nil
+}
+
+// DecodeParamsInto is the strict decode for bytes from outside the trust
+// boundary, into a vector the caller owns: it fills dst, whose length is
+// the count the caller expects, and fails — before touching the payload
+// — when the header declares any other count. Beyond DecodeParams' magic, length
+// and checksum checks it returns ErrNonFinite if any value is NaN or
+// ±Inf. On error dst holds garbage.
+func DecodeParamsInto(dst []float64, blob []byte) error {
+	n, err := paramHeader(blob)
+	if err != nil {
+		return err
+	}
+	if n != len(dst) {
+		return fmt.Errorf("wire: blob declares %d params, want %d", n, len(dst))
+	}
+	finite, err := inflateInto(dst, blob[8:])
+	if err != nil {
+		return err
+	}
+	if !finite {
+		return ErrNonFinite
+	}
+	return nil
+}
+
+// inflateInto decompresses exactly len(dst) values plus the trailing
+// checksum from payload, verifies it, and reports whether every value
+// was finite.
+func inflateInto(dst []float64, payload []byte) (finite bool, err error) {
+	zr, err := getReader(bytes.NewReader(payload))
+	if err != nil {
+		return false, fmt.Errorf("wire: open gzip: %w", err)
 	}
 	defer gzipReaderPool.Put(zr)
-	params := make([]float64, n)
 	crc := crc32.NewIEEE()
 	chunk := chunkPool.Get().(*[8 * chunkWords]byte)
 	defer chunkPool.Put(chunk)
-	for off := 0; off < n; {
-		m := n - off
-		if m > chunkWords {
-			m = chunkWords
-		}
+	const expMask = 0x7ff << 52 // all ones in a NaN or an infinity
+	finite = true
+	for off := 0; off < len(dst); {
+		m := min(len(dst)-off, chunkWords)
 		if _, err := io.ReadFull(zr, chunk[:8*m]); err != nil {
-			return nil, fmt.Errorf("wire: read params: %w", err)
+			return false, fmt.Errorf("wire: read params: %w", err)
 		}
 		crc.Write(chunk[:8*m])
-		for i := 0; i < m; i++ {
-			params[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*i:]))
+		for i := range m {
+			bits := binary.LittleEndian.Uint64(chunk[8*i:])
+			if bits&expMask == expMask {
+				finite = false
+			}
+			dst[off+i] = math.Float64frombits(bits)
 		}
 		off += m
 	}
 	var sum [4]byte
 	if _, err := io.ReadFull(zr, sum[:]); err != nil {
-		return nil, fmt.Errorf("wire: read checksum: %w", err)
+		return false, fmt.Errorf("wire: read checksum: %w", err)
 	}
 	if got := binary.LittleEndian.Uint32(sum[:]); got != crc.Sum32() {
-		return nil, fmt.Errorf("wire: checksum mismatch: stored %#x, computed %#x", got, crc.Sum32())
+		return false, fmt.Errorf("wire: checksum mismatch: stored %#x, computed %#x", got, crc.Sum32())
 	}
-	return params, nil
+	return finite, nil
+}
+
+// MaxEncodedSize bounds the length of EncodeParams' output for n
+// parameters: the 8-byte header, the gzip framing, and the payload in
+// deflate's stored blocks (5 bytes per 65 535, and an empty one to
+// finish), which is the most a compressor that falls back to them emits
+// for incompressible input. Servers size their upload limit from it.
+func MaxEncodedSize(n int) int {
+	raw := RawSize(n) + 4
+	return 8 + 18 + raw + 5*(raw/65535+2)
 }
 
 // RawSize returns the uncompressed byte size of a parameter vector of
