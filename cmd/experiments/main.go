@@ -12,7 +12,6 @@
 //	experiments -exp ablation        A1/A2     update rules & sticky files
 //	experiments -exp schedpolicy     §III-B    scheduling-policy ablation
 //	experiments -exp scale           S1        compute-backend scale grid
-//	experiments -exp schedlatency    §10       scheduler latency under load
 //	experiments -exp all             everything
 //
 // -epochs scales run length (default 40, the paper's setting; use a small
@@ -75,7 +74,6 @@ var registry = []experiment{
 	{"ablation", (*runner).ablation},
 	{"schedpolicy", (*runner).schedpolicy},
 	{"scale", (*runner).scale},
-	{"schedlatency", (*runner).schedlatency},
 }
 
 // experimentNames returns the registry names in run order.
@@ -111,7 +109,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("jobs", 1, "parallel workers for multi-run experiments (0 = all cores)")
 	policyFlag := fs.String("policy", "all", "scheduling policies for -exp schedpolicy (comma-separated names, or all)")
 	clientsFlag := fs.String("clients", "100,1000,10000", "fleet sizes for -exp scale (comma-separated client counts)")
-	loadFlag := fs.String("loadclients", "4,16,64,256", "concurrent HTTP clients for -exp schedlatency (comma-separated)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -149,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	runner := &runner{epochs: *epochs, seed: *seed, csvDir: *csvDir, jobs: *jobs, policies: *policyFlag, clients: *clientsFlag, loadClients: *loadFlag, out: stdout, errOut: stderr}
+	runner := &runner{epochs: *epochs, seed: *seed, csvDir: *csvDir, jobs: *jobs, policies: *policyFlag, clients: *clientsFlag, out: stdout, errOut: stderr}
 	var toRun []experiment
 	if *expFlag == "all" {
 		toRun = registry
@@ -175,15 +172,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 type runner struct {
-	epochs      int
-	seed        int64
-	csvDir      string
-	jobs        int
-	policies    string
-	clients     string
-	loadClients string
-	out         io.Writer
-	errOut      io.Writer
+	epochs   int
+	seed     int64
+	csvDir   string
+	jobs     int
+	policies string
+	clients  string
+	out      io.Writer
+	errOut   io.Writer
 
 	setupCache *exp.PaperSetup
 	fig4Cache  []*exp.Result

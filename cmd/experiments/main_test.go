@@ -42,7 +42,7 @@ func TestTable1Runs(t *testing.T) {
 // TestRegistryIsSingleSourceOfTruth pins the satellite fix: usage text,
 // validation and dispatch all derive from one ordered table.
 func TestRegistryIsSingleSourceOfTruth(t *testing.T) {
-	want := []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "storedb", "preempt", "ablation", "schedpolicy", "scale", "schedlatency"}
+	want := []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "storedb", "preempt", "ablation", "schedpolicy", "scale"}
 	names := experimentNames()
 	if len(names) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(names), len(want))

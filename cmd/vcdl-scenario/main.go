@@ -76,11 +76,6 @@ commands:
             interactive console when no command is given)
             flags: -server URL or -url-file FILE (from 'run -url-file'),
                    -timeout D; try 'ops -server URL help'
-  bench     hammer a live scheduler with concurrent HTTP clients over a
-            (clients x shards) grid and record latency/throughput
-            flags: -clients "64,256,1024", -backlog N (total workunits
-                   per cell), -shards "1,8", -admit N -queue N (admission
-                   gate), -o FILE (write BENCH_sched_scale.json)
 `)
 }
 
@@ -100,8 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmdGen(args[1:], stdout, stderr)
 	case "ops":
 		return cmdOps(args[1:], stdout, stderr)
-	case "bench":
-		return cmdBench(args[1:], stdout, stderr)
 	case "help", "-h", "--help":
 		usage(stdout)
 		return 0

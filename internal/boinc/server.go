@@ -278,11 +278,6 @@ func (s *Server) Scheduler(f func(*Scheduler)) {
 	s.sched.Each(f)
 }
 
-// Sharded exposes the shard layer itself, for load harnesses and tests
-// that need cross-shard queries (per-client in-flight totals, shard
-// counts).
-func (s *Server) Sharded() *ShardedScheduler { return s.sched }
-
 // SchedStats returns the scheduler counters summed across shards.
 func (s *Server) SchedStats() SchedStats { return s.sched.Stats() }
 

@@ -1,7 +1,9 @@
 package boinc
 
 import (
+	"cmp"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -25,16 +27,14 @@ import (
 //     batches per-shard picks into one assignment list. Per-client
 //     reliability and sticky-cache state are therefore tracked per shard
 //     (a shard only learns about clients it has served).
-//   - A small striped client index (clientIndex), fed by the lifecycle
-//     event stream, maintains the cross-shard per-client aggregates
-//     (in-flight totals, distinct clients) that per-shard accounting
-//     alone cannot answer without taking every shard lock.
+//   - Cross-shard per-client aggregates (in-flight totals, distinct
+//     clients) are merged from the per-shard client tables on demand
+//     (ClientSummaries, Stats), one shard lock at a time.
 //
 // With one shard the behaviour — IDs, assignment order, every observable
 // — is identical to a bare Scheduler behind a single mutex.
 type ShardedScheduler struct {
 	shards []*schedShard
-	idx    *clientIndex
 	agg    *depthAgg
 }
 
@@ -53,20 +53,16 @@ func NewShardedScheduler(cfg SchedulerConfig, n int) *ShardedScheduler {
 	}
 	ss := &ShardedScheduler{
 		shards: make([]*schedShard, n),
-		idx:    newClientIndex(),
 		agg:    newDepthAgg(n),
 	}
 	for i := range ss.shards {
 		sc := NewScheduler(cfg)
 		sc.setStripe(int64(i), int64(n))
-		sc.SetSink(&aggSink{shard: i, agg: ss.agg, next: ss.idx})
+		sc.SetSink(&aggSink{shard: i, agg: ss.agg})
 		ss.shards[i] = &schedShard{s: sc}
 	}
 	return ss
 }
-
-// NumShards returns the shard count.
-func (ss *ShardedScheduler) NumShards() int { return len(ss.shards) }
 
 // stripeHash is the stable workunit placement hash.
 func stripeHash(app, name string) uint64 {
@@ -185,16 +181,20 @@ func (ss *ShardedScheduler) AddSink(sink SchedSink) {
 	}
 }
 
-// Stats sums the per-shard counter snapshots. The aggregate Clients
-// count comes from the striped index (distinct clients that ever held
-// an assignment): summing per-shard registrations would double-count
-// clients served by several shards.
+// Stats sums the per-shard counter snapshots. Clients counts distinct
+// IDs across the per-shard client tables (the same population
+// ClientSummaries lists): summing per-shard registrations would
+// double-count clients served by several shards.
 func (ss *ShardedScheduler) Stats() SchedStats {
 	var total SchedStats
 	total.Done = true
+	seen := make(map[string]struct{})
 	for _, sh := range ss.shards {
 		sh.mu.Lock()
 		st := sh.s.Stats()
+		for id := range sh.s.clients {
+			seen[id] = struct{}{}
+		}
 		sh.mu.Unlock()
 		total.Issued += st.Issued
 		total.Reissued += st.Reissued
@@ -207,7 +207,7 @@ func (ss *ShardedScheduler) Stats() SchedStats {
 		total.InFlight += st.InFlight
 		total.Done = total.Done && st.Done
 	}
-	total.Clients = ss.idx.Clients()
+	total.Clients = len(seen)
 	return total
 }
 
@@ -294,27 +294,8 @@ func (ss *ShardedScheduler) ClientSummaries() []ClientSummary {
 	for _, id := range order {
 		out = append(out, *merged[id])
 	}
-	sortSummaries(out)
+	slices.SortFunc(out, func(a, b ClientSummary) int { return cmp.Compare(a.ID, b.ID) })
 	return out
-}
-
-// InFlightOf returns the client's outstanding results across all shards,
-// from the striped index — O(1), no shard locks.
-func (ss *ShardedScheduler) InFlightOf(clientID string) int {
-	return ss.idx.InFlightOf(clientID)
-}
-
-// Clients returns the number of distinct clients that ever held an
-// assignment, from the striped index — O(stripes), no shard locks.
-func (ss *ShardedScheduler) Clients() int { return ss.idx.Clients() }
-
-// sortSummaries orders a summary slice by ID (the listing convention).
-func sortSummaries(s []ClientSummary) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].ID < s[j-1].ID; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // depthAgg tracks each shard's last-reported queue depths so events can
@@ -332,7 +313,9 @@ func newDepthAgg(n int) *depthAgg {
 // aggSink is the innermost per-shard sink: it records the shard's queue
 // depths and rewrites the event's Pending/InFlight to cross-shard totals
 // before forwarding, so metric gauges (and any other attached sink) see
-// the fleet-wide depth instead of one shard's slice of it.
+// the fleet-wide depth instead of one shard's slice of it. The base sink
+// installed at construction has no next: it only keeps the shard's slot
+// current, so a sink attached later starts from true totals.
 type aggSink struct {
 	shard int
 	agg   *depthAgg
@@ -343,6 +326,9 @@ type aggSink struct {
 func (a *aggSink) OnSchedEvent(e SchedEvent) {
 	a.agg.pending[a.shard].Store(int64(e.Pending))
 	a.agg.inflight[a.shard].Store(int64(e.InFlight))
+	if a.next == nil {
+		return
+	}
 	var p, f int64
 	for i := range a.agg.pending {
 		p += a.agg.pending[i].Load()
@@ -350,79 +336,4 @@ func (a *aggSink) OnSchedEvent(e SchedEvent) {
 	}
 	e.Pending, e.InFlight = int(p), int(f)
 	a.next.OnSchedEvent(e)
-}
-
-// clientStripes sizes the striped client index; a power of two so the
-// stripe pick is a mask.
-const clientStripes = 64
-
-// clientIndex is the small striped concurrent index of cross-shard
-// per-client aggregates. It is fed from the lifecycle event stream
-// (assignment opens an in-flight result; valid/invalid/timeout closes
-// one), so it never reaches into shard state: each update takes only its
-// stripe's lock, and lock order is always shard → stripe, never the
-// reverse.
-type clientIndex struct {
-	stripes [clientStripes]clientStripe
-}
-
-type clientStripe struct {
-	mu       sync.Mutex
-	inflight map[string]int
-}
-
-func newClientIndex() *clientIndex {
-	ci := &clientIndex{}
-	for i := range ci.stripes {
-		ci.stripes[i].inflight = make(map[string]int)
-	}
-	return ci
-}
-
-func (ci *clientIndex) stripe(clientID string) *clientStripe {
-	h := fnv.New32a()
-	h.Write([]byte(clientID))
-	return &ci.stripes[h.Sum32()&(clientStripes-1)]
-}
-
-// OnSchedEvent implements SchedSink: it mirrors the scheduler's
-// in-flight accounting (every result leaves ResInProgress through
-// exactly one valid/invalid/timeout event).
-func (ci *clientIndex) OnSchedEvent(e SchedEvent) {
-	var delta int
-	switch e.Kind {
-	case EvAssigned:
-		delta = 1
-	case EvValid, EvInvalid, EvTimeout:
-		delta = -1
-	default:
-		return
-	}
-	if e.Client == "" {
-		return
-	}
-	st := ci.stripe(e.Client)
-	st.mu.Lock()
-	st.inflight[e.Client] += delta
-	st.mu.Unlock()
-}
-
-// InFlightOf returns one client's outstanding results across shards.
-func (ci *clientIndex) InFlightOf(clientID string) int {
-	st := ci.stripe(clientID)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.inflight[clientID]
-}
-
-// Clients counts distinct clients that ever held an assignment.
-func (ci *clientIndex) Clients() int {
-	n := 0
-	for i := range ci.stripes {
-		st := &ci.stripes[i]
-		st.mu.Lock()
-		n += len(st.inflight)
-		st.mu.Unlock()
-	}
-	return n
 }

@@ -77,8 +77,19 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 	}
 }
 
+// summaryInFlight returns one client's merged in-flight count (-1 when
+// the listing does not know the client).
+func summaryInFlight(sums []ClientSummary, id string) int {
+	for _, s := range sums {
+		if s.ID == id {
+			return s.InFlight
+		}
+	}
+	return -1
+}
+
 // TestShardedAggregates exercises the merged cross-shard views: summed
-// stats, merged client summaries and the striped in-flight index.
+// stats and merged client summaries.
 func TestShardedAggregates(t *testing.T) {
 	ss := NewShardedScheduler(DefaultSchedulerConfig(), 4)
 	for i := 0; i < 32; i++ {
@@ -88,8 +99,8 @@ func TestShardedAggregates(t *testing.T) {
 	if len(asns) != 5 {
 		t.Fatalf("alice got %d assignments, want 5", len(asns))
 	}
-	if got := ss.InFlightOf("alice"); got != 5 {
-		t.Fatalf("InFlightOf(alice) = %d, want 5", got)
+	if got := summaryInFlight(ss.ClientSummaries(), "alice"); got != 5 {
+		t.Fatalf("alice in-flight = %d, want 5", got)
 	}
 	bsns := ss.RequestWork("bob", 1, 3, nil)
 	if len(bsns) != 3 {
@@ -102,7 +113,7 @@ func TestShardedAggregates(t *testing.T) {
 	if st.Pending != 32-8 {
 		t.Fatalf("stats pending = %d, want %d", st.Pending, 32-8)
 	}
-	// Complete alice's work: the index must drain back to zero.
+	// Complete alice's work: her merged in-flight must drain back to zero.
 	for _, asn := range asns {
 		ss.ForResult(asn.ResultID, func(s *Scheduler) {
 			if _, _, err := s.CompleteResult(asn.ResultID, true, 2); err != nil {
@@ -110,10 +121,10 @@ func TestShardedAggregates(t *testing.T) {
 			}
 		})
 	}
-	if got := ss.InFlightOf("alice"); got != 0 {
-		t.Fatalf("InFlightOf(alice) after completion = %d, want 0", got)
-	}
 	sums := ss.ClientSummaries()
+	if got := summaryInFlight(sums, "alice"); got != 0 {
+		t.Fatalf("alice in-flight after completion = %d, want 0", got)
+	}
 	if len(sums) != 2 || sums[0].ID != "alice" || sums[1].ID != "bob" {
 		t.Fatalf("summaries = %+v, want [alice bob]", sums)
 	}

@@ -1,11 +1,14 @@
 package boinc
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // invariantSink watches the lifecycle event stream for violations of
@@ -92,6 +95,22 @@ func (s *invariantSink) OnSchedEvent(e SchedEvent) {
 			s.violatef("wu %d: failed after quorum (done)", e.WUID)
 		}
 		s.failed[e.WUID] = true
+	}
+}
+
+// check reports every recorded violation and any workunit that still
+// has live copies; call it once the run has drained.
+func (s *invariantSink) check(t *testing.T) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, v := range s.violations {
+		t.Errorf("invariant violated: %s", v)
+	}
+	for id, n := range s.liveCopies {
+		if n != 0 {
+			t.Errorf("wu %d: %d live copies at end of run", id, n)
+		}
 	}
 }
 
@@ -207,16 +226,7 @@ func runSchedulerStress(t *testing.T, opts stressOptions) {
 		st := ss.Stats()
 		t.Fatalf("scheduler never drained: %+v", st)
 	}
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
-	for _, v := range sink.violations {
-		t.Errorf("invariant violated: %s", v)
-	}
-	for id, n := range sink.liveCopies {
-		if n != 0 {
-			t.Errorf("wu %d: %d live copies at end of run", id, n)
-		}
-	}
+	sink.check(t)
 	st := ss.Stats()
 	if st.InFlight != 0 || st.Pending != 0 {
 		t.Errorf("terminal stats show open work: %+v", st)
@@ -285,4 +295,80 @@ func TestSchedulerHotReconfigUnderLoad(t *testing.T) {
 			}
 		},
 	})
+}
+
+// TestServerDrainsUnderManyClients is the many-connection path end to
+// end: 128 HTTP clients drain a 2 000-workunit backlog from an 8-shard
+// server behind an admission gate sized so that nothing sheds. Every
+// workunit must complete exactly once, no request may be shed, the
+// lifecycle invariants must hold and every client must end with nothing
+// in flight.
+func TestServerDrainsUnderManyClients(t *testing.T) {
+	if testing.Short() {
+		t.Skip("128-client live-HTTP drain skipped in -short")
+	}
+	const clients, wus = 128, 2000
+	cfg := DefaultSchedulerConfig()
+	cfg.DefaultTimeout = 3600 // wall seconds; nothing may expire mid-drain
+	cfg.Shards = 8
+	srv := NewServer(cfg, nil, nil)
+	srv.EnableAdmission(AdmissionConfig{MaxConcurrent: 256, MaxQueue: 512, RetryAfter: 50 * time.Millisecond})
+	sink := newInvariantSink()
+	srv.Scheduler(func(s *Scheduler) { s.AddSink(sink) })
+	for i := 0; i < wus; i++ {
+		id := srv.AddWorkunit(Workunit{
+			Name:       fmt.Sprintf("drain-%d", i),
+			InputFiles: []string{"model", fmt.Sprintf("shard-%d", i%64)},
+		})
+		sink.mu.Lock()
+		sink.replication[id] = 1
+		sink.mu.Unlock()
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			cl := NewClient(fmt.Sprintf("load-%03d", id), ts.URL, 1, nil)
+			for {
+				asns, err := cl.RequestWork(1)
+				var ra *RetryAfterError
+				if errors.As(err, &ra) {
+					time.Sleep(ra.After)
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s: request: %v", cl.ID, err)
+					return
+				}
+				if len(asns) == 0 {
+					return
+				}
+				if err := cl.Upload(asns[0].ResultID, []byte("ok"), nil); err != nil {
+					t.Errorf("%s: upload: %v", cl.ID, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	if !srv.Done() {
+		t.Errorf("server not done after every client saw an empty reply: %+v", srv.SchedStats())
+	}
+	if st := srv.SchedStats(); st.Completions != wus {
+		t.Errorf("completions = %d, want %d", st.Completions, wus)
+	}
+	if n := srv.ShedCount(); n != 0 {
+		t.Errorf("ShedCount = %d, want 0 (gate sized above the fleet)", n)
+	}
+	sink.check(t)
+	for _, cs := range srv.ClientSummaries() {
+		if cs.InFlight != 0 {
+			t.Errorf("client %s ends with %d results in flight", cs.ID, cs.InFlight)
+		}
+	}
 }

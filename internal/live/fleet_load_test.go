@@ -63,7 +63,7 @@ func TestFleetRejoinUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	watch := &assignmentWatch{byResult: make(map[int64]int), byClient: make(map[string]int)}
-	f.Server().D.Server().Sharded().AddSink(watch)
+	f.Server().D.Server().Scheduler(func(s *boinc.Scheduler) { s.AddSink(watch) })
 
 	victim := f.ActiveClients()[0]
 	var cacheDir string
@@ -126,8 +126,10 @@ func TestFleetRejoinUnderLoad(t *testing.T) {
 			t.Errorf("rejoined client took no new work: %d assignments before, %d after", assignsBefore, after)
 		}
 	}
-	if inflight := f.Server().D.Server().Sharded().InFlightOf(victim); inflight != 0 {
-		t.Errorf("rejoined client still holds %d in-flight results after completion", inflight)
+	for _, cs := range f.Server().D.Server().ClientSummaries() {
+		if cs.ID == victim && cs.InFlight != 0 {
+			t.Errorf("rejoined client still holds %d in-flight results after completion", cs.InFlight)
+		}
 	}
 	if out.res.BlobCacheHits == 0 {
 		t.Errorf("no blob cache hits recorded — caches never warmed")

@@ -64,10 +64,10 @@ func TestEventualStaleReads(t *testing.T) {
 }
 
 func TestEventualLostUpdatesUnderConcurrency(t *testing.T) {
-	// 8 goroutines × 50 increments with optimistic RMW on a counter: the
-	// final value must be below 400 (lost updates) and the counter must
-	// record them. This is the §III-D behaviour the paper trades for
-	// scalability.
+	// 8 goroutines × 50 increments with optimistic RMW on a counter: a
+	// commit whose base went stale clobbers the head, so the final value
+	// may fall below 400, and every such commit must be counted. This is
+	// the §III-D behaviour the paper trades for scalability.
 	e := NewEventual(1, 0, 7)
 	e.Set("n", make([]byte, 8))
 	var wg sync.WaitGroup
@@ -89,11 +89,18 @@ func TestEventualLostUpdatesUnderConcurrency(t *testing.T) {
 	v, _, _ := e.Get("n")
 	got := binary.LittleEndian.Uint64(v)
 	st := e.Stats()
-	if got+st.LostUpdates != 400 {
-		t.Fatalf("increments %d + lost %d != 400", got, st.LostUpdates)
+	// final + LostUpdates == 400 does not hold: one clobbering commit
+	// whose base is k versions old discards k increments and counts
+	// once. What commit guarantees is that each write stores an earlier
+	// value + 1, and that any write from a stale base is detected.
+	if st.Updates != 400 {
+		t.Fatalf("Updates = %d, want 400", st.Updates)
 	}
-	if st.LostUpdates == 0 {
-		t.Log("no lost updates this run (timing-dependent); counters still consistent")
+	if got > 400 {
+		t.Fatalf("final value %d exceeds the 400 increments made", got)
+	}
+	if got < 400 && st.LostUpdates == 0 {
+		t.Fatalf("final value %d < 400 but no lost update was counted", got)
 	}
 }
 
