@@ -110,9 +110,6 @@ func (s *Service) SetKillAfter(n int64) {
 	s.killAfter.Store(n)
 }
 
-// KillAfter returns the current kill threshold (0 = off).
-func (s *Service) KillAfter() int64 { return s.killAfter.Load() }
-
 // ServedBytes returns total payload bytes served.
 func (s *Service) ServedBytes() int64 { return s.servedBytes.Load() }
 

@@ -178,9 +178,6 @@ func (s *Scheduler) setStripe(offset, step int64) {
 // SetSink installs the lifecycle event sink (nil disables observation).
 func (s *Scheduler) SetSink(sink SchedSink) { s.sink = sink }
 
-// Sink returns the installed lifecycle event sink, for composition.
-func (s *Scheduler) Sink() SchedSink { return s.sink }
-
 // AddSink composes an additional sink with whatever is installed.
 func (s *Scheduler) AddSink(sink SchedSink) { s.sink = appendSink(s.sink, sink) }
 

@@ -18,8 +18,8 @@ func defaultComputeWorkers() int { return runtime.GOMAXPROCS(0) }
 // This file is the compute-backend layer (DESIGN.md §8): the seam between
 // the discrete-event simulator and the subtask mathematics. A subtask's
 // output is a pure function of (epoch parameter snapshot, shard, seed) —
-// the simulator derives the seed as cfg.Seed ^ epoch<<20 ^ shard and the
-// math never touches the engine RNG — so the *when* and *where* of the
+// every engine derives the seed with SubtaskSeed and the math never
+// touches the engine RNG — so the *when* and *where* of the
 // computation are free choices: inline in the event loop (real), memoized
 // across the scheduler's replicated/reissued copies (cached), overlapped
 // with event processing on a worker pool (parallel), or approximated by a

@@ -1,11 +1,11 @@
 // Package core orchestrates VCDL training jobs: it turns one deep-learning
 // training job into data-parallel training subtasks (the paper's work
 // generator, §III-A), executes subtasks on clients (the TensorFlow
-// stand-in), assimilates results through VC-ASGD parameter servers, tracks
-// epochs and applies the stopping criterion. Two runners are provided: a
-// LocalRunner that executes the whole pipeline in-process with goroutine
-// clients, and a Distributed runner that drives the real BOINC-style HTTP
-// server and client daemons.
+// stand-in) and runs the parameter-server side — VC-ASGD assimilation,
+// validation, epoch tracking, the stopping criterion — in one Trainer.
+// A result reaches the Trainer three ways: from RunLocal's goroutine
+// slots, from Distributed's BOINC-style HTTP upload hook, or from a vcsim
+// event; each engine owns only its clock and how it publishes an epoch.
 package core
 
 import (

@@ -3,14 +3,12 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
 	"vcdl/internal/blob"
 	"vcdl/internal/boinc"
 	"vcdl/internal/data"
-	"vcdl/internal/metrics"
 	"vcdl/internal/nn"
 	"vcdl/internal/obs"
 	"vcdl/internal/ps"
@@ -66,22 +64,20 @@ func NewTrainingApp(cfg JobConfig) boinc.App {
 		execCfg := cfg
 		execCfg.Builder = builder
 		exec := NewExecutor(execCfg)
-		updated, _ := exec.Run(params, shard, cfg.Seed^int64(p.Epoch)<<20^int64(p.Shard))
+		updated, _ := exec.Run(params, shard, SubtaskSeed(cfg.Seed, p.Epoch, p.Shard))
 		return wire.EncodeParams(updated)
 	})
 }
 
 // Distributed wires a complete training job onto a BOINC-style server: the
 // work generator publishes shard/model/parameter files and one workunit
-// per subtask; the assimilator runs VC-ASGD, validation and epoch
-// tracking, and generates the next epoch until the stopping criterion
-// fires. Clients are external boinc.Client daemons pointed at the server.
+// per subtask; the assimilator hands each canonical result to the
+// Trainer and generates the next epoch until it reports stop. Clients
+// are external boinc.Client daemons pointed at the server.
 type Distributed struct {
-	cfg         JobConfig
-	spec        ModelSpec
 	server      *boinc.Server
 	group       *ps.Group
-	eval        *Evaluator
+	trainer     *Trainer
 	replication int
 	start       time.Time
 
@@ -96,13 +92,11 @@ type Distributed struct {
 	decode    func(dst []float64, blob []byte) error
 	onRelease func(params []float64)
 
-	mu      sync.Mutex
-	tracker *ps.EpochTracker
-	stop    ps.StopCriterion
-	shards  []*data.Dataset
-	result  RunResult
-	done    chan struct{}
-	failed  error
+	mu     sync.Mutex
+	shards []*data.Dataset
+	result RunResult
+	done   chan struct{}
+	failed error
 
 	// blobs, when non-nil, is the data plane: shard/model/parameter
 	// files are also published content-addressed, and workunits carry
@@ -173,15 +167,11 @@ func NewDistributedJob(cfg JobConfig, spec ModelSpec, corpus *data.Corpus, pn in
 	}
 	net := nn.NewNetwork(cfg.Builder)
 	d := &Distributed{
-		cfg:         cfg,
-		spec:        spec,
 		paramCount:  net.ParamCount(),
 		decode:      wire.DecodeParamsInto,
 		group:       ps.NewGroup(pn, st, cfg.Alpha),
-		eval:        NewEvaluator(cfg.Builder, corpus.Val, cfg.ValSubset, cfg.BatchSize*4),
 		replication: opts.Replication,
 		start:       time.Now(),
-		stop:        ps.StopCriterion{TargetAccuracy: cfg.TargetAccuracy, MaxEpochs: cfg.MaxEpochs},
 		shards:      cfg.SplitShards(corpus),
 		done:        make(chan struct{}),
 		blobs:       opts.Blobs,
@@ -206,35 +196,21 @@ func NewDistributedJob(cfg JobConfig, spec ModelSpec, corpus *data.Corpus, pn in
 
 	// Seed the live parameter copy: resume from an external checkpoint
 	// (a file a SIGTERMed server saved), resume from a checkpoint already
-	// in the PS store, or initialize fresh.
-	startEpoch := 1
-	switch {
-	case opts.ResumeParams != nil:
-		if err := d.group.Publish(opts.ResumeParams); err != nil {
-			return nil, err
-		}
-		startEpoch = opts.ResumeEpoch + 1
-		d.ckptEpoch = opts.ResumeEpoch
-	default:
-		resumed := false
-		if opts.Checkpoint {
-			if e, params, err := d.group.LatestCheckpoint(); err == nil && e > 0 {
-				if err := d.group.Publish(params); err != nil {
-					return nil, err
-				}
-				startEpoch = e + 1
-				d.ckptEpoch = e
-				resumed = true
-			}
-		}
-		if !resumed {
-			net.Init(rand.New(rand.NewSource(cfg.Seed)))
-			if err := d.group.Publish(net.Parameters()); err != nil {
-				return nil, err
-			}
+	// in the PS store, or start fresh.
+	params := opts.ResumeParams
+	d.ckptEpoch = opts.ResumeEpoch
+	if params == nil && opts.Checkpoint {
+		if e, saved, err := d.group.LatestCheckpoint(); err == nil && e > 0 {
+			params, d.ckptEpoch = saved, e
 		}
 	}
-	d.tracker = ps.NewEpochTrackerAt(cfg.Subtasks, startEpoch)
+	if params == nil {
+		params, d.ckptEpoch = InitialParams(net, cfg, corpus.Train), 0
+	}
+	if err := d.group.Publish(params); err != nil {
+		return nil, err
+	}
+	d.trainer = NewTrainer(cfg, corpus.Val, d.group, d.ckptEpoch+1)
 	if d.obsCkptEp != nil && d.ckptEpoch > 0 {
 		d.obsCkptEp.Set(float64(d.ckptEpoch))
 	}
@@ -262,7 +238,7 @@ func NewDistributedJob(cfg JobConfig, spec ModelSpec, corpus *data.Corpus, pn in
 			return nil, err
 		}
 	}
-	if err := d.generateEpoch(startEpoch); err != nil {
+	if err := d.generateEpoch(d.trainer.Epoch()); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -360,10 +336,7 @@ func (d *Distributed) CheckpointRestores() int {
 // persists so a restarted server resumes instead of retraining.
 func (d *Distributed) Snapshot() (epoch int, params []float64, err error) {
 	params, err = d.group.Current()
-	d.mu.Lock()
-	epoch = d.tracker.Epoch() - 1
-	d.mu.Unlock()
-	return epoch, params, err
+	return d.trainer.Epoch() - 1, params, err
 }
 
 // Done is closed when training finishes (target met, epoch budget
@@ -446,72 +419,52 @@ func (d *Distributed) validate(wu *boinc.Workunit, output []byte) (boinc.Decoded
 	return dp, d.decode(dp.params, output) == nil
 }
 
-// assimilate is the BOINC assimilator hook: VC-ASGD update, validation
-// accuracy, epoch bookkeeping and next-epoch generation. dec is what
-// validate decoded from output.
+// assimilate is the BOINC assimilator hook: the Trainer does the VC-ASGD
+// update, validation and epoch bookkeeping for what validate decoded from
+// output; a closed epoch is checkpointed and followed by the next one, or
+// by Done when training stopped.
 func (d *Distributed) assimilate(wu *boinc.Workunit, output []byte, dec boinc.Decoded) {
 	var p SubtaskPayload
 	if err := json.Unmarshal(wu.Payload, &p); err != nil {
 		d.fail(fmt.Errorf("core: assimilate payload: %w", err))
 		return
 	}
-	params := dec.(*decodedParams).params
-	srv := d.group.Pick()
-	if err := srv.Assimilate(params, p.Epoch); err != nil {
-		d.fail(err)
-		return
-	}
-	cur, err := srv.Current()
+	out, err := d.trainer.Assimilate(dec.(*decodedParams).params, p.Epoch)
 	if err != nil {
 		d.fail(err)
 		return
 	}
-	acc := d.eval.Accuracy(cur)
-
-	d.mu.Lock()
-	summary, closed := d.tracker.Record(acc)
-	if !closed {
-		d.mu.Unlock()
+	if !out.Closed {
 		return
 	}
-	d.result.Epochs = append(d.result.Epochs, summary)
-	d.result.Curve.Add(metrics.Point{
-		Epoch: summary.Epoch, Hours: time.Since(d.start).Hours(),
-		Value: summary.Mean, Lo: summary.Lo, Hi: summary.Hi,
-	})
-	stopNow := d.stop.ShouldStop(summary)
-	if stopNow {
-		d.result.Stopped = d.cfg.TargetAccuracy > 0 && summary.Mean >= d.cfg.TargetAccuracy
-		if final, err := d.group.Current(); err == nil {
-			d.result.FinalParams = final
-		}
-	}
-	next := summary.Epoch + 1
+	epoch := out.Epoch.Epoch
+	d.mu.Lock()
+	d.result.closeEpoch(out, time.Since(d.start).Hours())
 	d.mu.Unlock()
 
 	// Durable snapshot at every epoch close: the coherent (epoch,
 	// params) pair failover and restart recovery roll back to.
 	if d.checkpoint {
-		if err := d.group.SaveCheckpoint(summary.Epoch, cur); err == nil {
+		if err := d.group.SaveCheckpoint(epoch, out.Params); err == nil {
 			d.mu.Lock()
-			if summary.Epoch > d.ckptEpoch {
-				d.ckptEpoch = summary.Epoch
+			if epoch > d.ckptEpoch {
+				d.ckptEpoch = epoch
 			}
 			d.mu.Unlock()
 			if d.obsSaves != nil {
 				d.obsSaves.Inc()
 			}
 			if d.obsCkptEp != nil {
-				d.obsCkptEp.Set(float64(summary.Epoch))
+				d.obsCkptEp.Set(float64(epoch))
 			}
 		}
 	}
 
-	if stopNow {
+	if out.Stop {
 		close(d.done)
 		return
 	}
-	if err := d.generateEpoch(next); err != nil {
+	if err := d.generateEpoch(epoch + 1); err != nil {
 		d.fail(err)
 	}
 }

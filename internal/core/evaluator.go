@@ -44,11 +44,3 @@ func (e *Evaluator) Accuracy(params []float64) float64 {
 	_, acc := e.net.Evaluate(e.ds.X, e.ds.Labels, e.batch)
 	return acc
 }
-
-// LossAndAccuracy returns mean loss and accuracy of params on the dataset.
-func (e *Evaluator) LossAndAccuracy(params []float64) (float64, float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.net.SetParameters(params)
-	return e.net.Evaluate(e.ds.X, e.ds.Labels, e.batch)
-}

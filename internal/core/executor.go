@@ -75,6 +75,14 @@ func stackReusable(layers []nn.Layer) bool {
 	return true
 }
 
+// SubtaskSeed derives the seed of the subtask training shard during
+// epoch from the run seed. Every engine and the client application call
+// it, which is what lets a backend treat a subtask's output as a pure
+// function of (epoch snapshot, shard).
+func SubtaskSeed(seed int64, epoch, shard int) int64 {
+	return seed ^ int64(epoch)<<20 ^ int64(shard)
+}
+
 // Run trains a private copy of the model initialized from params on the
 // shard and returns the updated parameter vector. seed makes the shard
 // shuffling deterministic per (subtask, epoch).

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -39,11 +38,22 @@ type RunResult struct {
 	Stopped bool
 }
 
+// closeEpoch books the epoch out closed at the given cumulative hours,
+// and the end state if it also ended training.
+func (r *RunResult) closeEpoch(out Assimilated, hours float64) {
+	r.Epochs = append(r.Epochs, out.Epoch)
+	r.Curve.Add(out.Epoch.Point(hours))
+	if out.Stop {
+		r.Stopped = out.TargetMet
+		r.FinalParams = out.Final
+	}
+}
+
 // RunLocal executes a full data-parallel training job in-process: Cn×Tn
-// worker slots pull subtasks, train on their shards, and assimilate into a
-// VC-ASGD parameter-server group backed by the configured store. Time on
-// the curve is real wall-clock (use the vcsim package for paper-scale
-// virtual-hours experiments).
+// worker slots pull subtasks, train on their shards, and hand the results
+// to a Trainer over a VC-ASGD parameter-server group backed by the
+// configured store. Time on the curve is real wall-clock (use the vcsim
+// package for paper-scale virtual-hours experiments).
 func RunLocal(cfg JobConfig, corpus *data.Corpus, lc LocalConfig) (*RunResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -62,92 +72,66 @@ func RunLocal(cfg JobConfig, corpus *data.Corpus, lc LocalConfig) (*RunResult, e
 		st = store.NewStrong()
 	}
 
-	// Initialize the model, optionally warmstart it serially, and publish
-	// the server copy.
-	net := nn.NewNetwork(cfg.Builder)
-	net.Init(rand.New(rand.NewSource(cfg.Seed)))
-	if cfg.WarmstartEpochs > 0 {
-		Warmstart(net, cfg, corpus.Train)
-	}
 	group := ps.NewGroup(lc.PServers, st, cfg.Alpha)
-	if err := group.Publish(net.Parameters()); err != nil {
+	if err := group.Publish(InitialParams(nn.NewNetwork(cfg.Builder), cfg, corpus.Train)); err != nil {
 		return nil, err
 	}
-
+	trainer := NewTrainer(cfg, corpus.Val, group, 1)
 	shards := cfg.SplitShards(corpus)
 	exec := NewExecutor(cfg)
-	eval := NewEvaluator(cfg.Builder, corpus.Val, cfg.ValSubset, cfg.BatchSize*4)
-	tracker := ps.NewEpochTracker(cfg.Subtasks)
-	stop := ps.StopCriterion{TargetAccuracy: cfg.TargetAccuracy, MaxEpochs: cfg.MaxEpochs}
 
 	res := &RunResult{Curve: metrics.Series{Name: fmt.Sprintf("P%dC%dT%d", lc.PServers, lc.Clients, lc.TasksPerClient)}}
 	start := time.Now()
 
-	for epoch := 1; epoch <= cfg.MaxEpochs; epoch++ {
+	// One goroutine per Cn×Tn slot serves every epoch. done has room for
+	// a whole epoch of results, so a slot never blocks handing one back.
+	type result struct {
+		out Assimilated
+		err error
+	}
+	jobs := make(chan func() result)
+	done := make(chan result, len(shards))
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(jobs)
+	for i := 0; i < lc.Clients*lc.TasksPerClient; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for job := range jobs {
+				done <- job()
+			}
+		}()
+	}
+	// The stop rule ends the loop: MaxEpochs >= 1 fires at the latest.
+	for epoch := 1; ; epoch++ {
 		snapshot, err := group.Current()
 		if err != nil {
 			return nil, err
 		}
-		// Dispatch this epoch's subtasks over Cn×Tn worker slots.
-		type job struct{ shard int }
-		jobs := make(chan job)
-		errs := make(chan error, lc.Clients*lc.TasksPerClient)
-		var wg sync.WaitGroup
-		for c := 0; c < lc.Clients; c++ {
-			for tSlot := 0; tSlot < lc.TasksPerClient; tSlot++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for j := range jobs {
-						seed := cfg.Seed ^ int64(epoch)<<20 ^ int64(j.shard)
-						updated, _ := exec.Run(snapshot, shards[j.shard], seed)
-						srv := group.Pick()
-						if err := srv.Assimilate(updated, epoch); err != nil {
-							errs <- err
-							return
-						}
-						cur, err := srv.Current()
-						if err != nil {
-							errs <- err
-							return
-						}
-						tracker.Record(eval.Accuracy(cur))
-					}
-				}()
+		for shard := range shards {
+			jobs <- func() result {
+				updated, _ := exec.Run(snapshot, shards[shard], SubtaskSeed(cfg.Seed, epoch, shard))
+				out, err := trainer.Assimilate(updated, epoch)
+				return result{out, err}
 			}
 		}
-		for sIdx := range shards {
-			jobs <- job{shard: sIdx}
+		var closed Assimilated
+		for range shards {
+			r := <-done
+			if r.err != nil {
+				return nil, r.err
+			}
+			if r.out.Closed {
+				closed = r.out
+			}
 		}
-		close(jobs)
-		wg.Wait()
-		select {
-		case err := <-errs:
-			return nil, err
-		default:
-		}
-		sums := tracker.Completed()
-		if len(sums) == 0 {
+		if !closed.Closed {
 			return nil, fmt.Errorf("core: epoch %d closed no summary", epoch)
 		}
-		latest := sums[len(sums)-1]
-		res.Epochs = sums
-		res.Curve.Add(metrics.Point{
-			Epoch: latest.Epoch,
-			Hours: time.Since(start).Hours(),
-			Value: latest.Mean,
-			Lo:    latest.Lo,
-			Hi:    latest.Hi,
-		})
-		if stop.ShouldStop(latest) {
-			res.Stopped = latest.Mean >= cfg.TargetAccuracy && cfg.TargetAccuracy > 0
-			break
+		res.closeEpoch(closed, time.Since(start).Hours())
+		if closed.Stop {
+			return res, nil
 		}
 	}
-	final, err := group.Current()
-	if err != nil {
-		return nil, err
-	}
-	res.FinalParams = final
-	return res, nil
 }

@@ -82,11 +82,6 @@ func (bn *BatchNorm) checkShape(x *tensor.Tensor) (groups, inner int) {
 	}
 }
 
-// featureIndex returns the flat offset of (group g, feature f, inner i).
-func (bn *BatchNorm) featureIndex(g, f, i, inner int) int {
-	return (g*bn.F+f)*inner + i
-}
-
 // Forward implements Layer. The loops run over contiguous per-(sample,
 // feature) slices — this layer dominates training time for small conv
 // nets, so the inner loops avoid any index arithmetic per element.

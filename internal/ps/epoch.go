@@ -29,6 +29,12 @@ type EpochSummary struct {
 	Samples int
 }
 
+// Point is the epoch's marker on a training curve: the mean with the
+// per-subtask range as error bar, closed at the given cumulative hours.
+func (s EpochSummary) Point(hours float64) metrics.Point {
+	return metrics.Point{Epoch: s.Epoch, Hours: hours, Value: s.Mean, Lo: s.Lo, Hi: s.Hi}
+}
+
 // NewEpochTracker tracks epochs of the given subtask count.
 func NewEpochTracker(subtasks int) *EpochTracker {
 	return &EpochTracker{subtasks: subtasks, epoch: 1}

@@ -17,31 +17,9 @@ func (t *Tensor) HeNormal(fanIn int, rng *rand.Rand) {
 	}
 }
 
-// XavierUniform fills t with draws from U(-a, a) where
-// a = sqrt(6/(fanIn+fanOut)).
-func (t *Tensor) XavierUniform(fanIn, fanOut int, rng *rand.Rand) {
-	if fanIn < 1 {
-		fanIn = 1
-	}
-	if fanOut < 1 {
-		fanOut = 1
-	}
-	a := math.Sqrt(6.0 / float64(fanIn+fanOut))
-	for i := range t.Data {
-		t.Data[i] = (rng.Float64()*2 - 1) * a
-	}
-}
-
 // RandNormal fills t with draws from N(mean, std).
 func (t *Tensor) RandNormal(mean, std float64, rng *rand.Rand) {
 	for i := range t.Data {
 		t.Data[i] = rng.NormFloat64()*std + mean
-	}
-}
-
-// RandUniform fills t with draws from U(lo, hi).
-func (t *Tensor) RandUniform(lo, hi float64, rng *rand.Rand) {
-	for i := range t.Data {
-		t.Data[i] = lo + rng.Float64()*(hi-lo)
 	}
 }

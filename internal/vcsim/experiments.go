@@ -84,6 +84,16 @@ func ZoomWindow(series metrics.Series, loH, hiH float64) metrics.Series {
 	return out
 }
 
+// SerialSecondsPerEpoch is the virtual duration of one full-dataset epoch
+// on the single server instance for the Figure 6 baseline: the instance
+// processes the same total work as all subtasks of an epoch, serially, but
+// with the full machine behind each training step (no slot contention and
+// roughly 2× the per-task thread budget).
+func SerialSecondsPerEpoch(cfg Config) float64 {
+	perSubtask := cfg.BaseSubtaskSeconds * (refClockGHz / 2.3) // server clock, Table I
+	return float64(cfg.Job.Subtasks) * perSubtask / 2
+}
+
 // SerialBaseline trains the Figure 6 single-instance baseline serially
 // for the given epoch count and maps each epoch onto virtual hours via
 // SerialSecondsPerEpoch (cfg supplies the calibrated subtask cost). The

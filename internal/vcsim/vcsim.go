@@ -18,6 +18,7 @@ import (
 	"vcdl/internal/core"
 	"vcdl/internal/data"
 	"vcdl/internal/metrics"
+	"vcdl/internal/nn"
 	"vcdl/internal/obs"
 	"vcdl/internal/ps"
 	"vcdl/internal/sim"
@@ -293,7 +294,7 @@ type run struct {
 	assim *sim.Server
 
 	backend core.Backend
-	eval    *core.Evaluator
+	trainer *core.Trainer
 	testEv  *core.Evaluator
 	shards  []*data.Dataset
 	clients []*simClient
@@ -307,8 +308,6 @@ type run struct {
 	paramBytes   int
 	shardBytes   []int
 	modelBytes   int
-	tracker      *ps.EpochTracker
-	stop         ps.StopCriterion
 	res          *Result
 	obs          Observer
 	finished     bool
@@ -366,8 +365,6 @@ func newRun(cfg Config, st store.Store, backend core.Backend) *run {
 		backend:     backend,
 		shards:      cfg.Job.SplitShards(cfg.Corpus),
 		epochParams: make(map[int][]float64),
-		tracker:     ps.NewEpochTracker(cfg.Job.Subtasks),
-		stop:        ps.StopCriterion{TargetAccuracy: cfg.Job.TargetAccuracy, MaxEpochs: cfg.Job.MaxEpochs},
 		rule:        cfg.Rule,
 		preempt:     cloud.NewPreemptionProcess(cfg.Seed + 7),
 		res:         &Result{Name: name},
@@ -383,20 +380,15 @@ func (r *run) start() error {
 	cfg := r.cfg
 	r.group = ps.NewGroup(cfg.PServers, r.st, cfg.Job.Alpha)
 	r.assim = sim.NewServer(r.eng, cfg.PServers)
-	r.eval = core.NewEvaluator(cfg.Job.Builder, cfg.Corpus.Val, cfg.Job.ValSubset, cfg.Job.BatchSize*4)
+	r.trainer = core.NewTrainer(cfg.Job, cfg.Corpus.Val, r.group, 1)
 	if cfg.RecordTest {
 		r.testEv = core.NewEvaluator(cfg.Job.Builder, cfg.Corpus.Test, cfg.Job.ValSubset, cfg.Job.BatchSize*4)
 	}
 
 	// Initialize the model (with optional serial warmstarting, §II-B) and
 	// size the transfer payloads.
-	net := newInitializedNet(cfg)
-	warmSeconds := 0.0
-	if cfg.Job.WarmstartEpochs > 0 {
-		core.Warmstart(net, cfg.Job, cfg.Corpus.Train)
-		warmSeconds = float64(cfg.Job.WarmstartEpochs) * SerialSecondsPerEpoch(cfg)
-	}
-	params := net.Parameters()
+	params := core.InitialParams(nn.NewNetwork(cfg.Job.Builder), cfg.Job, cfg.Corpus.Train)
+	warmSeconds := float64(cfg.Job.WarmstartEpochs) * SerialSecondsPerEpoch(cfg)
 	r.paramBytes = wire.RawSize(len(params))
 	r.modelBytes = 4096 // model .json spec; small, like the paper's 269 KB
 	r.shardBytes = make([]int, len(r.shards))
@@ -656,7 +648,7 @@ func (r *run) startSubtask(c *simClient, asn boinc.Assignment, wave int) {
 	r.launchTasks = append(r.launchTasks, core.Subtask{
 		Epoch:  epoch,
 		Shard:  shard,
-		Seed:   r.cfg.Seed ^ int64(epoch)<<20 ^ int64(shard),
+		Seed:   core.SubtaskSeed(r.cfg.Seed, epoch, shard),
 		Params: r.epochParams[epoch],
 		Data:   r.shards[shard],
 	})
@@ -747,73 +739,58 @@ func (r *run) autoscale() {
 	}
 }
 
-// assimilate applies the server update and epoch bookkeeping.
+// assimilate hands one canonical result to the Trainer — or, under an
+// ablation rule, merges it here and has the Trainer record the score —
+// then reports to the observers and publishes the next epoch.
 func (r *run) assimilate(epoch int, updated []float64) {
 	if r.finished {
 		return
 	}
-	var acc float64
+	var out core.Assimilated
 	switch {
 	case r.rule == nil:
-		srv := r.group.Pick()
-		if err := srv.Assimilate(updated, epoch); err != nil {
+		var err error
+		if out, err = r.trainer.Assimilate(updated, epoch); err != nil {
 			panic("vcsim: assimilate: " + err.Error())
 		}
-		cur, err := srv.Current()
-		if err != nil {
-			panic("vcsim: current: " + err.Error())
-		}
-		acc = r.eval.Accuracy(cur)
 	case r.rule.Synchronous():
+		// The server is unchanged until the barrier; the epoch's accuracy
+		// is the post-merge value.
 		r.syncBuffer = append(r.syncBuffer, updated)
-		acc = r.eval.Accuracy(r.ruleServer) // server unchanged until the barrier
 		if len(r.syncBuffer) == r.cfg.Job.Subtasks {
 			r.rule.MergeAll(r.ruleServer, r.syncBuffer, r.epochParams[epoch], epoch)
-			acc = r.eval.Accuracy(r.ruleServer)
 		}
+		acc := r.trainer.Score(r.ruleServer)
+		out = r.trainer.Record(acc, func(s ps.EpochSummary) ps.EpochSummary {
+			s.Mean, s.Lo, s.Hi, s.Std = acc, acc, acc, 0
+			return s
+		})
 	default:
 		r.rule.Merge(r.ruleServer, updated, r.epochParams[epoch], epoch)
-		acc = r.eval.Accuracy(r.ruleServer)
+		out = r.trainer.Record(r.trainer.Score(r.ruleServer), nil)
 	}
 
 	if r.obs != nil {
-		r.obs.OnAssimilate(AssimEvent{Epoch: epoch, Hours: r.eng.NowHours(), Accuracy: acc, Queue: r.assim.QueueLen()})
+		r.obs.OnAssimilate(AssimEvent{Epoch: epoch, Hours: r.eng.NowHours(), Accuracy: out.Accuracy, Queue: r.assim.QueueLen()})
 	}
-	summary, closed := r.tracker.Record(acc)
-	if !closed {
+	if !out.Closed {
 		return
 	}
-	if r.rule != nil && r.rule.Synchronous() {
-		// For synchronous rules the epoch accuracy is the post-merge value.
-		summary.Mean, summary.Lo, summary.Hi, summary.Std = acc, acc, acc, 0
-	}
-	r.res.Epochs = append(r.res.Epochs, summary)
-	point := metrics.Point{
-		Epoch: summary.Epoch,
-		Hours: r.eng.NowHours(),
-		Value: summary.Mean,
-		Lo:    summary.Lo,
-		Hi:    summary.Hi,
-	}
-	r.res.Curve.Add(point)
+	r.res.Epochs = append(r.res.Epochs, out.Epoch)
+	r.res.Curve.Add(out.Epoch.Point(r.eng.NowHours()))
 	if r.obs != nil {
-		r.obs.OnEpoch(EpochEvent{Hours: point.Hours, Summary: summary})
+		r.obs.OnEpoch(EpochEvent{Hours: r.eng.NowHours(), Summary: out.Epoch})
 	}
 	if r.testEv != nil {
-		cur, err := r.currentServer()
-		if err == nil {
-			r.res.TestCurve.Add(metrics.Point{
-				Epoch: summary.Epoch,
-				Hours: r.eng.NowHours(),
-				Value: r.testEv.Accuracy(cur),
-			})
+		if cur, err := r.currentServer(); err == nil {
+			r.res.TestCurve.Add(metrics.Point{Epoch: out.Epoch.Epoch, Hours: r.eng.NowHours(), Value: r.testEv.Accuracy(cur)})
 		}
 	}
-	if r.stop.ShouldStop(summary) {
+	if out.Stop {
 		r.finished = true
 		return
 	}
-	if err := r.generateEpoch(summary.Epoch + 1); err != nil {
+	if err := r.generateEpoch(out.Epoch.Epoch + 1); err != nil {
 		panic("vcsim: generate epoch: " + err.Error())
 	}
 	r.wakeClients()
