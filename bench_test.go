@@ -363,7 +363,7 @@ func BenchmarkSubtaskCompute(b *testing.B) {
 	net.Init(rand.New(rand.NewSource(5)))
 	params := net.Parameters()
 
-	for _, spec := range []string{"real", "cached", "parallel", "parallel+cached", "surrogate"} {
+	for _, spec := range []string{"real", "real+cached", "parallel", "parallel+cached", "surrogate"} {
 		spec := spec
 		b.Run(spec, func(b *testing.B) {
 			backend, err := core.NewBackend(spec, cfg, 8)
@@ -378,7 +378,7 @@ func BenchmarkSubtaskCompute(b *testing.B) {
 			}
 			b.ReportMetric(float64(backend.Stats().Computed)/float64(b.N), "computed/op")
 		})
-		if spec == "cached" || spec == "parallel+cached" {
+		if spec == "real+cached" || spec == "parallel+cached" {
 			b.Run(spec+"-hit", func(b *testing.B) {
 				backend, err := core.NewBackend(spec, cfg, 8)
 				if err != nil {

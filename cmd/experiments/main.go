@@ -40,8 +40,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -733,16 +735,56 @@ func (r *runner) scale() error {
 		fmt.Fprint(r.out, metrics.Table(
 			[]string{"backend", "workers", "wall", "speedup", "final acc", "|Δacc|", "computed", "cache hits"}, rows))
 	}
-	fmt.Fprintln(r.out, "expected shape: cached ~halves-or-better real's wall clock (replication refunded,")
-	fmt.Fprintln(r.out, "Δacc exactly 0); parallel+cached adds overlap on multi-core hosts; surrogate is")
-	fmt.Fprintln(r.out, "fastest with a nonzero but bounded Δacc; real's wall clock grows with C.")
+	fmt.Fprintln(r.out, "expected shape: real+cached cuts real's wall clock by about the replication factor")
+	fmt.Fprintln(r.out, "(Δacc exactly 0); parallel and parallel+cached (what bare \"cached\" selects) divide")
+	fmt.Fprintln(r.out, "what is left by the cores the host has, same Δacc of 0; surrogate does less math with")
+	fmt.Fprintln(r.out, "a nonzero but bounded Δacc; real's wall clock grows with C.")
 
 	if err := r.writeRawCSV("scale", csv.String()); err != nil {
 		return err
 	}
-	blob, err := json.MarshalIndent(map[string]any{"grid": cells}, "", "  ")
+	blob, err := json.MarshalIndent(map[string]any{"host": hostStamp(), "grid": cells}, "", "  ")
 	if err != nil {
 		return err
 	}
 	return r.writeFile("BENCH_compute.json", string(blob)+"\n")
+}
+
+// hostStamp names the machine a wall-clock record was taken on, with
+// the fields of the stamp `go run ./bench` prints.
+func hostStamp() map[string]any {
+	h := map[string]any{
+		"nproc": runtime.NumCPU(), "gomaxprocs": runtime.GOMAXPROCS(0),
+		"go_version": runtime.Version(), "cpu_model": "unknown", "git_commit": "unknown",
+	}
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(info), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h["cpu_model"] = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		commit, dirty := "", ""
+		for _, s := range bi.Settings {
+			switch {
+			case s.Key == "vcs.revision":
+				commit = s.Value
+			case s.Key == "vcs.modified" && s.Value == "true":
+				dirty = " + uncommitted changes"
+			}
+		}
+		if commit != "" {
+			h["git_commit"] = commit + dirty
+		}
+	}
+	// `go run` and `go test` do not stamp VCS settings into the binary;
+	// ask git, and accept that an exported tree has no commit to report.
+	if h["git_commit"] == "unknown" {
+		if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+			h["git_commit"] = strings.TrimSpace(string(out))
+		}
+	}
+	return h
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -98,8 +99,8 @@ func TestSelectedPolicies(t *testing.T) {
 
 // TestScaleGridSmoke runs the compute-backend scale grid on a tiny fleet
 // and checks both artifacts land: the per-cell CSV and the
-// BENCH_compute.json perf record with real first and every backend
-// present.
+// BENCH_compute.json perf record with the host stamped, real first and
+// every backend present.
 func TestScaleGridSmoke(t *testing.T) {
 	dir := t.TempDir()
 	var out, errOut strings.Builder
@@ -115,6 +116,11 @@ func TestScaleGridSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rec struct {
+		Host struct {
+			GOMAXPROCS int    `json:"gomaxprocs"`
+			GoVersion  string `json:"go_version"`
+			Commit     string `json:"git_commit"`
+		} `json:"host"`
 		Grid []struct {
 			Backend       string  `json:"backend"`
 			Wall          float64 `json:"wallclock_seconds"`
@@ -125,6 +131,16 @@ func TestScaleGridSmoke(t *testing.T) {
 	}
 	if err := json.Unmarshal(blob, &rec); err != nil {
 		t.Fatalf("BENCH_compute.json: %v", err)
+	}
+	if rec.Host.GOMAXPROCS < 1 || rec.Host.GoVersion == "" || rec.Host.Commit == "" {
+		t.Errorf("BENCH_compute.json host block = %+v, want the machine stamped", rec.Host)
+	}
+	// A test binary carries no VCS stamp, so inside a checkout the commit
+	// must have come from git itself.
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		if head := strings.TrimSpace(string(out)); !strings.HasPrefix(rec.Host.Commit, head) {
+			t.Errorf("BENCH_compute.json git_commit = %q, want %s", rec.Host.Commit, head)
+		}
 	}
 	seen := map[string]bool{}
 	for i, c := range rec.Grid {
@@ -137,7 +153,7 @@ func TestScaleGridSmoke(t *testing.T) {
 			t.Errorf("%s: fidelity delta %v, want 0", c.Backend, c.Fidelity)
 		}
 	}
-	for _, want := range []string{"real", "cached", "parallel", "parallel+cached", "surrogate"} {
+	for _, want := range []string{"real", "real+cached", "parallel", "parallel+cached", "surrogate"} {
 		if !seen[want] {
 			t.Errorf("BENCH_compute.json missing backend %q", want)
 		}

@@ -20,12 +20,14 @@ func defaultComputeWorkers() int { return runtime.GOMAXPROCS(0) }
 // output is a pure function of (epoch parameter snapshot, shard, seed) —
 // every engine derives the seed with SubtaskSeed and the math never
 // touches the engine RNG — so the *when* and *where* of the
-// computation are free choices: inline in the event loop (real), memoized
-// across the scheduler's replicated/reissued copies (cached), overlapped
-// with event processing on a worker pool (parallel), or approximated by a
-// subsampled kernel (surrogate). Virtual time and Results are identical
-// across real, cached and parallel by construction; only wall clock and
-// the BackendStats telemetry differ.
+// computation are free choices: inline in the event loop (real),
+// overlapped with event processing on a worker pool of every core
+// (parallel), memoized across the scheduler's replicated/reissued copies
+// on top of either (cached, which computes its misses on the pool unless
+// the spec names another base), or approximated by a subsampled kernel
+// (surrogate). Virtual time and Results are identical across real,
+// parallel and both memo forms by construction; only wall clock and the
+// BackendStats telemetry differ.
 
 // Subtask identifies one unit of client compute: train from the epoch's
 // parameter snapshot on one shard with the derived deterministic seed.
@@ -147,14 +149,9 @@ func RegisterBackend(name string, f BackendFactory) {
 // BackendNames lists the base backends plus the cached modifier forms,
 // sorted, for usage text and validation messages.
 func BackendNames() []string {
-	var names []string
+	names := []string{"cached"} // shorthand for "parallel+cached"
 	for name := range backendRegistry {
-		names = append(names, name)
-		if name == "real" {
-			names = append(names, "cached") // "cached" == "real+cached"
-		} else {
-			names = append(names, name+"+cached")
-		}
+		names = append(names, name, name+"+cached")
 	}
 	sort.Strings(names)
 	return names
@@ -162,9 +159,12 @@ func BackendNames() []string {
 
 // parseBackendSpec splits a spec into its base backend name and whether
 // the cached modifier wraps it. The grammar is "+"-separated parts: at
-// most one registered base name (default "real") and optionally
-// "cached", in either order — so "cached", "parallel+cached" and
-// "cached+parallel" are all valid. "" means "real".
+// most one registered base name and optionally "cached", in either
+// order — so "cached", "parallel+cached" and "cached+parallel" are all
+// valid. A spec without a base means "real" when it is empty and
+// "parallel" under the memo layer: the misses of one event callback are
+// independent, so bare "cached" computes them on every core, and
+// "real+cached" asks for the inline memo by name.
 func parseBackendSpec(spec string) (base string, cached bool, err error) {
 	base = "real"
 	if spec == "" {
@@ -190,6 +190,9 @@ func parseBackendSpec(spec string) (base string, cached bool, err error) {
 			base, baseSet = part, true
 		}
 	}
+	if cached && !baseSet {
+		base = "parallel"
+	}
 	return base, cached, nil
 }
 
@@ -201,22 +204,20 @@ func ValidateBackendSpec(spec string) error {
 	return err
 }
 
-// BackendSpecName canonicalizes a valid spec ("cached+parallel" →
-// "parallel+cached", "" → "real"); it is what the backend's Name and
-// Stats report. Invalid specs return the input unchanged.
+// BackendSpecName canonicalizes a valid spec ("cached" and
+// "cached+parallel" → "parallel+cached", "cached+real" → "real+cached",
+// "" → "real"); it is what the backend's Name and Stats report, and a
+// canonical name parses back to itself. Invalid specs return the input
+// unchanged.
 func BackendSpecName(spec string) string {
 	base, cached, err := parseBackendSpec(spec)
 	if err != nil {
 		return spec
 	}
-	switch {
-	case !cached:
-		return base
-	case base == "real":
-		return "cached"
-	default:
+	if cached {
 		return base + "+cached"
 	}
+	return base
 }
 
 // NewBackend instantiates the backend named by spec for one run. Backends
@@ -474,12 +475,7 @@ type cachedBackend struct {
 	hits, misses int
 }
 
-func (b *cachedBackend) Name() string {
-	if b.inner.Name() == "real" {
-		return "cached"
-	}
-	return b.inner.Name() + "+cached"
-}
+func (b *cachedBackend) Name() string { return b.inner.Name() + "+cached" }
 
 func (b *cachedBackend) Launch(t Subtask) Future {
 	key := [2]int{t.Epoch, t.Shard}

@@ -25,36 +25,57 @@ func backendFixture(t testing.TB) (JobConfig, *data.Dataset, []float64) {
 	return cfg, corpus.Train, net.Parameters()
 }
 
+// TestBackendSpecParsing pins the spec grammar: bare "cached" is the
+// pooled memo, "real+cached" the inline one, and every canonical name
+// parses back to itself and to the same kind of backend.
 func TestBackendSpecParsing(t *testing.T) {
-	valid := map[string]string{
-		"":                "real",
-		"real":            "real",
-		"cached":          "cached",
-		"real+cached":     "cached",
-		"cached+real":     "cached",
-		"parallel":        "parallel",
-		"parallel+cached": "parallel+cached",
-		"cached+parallel": "parallel+cached",
-		"surrogate":       "surrogate",
+	valid := []struct {
+		spec, name string
+		pooled     bool
+	}{
+		{"", "real", false},
+		{"real", "real", false},
+		{"cached", "parallel+cached", true},
+		{"real+cached", "real+cached", false},
+		{"cached+real", "real+cached", false},
+		{"parallel", "parallel", true},
+		{"parallel+cached", "parallel+cached", true},
+		{"cached+parallel", "parallel+cached", true},
+		{"surrogate", "surrogate", false},
+		{"surrogate+cached", "surrogate+cached", false},
 	}
 	cfg, _, _ := backendFixture(t)
-	for spec, want := range valid {
-		if err := ValidateBackendSpec(spec); err != nil {
-			t.Errorf("ValidateBackendSpec(%q): %v", spec, err)
+	for _, v := range valid {
+		if err := ValidateBackendSpec(v.spec); err != nil {
+			t.Errorf("ValidateBackendSpec(%q): %v", v.spec, err)
 			continue
 		}
-		if got := BackendSpecName(spec); got != want {
-			t.Errorf("BackendSpecName(%q) = %q, want %q", spec, got, want)
+		if got := BackendSpecName(v.spec); got != v.name {
+			t.Errorf("BackendSpecName(%q) = %q, want %q", v.spec, got, v.name)
 		}
-		b, err := NewBackend(spec, cfg, 2)
-		if err != nil {
-			t.Errorf("NewBackend(%q): %v", spec, err)
-			continue
+		if got := BackendSpecName(v.name); got != v.name {
+			t.Errorf("canonical name %q re-canonicalizes to %q", v.name, got)
 		}
-		if b.Name() != want {
-			t.Errorf("NewBackend(%q).Name() = %q, want %q", spec, b.Name(), want)
+		// The spec and its canonical name build the same backend.
+		for _, spec := range []string{v.spec, v.name} {
+			b, err := NewBackend(spec, cfg, 2)
+			if err != nil {
+				t.Errorf("NewBackend(%q): %v", spec, err)
+				continue
+			}
+			if b.Name() != v.name {
+				t.Errorf("NewBackend(%q).Name() = %q, want %q", spec, b.Name(), v.name)
+			}
+			if s := b.Stats(); s.Backend != v.name || (s.Workers == 2) != v.pooled {
+				t.Errorf("NewBackend(%q).Stats() = %+v, want backend %q, pooled %v", spec, s, v.name, v.pooled)
+			}
+			b.Close()
 		}
-		b.Close()
+	}
+	for _, name := range BackendNames() {
+		if err := ValidateBackendSpec(name); err != nil {
+			t.Errorf("BackendNames lists %q: %v", name, err)
+		}
 	}
 	for _, spec := range []string{"bogus", "real+parallel", "cached+cached", "parallel+bogus"} {
 		if err := ValidateBackendSpec(spec); err == nil {
@@ -67,13 +88,13 @@ func TestBackendSpecParsing(t *testing.T) {
 }
 
 // TestBackendsComputeIdenticalUpdates pins the purity argument: real,
-// cached and parallel (at several pool sizes) return byte-identical
-// parameter updates for the same (params, shard, seed).
+// parallel and both memo forms (at several pool sizes) return
+// byte-identical parameter updates for the same (params, shard, seed).
 func TestBackendsComputeIdenticalUpdates(t *testing.T) {
 	cfg, shard, params := backendFixture(t)
 	ref, refStats := NewExecutor(cfg).Run(params, shard, 99)
 
-	for _, spec := range []string{"real", "cached", "parallel", "parallel+cached"} {
+	for _, spec := range []string{"real", "cached", "real+cached", "parallel", "parallel+cached"} {
 		for _, workers := range []int{1, 2, 8} {
 			b, err := NewBackend(spec, cfg, workers)
 			if err != nil {
@@ -93,34 +114,36 @@ func TestBackendsComputeIdenticalUpdates(t *testing.T) {
 }
 
 // TestCachedBackendMemoizes checks replica launches share one execution
-// and that Retire evicts old epochs.
+// and that Retire evicts old epochs, for the pooled and the inline memo.
 func TestCachedBackendMemoizes(t *testing.T) {
 	cfg, shard, params := backendFixture(t)
-	b, err := NewBackend("cached", cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	task := Subtask{Epoch: 1, Shard: 3, Seed: 7, Params: params, Data: shard}
-	f1 := b.Launch(task)
-	f2 := b.Launch(task)
-	p1, _ := f1.Wait()
-	p2, _ := f2.Wait()
-	if &p1[0] != &p2[0] {
-		t.Error("replica launches did not share the memoized result")
-	}
-	s := b.Stats()
-	if s.Launched != 2 || s.CacheHits != 1 || s.CacheMisses != 1 || s.Computed != 1 {
-		t.Errorf("stats after replica pair: %+v", s)
-	}
+	for _, spec := range []string{"cached", "real+cached"} {
+		b, err := NewBackend(spec, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		task := Subtask{Epoch: 1, Shard: 3, Seed: 7, Params: params, Data: shard}
+		f1 := b.Launch(task)
+		f2 := b.Launch(task)
+		p1, _ := f1.Wait()
+		p2, _ := f2.Wait()
+		if &p1[0] != &p2[0] {
+			t.Errorf("%s: replica launches did not share the memoized result", spec)
+		}
+		s := b.Stats()
+		if s.Launched != 2 || s.CacheHits != 1 || s.CacheMisses != 1 || s.Computed != 1 {
+			t.Errorf("%s: stats after replica pair: %+v", spec, s)
+		}
 
-	// A different shard misses; after Retire the epoch recomputes.
-	b.Launch(Subtask{Epoch: 1, Shard: 4, Seed: 8, Params: params, Data: shard}).Wait()
-	b.Retire(2)
-	b.Launch(task).Wait()
-	s = b.Stats()
-	if s.CacheMisses != 3 || s.Computed != 3 {
-		t.Errorf("stats after retire: %+v", s)
+		// A different shard misses; after Retire the epoch recomputes.
+		b.Launch(Subtask{Epoch: 1, Shard: 4, Seed: 8, Params: params, Data: shard}).Wait()
+		b.Retire(2)
+		b.Launch(task).Wait()
+		s = b.Stats()
+		if s.CacheMisses != 3 || s.Computed != 3 {
+			t.Errorf("%s: stats after retire: %+v", spec, s)
+		}
+		b.Close()
 	}
 }
 

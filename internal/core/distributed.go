@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -38,18 +39,42 @@ type SubtaskPayload struct {
 // NewTrainingApp returns the client-side application (the TensorFlow
 // stand-in) for a boinc.Client: it decodes the model spec, parameter copy
 // and data shard from the downloaded files, trains, and returns the
-// compressed updated parameters.
+// compressed updated parameters. The app keeps one Executor for as long
+// as the model file's bytes stay the same, so a daemon's subtasks (and
+// its concurrent slots) recycle the executor's scratch arenas; a
+// different model file rebuilds it.
 func NewTrainingApp(cfg JobConfig) boinc.App {
+	var (
+		mu    sync.Mutex
+		model []byte
+		exec  *Executor
+	)
+	executorFor := func(modelFile []byte) (*Executor, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if exec != nil && bytes.Equal(model, modelFile) {
+			return exec, nil
+		}
+		spec, err := DecodeSpec(modelFile)
+		if err != nil {
+			return nil, err
+		}
+		builder, err := spec.Builder()
+		if err != nil {
+			return nil, err
+		}
+		execCfg := cfg
+		execCfg.Builder = builder
+		// The client owns the downloaded bytes; keep a private copy.
+		model, exec = bytes.Clone(modelFile), NewExecutor(execCfg)
+		return exec, nil
+	}
 	return boinc.AppFunc(func(asn boinc.Assignment, inputs map[string][]byte) ([]byte, error) {
 		var p SubtaskPayload
 		if err := json.Unmarshal(asn.Payload, &p); err != nil {
 			return nil, fmt.Errorf("core: bad payload: %w", err)
 		}
-		spec, err := DecodeSpec(inputs[p.ModelFile])
-		if err != nil {
-			return nil, err
-		}
-		builder, err := spec.Builder()
+		exec, err := executorFor(inputs[p.ModelFile])
 		if err != nil {
 			return nil, err
 		}
@@ -61,9 +86,6 @@ func NewTrainingApp(cfg JobConfig) boinc.App {
 		if err != nil {
 			return nil, fmt.Errorf("core: decode shard: %w", err)
 		}
-		execCfg := cfg
-		execCfg.Builder = builder
-		exec := NewExecutor(execCfg)
 		updated, _ := exec.Run(params, shard, SubtaskSeed(cfg.Seed, p.Epoch, p.Shard))
 		return wire.EncodeParams(updated)
 	})

@@ -159,12 +159,20 @@ func (s *Spec) Config() vcsim.Config {
 // the simulator, or on a live fleet when the spec carries WithRealMode.
 // Errors are returned unwrapped; Sweep (and other callers) add the run
 // label.
-func Run(s *Spec) (*Result, error) {
+func Run(s *Spec) (*Result, error) { return run(s, 0) }
+
+// run is Run with the compute-pool size a spec that did not choose one
+// gets (0: the backend's own default, GOMAXPROCS).
+func run(s *Spec, computeWorkers int) (*Result, error) {
 	if s == nil {
 		return nil, fmt.Errorf("exp: nil spec")
 	}
 	if s.realSpec != nil {
 		return runReal(s)
 	}
-	return vcsim.Run(s.Config())
+	cfg := s.Config()
+	if cfg.ComputeWorkers == 0 {
+		cfg.ComputeWorkers = computeWorkers
+	}
+	return vcsim.Run(cfg)
 }

@@ -283,7 +283,7 @@ func ScaleWorkload(seed int64, clients, epochs int) (core.JobConfig, *data.Corpu
 type ScalePoint struct {
 	Clients int
 	Backend string
-	// Workers sizes the parallel pool (0 for inline backends).
+	// Workers sizes the compute pool (0: the default, GOMAXPROCS).
 	Workers int
 }
 
@@ -303,15 +303,16 @@ func ScaleSpec(job core.JobConfig, corpus *data.Corpus, pt ScalePoint) (*Spec, e
 	return spec, nil
 }
 
-// ScaleBackends is the backend × workers grid each fleet size sweeps:
-// the real baseline, the memoized and pooled variants at the benchmark's
-// 8 workers, and the subsampled surrogate.
+// ScaleBackends is the backend grid each fleet size sweeps: the real
+// baseline, the inline memo, the pool, the pooled memo (what bare
+// "cached" selects) and the subsampled surrogate. Pools take their
+// default size, the host's GOMAXPROCS; the cell records it.
 func ScaleBackends() []ScalePoint {
 	return []ScalePoint{
 		{Backend: "real"},
-		{Backend: "cached"},
-		{Backend: "parallel", Workers: 8},
-		{Backend: "parallel+cached", Workers: 8},
+		{Backend: "real+cached"},
+		{Backend: "parallel"},
+		{Backend: "parallel+cached"},
 		{Backend: "surrogate"},
 	}
 }

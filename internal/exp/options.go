@@ -155,10 +155,11 @@ func WithPolicy(name string, args ...string) Option {
 }
 
 // WithBackend selects the compute backend executing subtask math by
-// spec (core.BackendNames lists them: real, cached, parallel, surrogate
-// and the "+cached" combinations). Unknown specs fail at construction.
-// The backend instance itself is created per run inside the simulator,
-// so sweep workers never share memoization or pool state.
+// spec (core.BackendNames lists them: real, parallel, surrogate, their
+// "+cached" combinations, and bare "cached" for "parallel+cached").
+// Unknown specs fail at construction. The backend instance itself is
+// created per run inside the simulator, so sweep workers never share
+// memoization or pool state.
 func WithBackend(spec string) Option {
 	return func(s *Spec) error {
 		if err := core.ValidateBackendSpec(spec); err != nil {
@@ -169,9 +170,10 @@ func WithBackend(spec string) Option {
 	}
 }
 
-// WithComputeWorkers sizes the parallel compute backend's worker pool
-// (0 restores the default, GOMAXPROCS). The pool size changes only wall
-// clock, never the Result.
+// WithComputeWorkers sizes the worker pool of the parallel and cached
+// compute backends (0 restores the default: GOMAXPROCS, or Sweep's share
+// of it per concurrent run). The pool size changes only wall clock,
+// never the Result.
 func WithComputeWorkers(n int) Option {
 	return func(s *Spec) error {
 		if n < 0 {

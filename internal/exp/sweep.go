@@ -16,8 +16,14 @@ type sweepConfig struct {
 
 // Workers sets the worker-pool size. n < 1 selects the default,
 // GOMAXPROCS. The pool size never changes results: runs are independent
-// single-threaded event loops, so the same specs produce byte-identical
-// Results at any worker count.
+// event loops, so the same specs produce byte-identical Results at any
+// worker count (the Compute telemetry reports the pool each run got).
+//
+// Sweep workers and compute-backend pools draw on one budget: a run
+// whose spec left the compute pool unsized (no WithComputeWorkers) gets
+// max(1, GOMAXPROCS / sweep workers) pool workers instead of GOMAXPROCS,
+// so W concurrent "cached" runs do not start W × GOMAXPROCS goroutines
+// of math.
 func Workers(n int) SweepOption {
 	return func(c *sweepConfig) {
 		c.workers = n
@@ -53,6 +59,7 @@ func Sweep(ctx context.Context, specs []*Spec, opts ...SweepOption) ([]*Result, 
 		return nil, nil
 	}
 
+	computeWorkers := max(1, runtime.GOMAXPROCS(0)/sc.workers)
 	results := make([]*Result, len(specs))
 	errs := make([]error, len(specs))
 	jobs := make(chan int)
@@ -64,7 +71,7 @@ func Sweep(ctx context.Context, specs []*Spec, opts ...SweepOption) ([]*Result, 
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[i], errs[i] = Run(specs[i])
+				results[i], errs[i] = run(specs[i], computeWorkers)
 				if errs[i] != nil {
 					failOnce.Do(func() { close(failed) })
 				}

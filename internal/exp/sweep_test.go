@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
+	"vcdl/internal/core"
 	"vcdl/internal/vcsim"
 )
 
@@ -123,6 +125,58 @@ func TestSweepCancelledContext(t *testing.T) {
 	for i, res := range results {
 		if res != nil {
 			t.Errorf("slot %d ran despite pre-cancelled context", i)
+		}
+	}
+}
+
+// TestSweepSharesComputeBudget pins the one parallelism budget: a cell
+// that left its compute pool unsized gets GOMAXPROCS / sweep-workers
+// pool workers (at least one), an explicit WithComputeWorkers always
+// wins, and neither size changes anything but the Compute telemetry.
+func TestSweepSharesComputeBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	job, corpus := quickWorkload(t, 1, 2)
+	var specs []*Spec
+	for i := 0; i < 4; i++ {
+		opts := []Option{Topology(1, 3, 2), Replicate(2), Seed(int64(i + 1)), WithBackend("cached")}
+		if i == 3 {
+			opts = append(opts, WithComputeWorkers(3))
+		}
+		spec, err := New(job, corpus, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	stripped := func(r *Result) []byte {
+		c := *r
+		c.Compute = core.BackendStats{}
+		return marshal(t, &c)
+	}
+	var want [][]byte
+	for _, spec := range specs {
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, stripped(res))
+	}
+	for sweepWorkers, unsized := range map[int]int{1: 4, 2: 2, 3: 1, 4: 1} {
+		results, err := Sweep(context.Background(), specs, Workers(sweepWorkers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range results {
+			wantPool := unsized
+			if i == 3 {
+				wantPool = 3
+			}
+			if res.Compute.Workers != wantPool {
+				t.Errorf("sweep workers=%d run #%d: pool of %d workers, want %d", sweepWorkers, i, res.Compute.Workers, wantPool)
+			}
+			if !bytes.Equal(stripped(res), want[i]) {
+				t.Errorf("sweep workers=%d run #%d differs from Run", sweepWorkers, i)
+			}
 		}
 	}
 }

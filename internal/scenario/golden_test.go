@@ -69,9 +69,11 @@ func TestBundledScenarioGolden(t *testing.T) {
 }
 
 // TestBundledScenarioBackendEquivalence runs every bundled scenario
-// under the cached and parallel compute backends and asserts the event
-// trace matches the real-backend golden byte for byte — the scenario
-// half of the compute-backend equivalence contract (DESIGN.md §8).
+// under the memoizing compute backends — bare "cached" and its spelled
+// out name, which pool their misses, and the inline memo — and asserts
+// the event trace matches the real-backend golden byte for byte: the
+// scenario half of the compute-backend equivalence contract (DESIGN.md
+// §8).
 func TestBundledScenarioBackendEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("backend × scenario sweep skipped in -short (covered per-config by vcsim's TestBackendEquivalence)")
@@ -83,7 +85,7 @@ func TestBundledScenarioBackendEquivalence(t *testing.T) {
 	for _, file := range files {
 		file := file
 		name := strings.TrimSuffix(filepath.Base(file), ".txt")
-		for _, backend := range []string{"cached", "parallel+cached"} {
+		for _, backend := range []string{"cached", "parallel+cached", "real+cached"} {
 			backend := backend
 			t.Run(name+"/"+backend, func(t *testing.T) {
 				sc, err := Load(file)

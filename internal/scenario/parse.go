@@ -41,7 +41,7 @@ import (
 //	  policy fifo                   # scheduling policy (boinc.PolicyNames)
 //	  policy random 7               # ... with arguments
 //	  compute cached                # compute backend (core.BackendNames)
-//	  compute parallel+cached 8     # ... with a worker-pool size
+//	  compute cached 8              # ... with a worker-pool size
 //	  replicate 2                   # issue 2 copies of every subtask
 //	  byzantine 2 wrong-result      # first 2 clients are adversarial
 //	                                # (wrong-result | spoof | deadline-game)

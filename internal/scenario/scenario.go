@@ -78,7 +78,8 @@ type FleetSpec struct {
 	// assertions are backend-independent; surrogate trades curve
 	// fidelity for capacity-run speed.
 	Compute string
-	// ComputeWorkers sizes the parallel backend's pool (0 = GOMAXPROCS).
+	// ComputeWorkers sizes the pool cached and parallel compute on
+	// (0 = GOMAXPROCS).
 	ComputeWorkers int
 	// Replication issues this many copies of every subtask (0/1 = one).
 	Replication int

@@ -17,6 +17,20 @@ const matmulParallelThreshold = 64 * 64
 // kernel (float addition is not associative; reordering k would change
 // low-order bits). A tileI×tileJ destination block plus the matching
 // b-panel stripe stays resident while k streams through it.
+//
+// Inside a tile the kernels are blocked for instruction-level
+// parallelism without touching that order (DESIGN.md §13). The two
+// axpy-form kernels take k four at a time: the destination element is
+// loaded once, the four products are added as the dependent chain
+// (((d + a0·b0) + a1·b1) + a2·b2) + a3·b3 — the very additions the
+// per-p loop performs, minus three store/load round trips — and stored
+// once. A group holding a zero a falls back to the per-p loop, because
+// the zero-skip is observable (0·Inf and 0·NaN are never formed). The
+// dot-form kernel computes a 2×4 block of outputs at once: eight
+// accumulators, each summing its own products from +0.0 in ascending
+// p, so the adds of different outputs overlap while every output's own
+// chain is the scalar loop's; a tile's leftover columns take 2×1 blocks
+// and its odd last row the scalar loop.
 const (
 	matmulTileI = 64
 	matmulTileJ = 256
@@ -100,6 +114,7 @@ func matMulInto(dst, a, b []float64, m, k, n int) {
 // Accumulation into each dst element runs over p in ascending order with
 // the same zero-skip as the naive kernel, so output bits match it.
 func matMulRange(dst, a, b []float64, lo, hi, k, n int) {
+	k4 := k &^ 3
 	for ib := lo; ib < hi; ib += matmulTileI {
 		ie := ib + matmulTileI
 		if ie > hi {
@@ -113,16 +128,41 @@ func matMulRange(dst, a, b []float64, lo, hi, k, n int) {
 			for i := ib; i < ie; i++ {
 				di := dst[i*n+jb : i*n+je]
 				ai := a[i*k : (i+1)*k]
-				for p, av := range ai {
-					if av == 0 {
+				p := 0
+				for ; p < k4; p += 4 {
+					a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
+					if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+						axpyRows(di, ai[p:p+4], b[p*n+jb:], n)
 						continue
 					}
-					bp := b[p*n+jb : p*n+je]
-					for j, bv := range bp {
-						di[j] += av * bv
+					b0 := b[p*n+jb : p*n+je][:len(di)]
+					b1 := b[(p+1)*n+jb : (p+1)*n+je][:len(di)]
+					b2 := b[(p+2)*n+jb : (p+2)*n+je][:len(di)]
+					b3 := b[(p+3)*n+jb : (p+3)*n+je][:len(di)]
+					for j, d := range di {
+						di[j] = (((d + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
 					}
 				}
+				if p < k {
+					axpyRows(di, ai[p:], b[p*n+jb:], n)
+				}
 			}
+		}
+	}
+}
+
+// axpyRows is the per-p loop of the axpy-form kernels: di += av[q] ·
+// (row q of b) for q ascending, skipping zero av. b starts at the first
+// row's tile column and rows are n apart. It serves the k mod 4 tail
+// and the groups that hold a zero.
+func axpyRows(di, av, b []float64, n int) {
+	for q, a := range av {
+		if a == 0 {
+			continue
+		}
+		bq := b[q*n : q*n+len(di)]
+		for j, bv := range bq {
+			di[j] += a * bv
 		}
 	}
 }
@@ -160,6 +200,7 @@ func matmulTransAShape(a, b *Tensor) (m, n int) {
 // streaming in ascending order inside each tile: per-element
 // accumulation order matches the naive p-outer kernel exactly.
 func matMulTransARange(dst, a, b []float64, k, m, n int) {
+	k4 := k &^ 3
 	for ib := 0; ib < m; ib += matmulTileI {
 		ie := ib + matmulTileI
 		if ie > m {
@@ -170,17 +211,28 @@ func matMulTransARange(dst, a, b []float64, k, m, n int) {
 			if je > n {
 				je = n
 			}
-			for p := 0; p < k; p++ {
-				ap := a[p*m+ib : p*m+ie]
-				bp := b[p*n+jb : p*n+je]
-				for ii, av := range ap {
-					if av == 0 {
+			w := je - jb
+			p := 0
+			for ; p < k4; p += 4 {
+				b0 := b[p*n+jb : p*n+je]
+				b1 := b[(p+1)*n+jb : (p+1)*n+je][:w]
+				b2 := b[(p+2)*n+jb : (p+2)*n+je][:w]
+				b3 := b[(p+3)*n+jb : (p+3)*n+je][:w]
+				for i := ib; i < ie; i++ {
+					a0, a1, a2, a3 := a[p*m+i], a[(p+1)*m+i], a[(p+2)*m+i], a[(p+3)*m+i]
+					di := dst[i*n+jb : i*n+je][:w]
+					if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+						axpyRows(di, []float64{a0, a1, a2, a3}, b[p*n+jb:], n)
 						continue
 					}
-					di := dst[(ib+ii)*n+jb : (ib+ii)*n+je]
-					for j, bv := range bp {
-						di[j] += av * bv
+					for j, bv := range b0 {
+						di[j] = (((di[j] + a0*bv) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
 					}
+				}
+			}
+			for ; p < k; p++ {
+				for i := ib; i < ie; i++ {
+					axpyRows(dst[i*n+jb:i*n+je], a[p*m+i:p*m+i+1], b[p*n+jb:], n)
 				}
 			}
 		}
@@ -217,7 +269,9 @@ func matmulTransBShape(a, b *Tensor) (m, n int) {
 
 // matMulTransBRange assigns dst = a @ bᵀ tiled over i and j. Each
 // element is an independent dot product accumulated in ascending-p
-// order into a scalar, so tiling cannot change its bits.
+// order into a scalar starting at +0.0, so neither tiling nor computing
+// several elements side by side can change its bits. Tiles start on
+// multiples of tileI and tileJ, so the 2×4 blocks never straddle one.
 func matMulTransBRange(dst, a, b []float64, m, k, n int) {
 	for ib := 0; ib < m; ib += matmulTileI {
 		ie := ib + matmulTileI
@@ -229,14 +283,52 @@ func matMulTransBRange(dst, a, b []float64, m, k, n int) {
 			if je > n {
 				je = n
 			}
-			for i := ib; i < ie; i++ {
+			i := ib
+			for ; i+2 <= ie; i += 2 {
+				a0 := a[i*k : (i+1)*k]
+				a1 := a[(i+1)*k : (i+2)*k][:len(a0)]
+				d0 := dst[i*n : (i+1)*n]
+				d1 := dst[(i+1)*n : (i+2)*n]
+				j := jb
+				for ; j+4 <= je; j += 4 {
+					b0 := b[j*k : (j+1)*k][:len(a0)]
+					b1 := b[(j+1)*k : (j+2)*k][:len(a0)]
+					b2 := b[(j+2)*k : (j+3)*k][:len(a0)]
+					b3 := b[(j+3)*k : (j+4)*k][:len(a0)]
+					var s00, s01, s02, s03, s10, s11, s12, s13 float64
+					for p, x0 := range a0 {
+						x1 := a1[p]
+						y0, y1, y2, y3 := b0[p], b1[p], b2[p], b3[p]
+						s00 += x0 * y0
+						s01 += x0 * y1
+						s02 += x0 * y2
+						s03 += x0 * y3
+						s10 += x1 * y0
+						s11 += x1 * y1
+						s12 += x1 * y2
+						s13 += x1 * y3
+					}
+					d0[j], d0[j+1], d0[j+2], d0[j+3] = s00, s01, s02, s03
+					d1[j], d1[j+1], d1[j+2], d1[j+3] = s10, s11, s12, s13
+				}
+				for ; j < je; j++ {
+					bj := b[j*k : (j+1)*k][:len(a0)]
+					var s0, s1 float64
+					for p, x0 := range a0 {
+						s0 += x0 * bj[p]
+						s1 += a1[p] * bj[p]
+					}
+					d0[j], d1[j] = s0, s1
+				}
+			}
+			if i < ie {
 				ai := a[i*k : (i+1)*k]
 				di := dst[i*n : (i+1)*n]
 				for j := jb; j < je; j++ {
-					bj := b[j*k : (j+1)*k]
+					bj := b[j*k : (j+1)*k][:len(ai)]
 					s := 0.0
-					for p := range ai {
-						s += ai[p] * bj[p]
+					for p, x := range ai {
+						s += x * bj[p]
 					}
 					di[j] = s
 				}

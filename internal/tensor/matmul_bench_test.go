@@ -6,70 +6,61 @@ import (
 	"testing"
 )
 
-func benchPair(rng *rand.Rand, m, k, n int) (*Tensor, *Tensor) {
-	a := New(m, k)
-	b := New(k, n)
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-	}
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64()
-	}
-	return a, b
-}
+// convRows is the im2col row count of the benchmark's conv layer (25
+// images of 8×8 outputs); with 8 output channels over 8·3·3 = 72 patch
+// columns its three products are the conv* shapes below.
+const convRows = 1600
 
-// BenchmarkMatMulInto measures the tiled serial kernel through
-// caller-owned scratch: the shape the executor hot path uses. The
-// pinned-zero alloc guard in CI watches this benchmark.
-func BenchmarkMatMulInto(bm *testing.B) {
-	for _, size := range []int{64, 128, 256} {
-		bm.Run(fmt.Sprintf("%dx%dx%d", size, size, size), func(bm *testing.B) {
+// matmulBenchShapes are (m, k, n) of the m×n result: the cubes, and the
+// conv layer's input-gradient / weight-gradient / forward product — one
+// per kernel, in the orientation that kernel is called with.
+var (
+	matMulBenchShapes       = [][3]int{{64, 64, 64}, {128, 128, 128}, {256, 256, 256}, {convRows, 8, 72}}
+	matMulTransABenchShapes = [][3]int{{128, 128, 128}, {8, convRows, 72}}
+	matMulTransBBenchShapes = [][3]int{{128, 128, 128}, {convRows, 72, 8}}
+)
+
+// benchKernel runs one serial kernel per shape through caller-owned
+// scratch, the way the executor hot path calls it. operands maps
+// (m, k, n) to the kernel's two operand shapes. The pinned-zero alloc
+// guard in CI watches these benchmarks.
+func benchKernel(bm *testing.B, seed int64, shapes [][3]int, operands func(m, k, n int) (ar, ac, br, bc int), kernel func(dst, a, b *Tensor) *Tensor) {
+	for _, s := range shapes {
+		m, k, n := s[0], s[1], s[2]
+		bm.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(bm *testing.B) {
 			release := ReserveSerial()
 			defer release()
-			rng := rand.New(rand.NewSource(1))
-			a, b := benchPair(rng, size, size, size)
-			dst := New(size, size)
+			rng := rand.New(rand.NewSource(seed))
+			ar, ac, br, bc := operands(m, k, n)
+			a, b := New(ar, ac), New(br, bc)
+			for i := range a.Data {
+				a.Data[i] = rng.NormFloat64()
+			}
+			for i := range b.Data {
+				b.Data[i] = rng.NormFloat64()
+			}
+			dst := New(m, n)
 			bm.ReportAllocs()
 			bm.ResetTimer()
 			for i := 0; i < bm.N; i++ {
-				MatMulInto(dst, a, b)
+				kernel(dst, a, b)
 			}
-			flops := 2 * float64(size) * float64(size) * float64(size)
+			flops := 2 * float64(m) * float64(k) * float64(n)
 			bm.ReportMetric(flops*float64(bm.N)/bm.Elapsed().Seconds()/1e9, "GFLOPS")
 		})
 	}
 }
 
+func BenchmarkMatMulInto(bm *testing.B) {
+	benchKernel(bm, 1, matMulBenchShapes, func(m, k, n int) (int, int, int, int) { return m, k, k, n }, MatMulInto)
+}
+
 func BenchmarkMatMulTransAInto(bm *testing.B) {
-	const size = 128
-	release := ReserveSerial()
-	defer release()
-	rng := rand.New(rand.NewSource(2))
-	a, b := benchPair(rng, size, size, size)
-	dst := New(size, size)
-	bm.ReportAllocs()
-	bm.ResetTimer()
-	for i := 0; i < bm.N; i++ {
-		MatMulTransAInto(dst, a, b)
-	}
-	flops := 2 * float64(size) * float64(size) * float64(size)
-	bm.ReportMetric(flops*float64(bm.N)/bm.Elapsed().Seconds()/1e9, "GFLOPS")
+	benchKernel(bm, 2, matMulTransABenchShapes, func(m, k, n int) (int, int, int, int) { return k, m, k, n }, MatMulTransAInto)
 }
 
 func BenchmarkMatMulTransBInto(bm *testing.B) {
-	const size = 128
-	release := ReserveSerial()
-	defer release()
-	rng := rand.New(rand.NewSource(3))
-	a, b := benchPair(rng, size, size, size)
-	dst := New(size, size)
-	bm.ReportAllocs()
-	bm.ResetTimer()
-	for i := 0; i < bm.N; i++ {
-		MatMulTransBInto(dst, a, b)
-	}
-	flops := 2 * float64(size) * float64(size) * float64(size)
-	bm.ReportMetric(flops*float64(bm.N)/bm.Elapsed().Seconds()/1e9, "GFLOPS")
+	benchKernel(bm, 3, matMulTransBBenchShapes, func(m, k, n int) (int, int, int, int) { return m, k, n, k }, MatMulTransBInto)
 }
 
 // BenchmarkIm2ColInto measures the unroll step of the convolution

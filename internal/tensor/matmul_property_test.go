@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -64,8 +65,9 @@ func naiveMatMulTransB(a, b *Tensor) *Tensor {
 	return out
 }
 
-// propShapes exercises the tile boundaries: 1×1, prime dims, and the
-// tile edges ±1 in both blocked dimensions (tileI=64, tileJ=256).
+// propShapes exercises the tile boundaries: 1×1, prime dims, the tile
+// edges ±1 in both blocked dimensions (tileI=64, tileJ=256), and k with
+// no tail behind its four-wide groups on a later j tile.
 var propShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{1, 7, 1},
@@ -77,6 +79,8 @@ var propShapes = []struct{ m, k, n int }{
 	{129, 5, 511},
 	{2, 3, 259},
 	{97, 101, 103},
+	{3, 8, 300}, // k a whole number of four-wide groups, second j tile
+	{66, 12, 513},
 }
 
 func randTensor(rng *rand.Rand, r, c int) *Tensor {
@@ -156,20 +160,196 @@ func TestMatMulTransBBitIdenticalToNaive(t *testing.T) {
 
 // TestMatMulParallelBitIdentical pins that the goroutine fan-out path
 // (which splits i, a tiled dimension) produces the same bits as the
-// serial path for shapes above the parallel threshold.
+// serial path for shapes above the parallel threshold. 129 rows over 2,
+// 3 and 4 goroutines are chunks of 65, 43 and 33: every split is odd,
+// so chunk boundaries fall inside what a serial pass treats as one row
+// block.
 func TestMatMulParallelBitIdentical(t *testing.T) {
-	prev := SetMaxThreads(4)
-	defer SetMaxThreads(prev)
 	rng := rand.New(rand.NewSource(12))
 	a := randTensor(rng, 129, 65)
 	b := randTensor(rng, 65, 67)
-	got := MatMul(a, b)
-
 	release := ReserveSerial()
 	want := MatMul(a, b)
 	release()
-	bitsEqual(t, "MatMul(parallel)", got, want)
-	bitsEqual(t, "MatMul(naive)", got, naiveMatMul(a, b))
+	bitsEqual(t, "MatMul(serial vs naive)", want, naiveMatMul(a, b))
+
+	for _, threads := range []int{2, 3, 4} {
+		prev := SetMaxThreads(threads)
+		before := KernelFanouts()
+		got := MatMul(a, b)
+		SetMaxThreads(prev)
+		if KernelFanouts() == before {
+			t.Fatalf("threads=%d: kernel did not fan out", threads)
+		}
+		bitsEqual(t, fmt.Sprintf("MatMul(threads=%d)", threads), got, want)
+	}
+}
+
+// matmulKernel describes one of the three products over logical
+// operands A [m,k] and B [k,n], whatever layout the kernel stores them
+// in, so one edge-case table drives all three.
+type matmulKernel struct {
+	name  string
+	into  func(dst, a, b *Tensor) *Tensor
+	naive func(a, b *Tensor) *Tensor
+	// aShape/bShape give the stored shape; aAt/bAt the flat index of
+	// logical A[i][p] and B[p][j].
+	aShape, bShape func(m, k, n int) (r, c int)
+	aAt            func(i, p, m, k int) int
+	bAt            func(p, j, k, n int) int
+	// skipsZero: the kernel never forms a product with a zero A element.
+	skipsZero bool
+}
+
+var matmulKernels = []matmulKernel{
+	{
+		name: "MatMul", into: MatMulInto, naive: naiveMatMul, skipsZero: true,
+		aShape: func(m, k, n int) (int, int) { return m, k },
+		bShape: func(m, k, n int) (int, int) { return k, n },
+		aAt:    func(i, p, m, k int) int { return i*k + p },
+		bAt:    func(p, j, k, n int) int { return p*n + j },
+	},
+	{
+		name: "MatMulTransA", into: MatMulTransAInto, naive: naiveMatMulTransA, skipsZero: true,
+		aShape: func(m, k, n int) (int, int) { return k, m },
+		bShape: func(m, k, n int) (int, int) { return k, n },
+		aAt:    func(i, p, m, k int) int { return p*m + i },
+		bAt:    func(p, j, k, n int) int { return p*n + j },
+	},
+	{
+		name: "MatMulTransB", into: MatMulTransBInto, naive: naiveMatMulTransB,
+		aShape: func(m, k, n int) (int, int) { return m, k },
+		bShape: func(m, k, n int) (int, int) { return n, k },
+		aAt:    func(i, p, m, k int) int { return i*k + p },
+		bAt:    func(p, j, k, n int) int { return j*k + p },
+	},
+}
+
+// operands draws the kernel's stored A and B for logical (m, k, n) from
+// fill.
+func (kn matmulKernel) operands(m, k, n int, fill func(r, c int) *Tensor) (a, b *Tensor) {
+	ar, ac := kn.aShape(m, k, n)
+	br, bc := kn.bShape(m, k, n)
+	return fill(ar, ac), fill(br, bc)
+}
+
+// check runs the kernel into NaN-dirtied scratch and bit-compares with
+// the naive reference.
+func (kn matmulKernel) check(t *testing.T, label string, a, b *Tensor, m, n int) *Tensor {
+	t.Helper()
+	dst := New(m, n)
+	for i := range dst.Data {
+		dst.Data[i] = math.NaN()
+	}
+	got := kn.into(dst, a, b)
+	bitsEqual(t, kn.name+" "+label, got, kn.naive(a, b))
+	return got
+}
+
+// TestMatMulKernelEdgeShapes walks every k around the four-wide group
+// (1…9) and around the conv layer's 72, against every m and n around
+// the 2×4 output block, plus the three conv-layer products themselves.
+func TestMatMulKernelEdgeShapes(t *testing.T) {
+	dims := []int{1, 2, 3, 5, 7, 8, 9}
+	var shapes [][3]int
+	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 71, 72, 73} {
+		for _, m := range dims {
+			for _, n := range dims {
+				shapes = append(shapes, [3]int{m, k, n})
+			}
+		}
+	}
+	// Forward, input-gradient and weight-gradient products of a conv
+	// layer with 1600 im2col rows, 72 patch columns, 8 channels.
+	shapes = append(shapes, [3]int{1600, 72, 8}, [3]int{1600, 8, 72}, [3]int{8, 1600, 72})
+	rng := rand.New(rand.NewSource(14))
+	fill := func(r, c int) *Tensor { return randTensor(rng, r, c) }
+	for _, kn := range matmulKernels {
+		for _, s := range shapes {
+			m, k, n := s[0], s[1], s[2]
+			a, b := kn.operands(m, k, n, fill)
+			kn.check(t, fmt.Sprintf("m=%d k=%d n=%d", m, k, n), a, b, m, n)
+		}
+	}
+}
+
+// TestMatMulZeroSkipInsideGroups places a zero (and a −0.0, which also
+// compares equal to zero) at each of the four positions of a k-group,
+// and at all four, against ±Inf and NaN in the matching row of B. The
+// axpy-form kernels must not form 0·Inf or 0·NaN, so their outputs stay
+// finite; every kernel must match its reference bit for bit.
+func TestMatMulZeroSkipInsideGroups(t *testing.T) {
+	const m, k, n = 3, 10, 5 // two full groups and a tail of two
+	negZero := math.Copysign(0, -1)
+	rng := rand.New(rand.NewSource(15))
+	dense := func(r, c int) *Tensor {
+		x := New(r, c)
+		for i := range x.Data {
+			x.Data[i] = rng.NormFloat64()
+		}
+		return x
+	}
+	positions := [][]int{{0}, {1}, {2}, {3}, {0, 1, 2, 3}, {4, 7}, {8}, {9}}
+	for _, kn := range matmulKernels {
+		for _, ps := range positions {
+			for _, zero := range []float64{0, negZero} {
+				for _, poison := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+					a, b := kn.operands(m, k, n, dense)
+					for _, p := range ps {
+						for i := 0; i < m; i++ {
+							a.Data[kn.aAt(i, p, m, k)] = zero
+						}
+						for j := 0; j < n; j++ {
+							b.Data[kn.bAt(p, j, k, n)] = poison
+						}
+					}
+					got := kn.check(t, fmt.Sprintf("zero=%g at p=%v vs %g", zero, ps, poison), a, b, m, n)
+					if !kn.skipsZero {
+						continue
+					}
+					for i, v := range got.Data {
+						if math.IsNaN(v) || math.IsInf(v, 0) {
+							t.Fatalf("%s zero=%g at p=%v vs %g: element %d = %g, a skipped product was formed",
+								kn.name, zero, ps, poison, i, v)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulSignedZeroOperands draws operands from {−0.0, +0.0, ±1}:
+// sums of signed zeros are where an accumulator that did not start at
+// +0.0, or a reordered add, would flip a sign bit.
+func TestMatMulSignedZeroOperands(t *testing.T) {
+	vals := []float64{math.Copysign(0, -1), 0, 1, -1}
+	rng := rand.New(rand.NewSource(16))
+	fill := func(r, c int) *Tensor {
+		x := New(r, c)
+		for i := range x.Data {
+			x.Data[i] = vals[rng.Intn(len(vals))]
+		}
+		return x
+	}
+	negZeros := func(r, c int) *Tensor {
+		x := New(r, c)
+		for i := range x.Data {
+			x.Data[i] = vals[0]
+		}
+		return x
+	}
+	for _, kn := range matmulKernels {
+		for _, s := range [][3]int{{2, 4, 4}, {3, 9, 5}, {5, 13, 9}} {
+			m, k, n := s[0], s[1], s[2]
+			for trial := 0; trial < 8; trial++ {
+				a, b := kn.operands(m, k, n, fill)
+				kn.check(t, fmt.Sprintf("signed zeros m=%d k=%d n=%d", m, k, n), a, b, m, n)
+			}
+			a, b := kn.operands(m, k, n, negZeros)
+			kn.check(t, "all −0.0", a, b, m, n)
+		}
+	}
 }
 
 func naiveIm2Col(x *Tensor, d ConvDims) *Tensor {

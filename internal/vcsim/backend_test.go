@@ -42,8 +42,8 @@ func stripCompute(r *Result) Result {
 	return c
 }
 
-// TestBackendEquivalence is the tentpole contract: the cached and
-// parallel backends (the latter at 1, 2 and 8 workers, exercised under
+// TestBackendEquivalence is the tentpole contract: both memo forms and
+// the parallel backend (pools of 1, 2 and 8 workers, exercised under
 // -race by CI) produce byte-identical Results to the real backend across
 // seeds, scheduling policies, preemption, and replication.
 func TestBackendEquivalence(t *testing.T) {
@@ -62,7 +62,10 @@ func TestBackendEquivalence(t *testing.T) {
 		spec    string
 		workers int
 	}{
-		{"cached", 0},
+		{"real+cached", 0},
+		{"cached", 1},
+		{"cached", 2},
+		{"cached", 8},
 		{"parallel", 1},
 		{"parallel", 2},
 		{"parallel", 8},
@@ -117,30 +120,32 @@ func TestBackendEquivalence(t *testing.T) {
 }
 
 // TestCachedBackendDeduplicatesReplicas checks the telemetry story: with
-// replication on, the cached backend computes each (epoch, shard) once
+// replication on, either memo form computes each (epoch, shard) once
 // while the real backend recomputes every copy.
 func TestCachedBackendDeduplicatesReplicas(t *testing.T) {
-	cfg := backendQuickConfig(t, 2, 2)
-	cfg.Replication = 2
-	cfg.TasksPerClient = 4
-	cfg.Backend = "cached"
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := res.Compute
-	if c.CacheHits == 0 {
-		t.Fatalf("replicated run recorded no cache hits: %+v", c)
-	}
-	if c.Computed != c.CacheMisses {
-		t.Errorf("computed %d != misses %d", c.Computed, c.CacheMisses)
-	}
-	if c.Computed >= c.Launched {
-		t.Errorf("cache saved nothing: computed %d of %d launches", c.Computed, c.Launched)
-	}
-	wantDistinct := 2 * cfg.Job.Subtasks // epochs × shards
-	if c.CacheMisses != wantDistinct {
-		t.Errorf("distinct computations %d, want %d", c.CacheMisses, wantDistinct)
+	for _, spec := range []string{"cached", "real+cached"} {
+		cfg := backendQuickConfig(t, 2, 2)
+		cfg.Replication = 2
+		cfg.TasksPerClient = 4
+		cfg.Backend = spec
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := res.Compute
+		if c.CacheHits == 0 {
+			t.Fatalf("%s: replicated run recorded no cache hits: %+v", spec, c)
+		}
+		if c.Computed != c.CacheMisses {
+			t.Errorf("%s: computed %d != misses %d", spec, c.Computed, c.CacheMisses)
+		}
+		if c.Computed >= c.Launched {
+			t.Errorf("%s: cache saved nothing: computed %d of %d launches", spec, c.Computed, c.Launched)
+		}
+		wantDistinct := 2 * cfg.Job.Subtasks // epochs × shards
+		if c.CacheMisses != wantDistinct {
+			t.Errorf("%s: distinct computations %d, want %d", spec, c.CacheMisses, wantDistinct)
+		}
 	}
 }
 

@@ -116,15 +116,17 @@ type Config struct {
 
 	// Backend selects the compute backend that executes subtask math
 	// (DESIGN.md §8): "" or "real" runs the full kernel inline in the
-	// event loop (the historical path); "cached" memoizes per
-	// (epoch, shard) so replicated/reissued copies compute once;
-	// "parallel" overlaps the math with event processing on a worker
-	// pool; "surrogate" substitutes a subsampled kernel for capacity
-	// runs. Modifiers compose: "parallel+cached". real, cached and
-	// parallel produce byte-identical Results (only the Compute
-	// telemetry differs); see core.BackendNames.
+	// event loop (the historical path); "parallel" computes on a worker
+	// pool between a subtask's virtual start and end; "cached" memoizes
+	// per (epoch, shard) so replicated/reissued copies compute once,
+	// and computes the misses on that pool ("cached" is
+	// "parallel+cached") unless the spec names another base
+	// ("real+cached": the inline memo); "surrogate" substitutes a
+	// subsampled kernel for capacity runs. real, parallel and both memo
+	// forms produce byte-identical Results (only the Compute telemetry
+	// differs); see core.BackendNames.
 	Backend string
-	// ComputeWorkers sizes the parallel backend's worker pool
+	// ComputeWorkers sizes the worker pool of parallel and cached
 	// (0 = GOMAXPROCS). The pool size never changes results.
 	ComputeWorkers int
 	// Replication issues this many concurrent copies of every subtask
