@@ -1,9 +1,9 @@
 // Command benchguard is the allocation-regression gate for the compute
 // hot path. It runs the pinned benchmark set (tensor kernels, wire
 // round-trip, the 100k-backlog scheduler request, the executor subtask,
-// the upload → assimilate path) with -benchmem at fixed iteration counts,
-// then compares allocs/op against the baselines committed in
-// BENCH_kernels.json:
+// the evaluator pass, the upload → assimilate path) with -benchmem at
+// fixed iteration counts, then compares allocs/op against the baselines
+// committed in BENCH_kernels.json:
 //
 //   - entries marked pinned_zero_alloc must report exactly 0 allocs/op —
 //     any allocation on those kernels is a regression, full stop;
@@ -58,10 +58,10 @@ type target struct {
 }
 
 var targets = []target{
-	{pkg: "./internal/tensor", bench: "^(BenchmarkMatMulInto|BenchmarkMatMulTransAInto|BenchmarkMatMulTransBInto|BenchmarkIm2ColInto)$", benchtime: "20x", pinnedZero: true},
+	{pkg: "./internal/tensor", bench: "^(BenchmarkMatMulInto|BenchmarkMatMulTransAInto|BenchmarkMatMulTransBInto|BenchmarkIm2ColInto|BenchmarkCol2ImInto)$", benchtime: "20x", pinnedZero: true},
 	{pkg: "./internal/wire", bench: "^(BenchmarkParamsRoundTrip|BenchmarkEncodeCheckpoint)$", benchtime: "50x"},
 	{pkg: "./internal/boinc", bench: "^BenchmarkRequestWork$/^paper$", benchtime: "300x"},
-	{pkg: ".", bench: "^BenchmarkExecutorSubtask$", benchtime: "20x"},
+	{pkg: ".", bench: "^(BenchmarkExecutorSubtask|BenchmarkEvaluatorAccuracy)$", benchtime: "20x"},
 	{pkg: ".", bench: "^(BenchmarkUploadAssimilate|BenchmarkVCASGDAssimilate)$", benchtime: "50x", gateBytes: true},
 }
 

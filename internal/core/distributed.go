@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vcdl/internal/blob"
@@ -25,6 +26,18 @@ const (
 	MetricCkptSaves    = "vcdl_ckpt_saves_total"
 	MetricCkptRestores = "vcdl_ckpt_restores_total"
 )
+
+// MetricEvalQueueDepth is the gauge of results blended into the model and
+// not yet scored (DESIGN.md §15). It sits at 0 or 1 while scoring keeps up
+// with the uploads and at evalQueueBound once uploads are being held back.
+const MetricEvalQueueDepth = "vcdl_eval_queue_depth"
+
+// evalQueueBound is how many blended results may be waiting for their
+// score before an upload handler blocks, as every handler did when
+// scoring ran inside it. It only has to cover a burst: a deeper queue
+// would not score any faster, and each waiting result holds a parameter
+// vector.
+const evalQueueBound = 4
 
 // SubtaskPayload is the opaque payload attached to each training workunit:
 // which epoch and shard it covers and which files carry the inputs.
@@ -105,20 +118,42 @@ type Distributed struct {
 
 	// paramCount is the model's parameter count, fixed at construction:
 	// the only length an upload may decode to. decoded recycles the
-	// vectors validate decodes into (each paramCount long).
+	// vectors validate decodes into (each paramCount long); assimilate
+	// reads the blended copy back over the upload it came from, so one
+	// vector serves a result from decode to score.
 	paramCount int
 	decoded    sync.Pool // of *decodedParams
 	// Test seams, left alone in production: decode is the one place an
 	// upload is decompressed; onRelease sees each vector as it goes back
-	// to the pool.
+	// to the pool; onScore sees each blended copy, with its ticket, as the
+	// evaluator takes it off the queue.
 	decode    func(dst []float64, blob []byte) error
 	onRelease func(params []float64)
+	onScore   func(ticket int, cur []float64)
 
 	mu     sync.Mutex
 	shards []*data.Dataset
 	result RunResult
 	done   chan struct{}
 	failed error
+
+	// The upload handler blends a result and acks it; grading it is the
+	// evaluator's job (DESIGN.md §15). evalMu guards the hand-over: the
+	// blended copies wait in evalQueue in ticket order (tickets counts the
+	// results queued so far, scored is the last ticket the evaluator has
+	// finished with, and their difference is what evalQueueBound bounds
+	// and evalDepth shows), evaluating says a goroutine is draining the
+	// queue, and closed that the job is done or failed and nothing more
+	// is scored. evalCond is broadcast whenever scored or closed changes.
+	subtasks   int
+	evalMu     sync.Mutex
+	evalCond   *sync.Cond
+	evalQueue  []blended
+	tickets    int
+	scored     int
+	evaluating bool
+	closed     bool
+	evalDepth  *obs.Gauge
 
 	// blobs, when non-nil, is the data plane: shard/model/parameter
 	// files are also published content-addressed, and workunits carry
@@ -164,8 +199,8 @@ type DistOptions struct {
 	// ResumeParams is published and training continues at ResumeEpoch+1.
 	ResumeEpoch  int
 	ResumeParams []float64
-	// Metrics, when set with Checkpoint, registers the vcdl_ckpt_*
-	// families.
+	// Metrics, when set, registers vcdl_eval_queue_depth and, with
+	// Checkpoint, the vcdl_ckpt_* families.
 	Metrics *obs.Registry
 }
 
@@ -199,6 +234,12 @@ func NewDistributedJob(cfg JobConfig, spec ModelSpec, corpus *data.Corpus, pn in
 		blobs:       opts.Blobs,
 		digests:     make(map[string]string),
 		checkpoint:  opts.Checkpoint,
+		subtasks:    cfg.Subtasks,
+		evalDepth:   new(obs.Gauge),
+	}
+	d.evalCond = sync.NewCond(&d.evalMu)
+	if opts.Metrics != nil {
+		d.evalDepth = opts.Metrics.Gauge(MetricEvalQueueDepth, "blended results waiting to be scored")
 	}
 	if opts.Metrics != nil && opts.Checkpoint {
 		d.obsCkptEp = opts.Metrics.Gauge(MetricCkptEpoch, "epoch of the last durable parameter checkpoint")
@@ -413,16 +454,22 @@ func (d *Distributed) generateEpoch(epoch int) error {
 // for an encoder that frames its gzip stream less tightly than ours.
 const uploadSlack = 4096
 
-// decodedParams is one upload's parameter vector, decoded by validate
-// and owned by the upload handler until it calls Release.
+// decodedParams is one upload's parameter vector, decoded by validate.
+// The upload handler holds it until it calls Release; if the result is
+// canonical, assimilate overwrites it with the blended server copy and
+// the evaluator queue holds it too, until that copy has been scored.
 type decodedParams struct {
-	params []float64
-	d      *Distributed
+	params  []float64
+	d       *Distributed
+	holders atomic.Int32
 }
 
-// Release returns the vector to its job's pool; nothing may read it
-// afterwards.
+// Release gives up one hold; the last one returns the vector to its
+// job's pool, and nothing may read it afterwards.
 func (p *decodedParams) Release() {
+	if p.holders.Add(-1) > 0 {
+		return
+	}
 	if p.d.onRelease != nil {
 		p.d.onRelease(p.params)
 	}
@@ -438,22 +485,105 @@ func (d *Distributed) validate(wu *boinc.Workunit, output []byte) (boinc.Decoded
 	if dp == nil {
 		dp = &decodedParams{params: make([]float64, d.paramCount), d: d}
 	}
+	dp.holders.Store(1)
 	return dp, d.decode(dp.params, output) == nil
 }
 
-// assimilate is the BOINC assimilator hook: the Trainer does the VC-ASGD
-// update, validation and epoch bookkeeping for what validate decoded from
-// output; a closed epoch is checkpointed and followed by the next one, or
-// by Done when training stopped.
+// blended is one canonical result between the two halves of its
+// assimilation: in the model, not yet graded. cur is the server copy
+// read back after the blend, held in buf.
+type blended struct {
+	ticket int
+	cur    []float64
+	buf    *decodedParams
+}
+
+// assimilate is the BOINC assimilator hook, and all of it that the
+// volunteer waits for: blend what validate decoded from output into the
+// server copy (VC-ASGD), read the copy back over it, queue that for the
+// evaluator under the next ticket and return, so the server acks the
+// upload. A full queue holds the handler until the evaluator has caught
+// up. Only the result that fills an epoch — every subtasks-th ticket —
+// stays until it has been scored, because that closes the epoch: the next
+// epoch's parameter file and workunits are then published before the ack,
+// and a client that asks for work straight after it finds some.
 func (d *Distributed) assimilate(wu *boinc.Workunit, output []byte, dec boinc.Decoded) {
 	var p SubtaskPayload
 	if err := json.Unmarshal(wu.Payload, &p); err != nil {
-		d.fail(fmt.Errorf("core: assimilate payload: %w", err))
+		d.finish(fmt.Errorf("core: assimilate payload: %w", err))
 		return
 	}
-	out, err := d.trainer.Assimilate(dec.(*decodedParams).params, p.Epoch)
+	buf := dec.(*decodedParams)
+	cur, err := d.trainer.Blend(buf.params, p.Epoch, buf.params)
 	if err != nil {
-		d.fail(err)
+		d.finish(err)
+	}
+	if cur == nil { // the store failed, or training had already stopped
+		return
+	}
+
+	d.evalMu.Lock()
+	defer d.evalMu.Unlock()
+	for d.tickets-d.scored >= evalQueueBound && !d.closed {
+		d.evalCond.Wait()
+	}
+	if d.closed {
+		return
+	}
+	d.tickets++
+	ticket := d.tickets
+	buf.holders.Add(1)
+	d.evalQueue = append(d.evalQueue, blended{ticket: ticket, cur: cur, buf: buf})
+	d.evalDepth.Set(float64(d.tickets - d.scored))
+	if !d.evaluating {
+		d.evaluating = true
+		go d.evaluate()
+	}
+	if ticket%d.subtasks == 0 {
+		for d.scored < ticket && !d.closed {
+			d.evalCond.Wait()
+		}
+	}
+}
+
+// evaluate is the evaluator: one goroutine at a time, started by the
+// upload that finds the queue unattended and gone as soon as the queue is
+// empty or the job over, so an idle or finished job keeps none. It
+// scores the queued copies in ticket order, which makes the validation
+// curve a function of the order results were blended in, as it was when
+// each handler scored its own.
+func (d *Distributed) evaluate() {
+	d.evalMu.Lock()
+	for len(d.evalQueue) > 0 && !d.closed {
+		next := d.evalQueue[0]
+		n := copy(d.evalQueue, d.evalQueue[1:])
+		d.evalQueue[n] = blended{}
+		d.evalQueue = d.evalQueue[:n]
+		d.evalMu.Unlock()
+		if d.onScore != nil {
+			d.onScore(next.ticket, next.cur)
+		}
+		d.score(next.cur)
+		next.buf.Release()
+		d.evalMu.Lock()
+		d.scored = next.ticket
+		d.evalDepth.Set(float64(d.tickets - d.scored))
+		d.evalCond.Broadcast()
+	}
+	clear(d.evalQueue) // what a closed job left unscored is dropped
+	d.evalQueue = d.evalQueue[:0]
+	d.evaluating = false
+	d.evalMu.Unlock()
+}
+
+// score grades one blended copy and does everything that hangs off a
+// score: the Trainer validates it and keeps the epoch's books; a closed
+// epoch is checkpointed and followed by the next one, or by Done when
+// training stopped.
+func (d *Distributed) score(cur []float64) {
+	out, err := d.trainer.ScoreAndRecord(cur)
+	if err != nil {
+		d.finish(err)
 		return
 	}
 	if !out.Closed {
@@ -483,23 +613,29 @@ func (d *Distributed) assimilate(wu *boinc.Workunit, output []byte, dec boinc.De
 	}
 
 	if out.Stop {
-		close(d.done)
+		d.finish(nil)
 		return
 	}
 	if err := d.generateEpoch(epoch + 1); err != nil {
-		d.fail(err)
+		d.finish(err)
 	}
 }
 
-// fail records the first unrecoverable error and releases waiters.
-func (d *Distributed) fail(err error) {
+// finish ends the job once — with nil when training stopped, with the
+// first unrecoverable error otherwise — and releases everyone waiting on
+// it: Done, the evaluator, and uploads held at the queue.
+func (d *Distributed) finish(err error) {
+	d.evalMu.Lock()
+	defer d.evalMu.Unlock()
+	if d.closed {
+		return
+	}
+	d.closed = true
 	d.mu.Lock()
-	already := d.failed != nil
-	if !already {
-		d.failed = err
-	}
+	d.failed = err
 	d.mu.Unlock()
-	if !already {
-		close(d.done)
-	}
+	// Done first: an upload released by the broadcast is acked by a job
+	// that already reads as finished.
+	close(d.done)
+	d.evalCond.Broadcast()
 }

@@ -12,9 +12,9 @@ import (
 	"vcdl/internal/store"
 )
 
-// distTestSetup builds a small distributed job and returns it with its
-// HTTP test server.
-func distTestSetup(t *testing.T, epochs int) (*Distributed, *httptest.Server, JobConfig) {
+// distTestJob builds a small distributed job: two parameter servers over
+// a strong store.
+func distTestJob(t *testing.T, subtasks, epochs int) (*Distributed, JobConfig) {
 	t.Helper()
 	corpus := testCorpus(t)
 	spec := SmallCNNSpec(3, 8, 8, 10)
@@ -24,13 +24,21 @@ func distTestSetup(t *testing.T, epochs int) (*Distributed, *httptest.Server, Jo
 	}
 	cfg := testJobConfig()
 	cfg.Builder = builder
-	cfg.Subtasks = 5
+	cfg.Subtasks = subtasks
 	cfg.MaxEpochs = epochs
 	cfg.ValSubset = 60
 	d, err := NewDistributed(cfg, spec, corpus, 2, store.NewStrong())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return d, cfg
+}
+
+// distTestSetup builds a small distributed job and returns it with its
+// HTTP test server.
+func distTestSetup(t *testing.T, epochs int) (*Distributed, *httptest.Server, JobConfig) {
+	t.Helper()
+	d, cfg := distTestJob(t, 5, epochs)
 	ts := httptest.NewServer(d.Server())
 	t.Cleanup(ts.Close)
 	return d, ts, cfg

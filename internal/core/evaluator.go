@@ -9,8 +9,11 @@ import (
 
 // Evaluator computes validation/test accuracy of a parameter vector. The
 // parameter servers call it after each assimilation (§III-A). It keeps one
-// private network per call path, protected by a mutex: assimilations are
-// already serialized per store update, so contention is negligible.
+// private network, so its mutex makes scoring strictly one at a time,
+// whichever parameter server blended the result — callers that score from
+// several goroutines (RunLocal's slots) queue on it in arrival order. The
+// live server does not rely on that: Distributed scores on one goroutine,
+// in the order its queue fixed.
 type Evaluator struct {
 	mu     sync.Mutex
 	net    *nn.Network

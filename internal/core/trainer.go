@@ -61,24 +61,41 @@ func (t *Trainer) Epoch() int { return t.tracker.Epoch() }
 func (t *Trainer) Score(params []float64) float64 { return t.eval.Accuracy(params) }
 
 // Assimilate handles one canonical result trained from epoch's snapshot:
-// update the server copy on the next parameter server, read it back,
-// score it, record the score. All but the recording runs outside mu, so
+// Blend, then ScoreAndRecord. All but the recording runs outside mu, so
 // results on different parameter servers overlap. A result that arrives
 // after Stop is dropped.
 func (t *Trainer) Assimilate(update []float64, epoch int) (Assimilated, error) {
+	cur, err := t.Blend(update, epoch, nil)
+	if cur == nil {
+		return Assimilated{}, err
+	}
+	return t.ScoreAndRecord(cur)
+}
+
+// Blend is the first half of Assimilate: update the server copy on the
+// next parameter server and read it back — into dst when dst has the
+// model's length; dst may be update itself, which is spent by then. It
+// returns nil once training has stopped. After Blend the result is in
+// the model; what is left is grading it, which a caller that must not
+// keep the volunteer waiting (Distributed) does later, in Blend order,
+// through ScoreAndRecord.
+func (t *Trainer) Blend(update []float64, epoch int, dst []float64) ([]float64, error) {
 	if t.stopped.Load() {
-		return Assimilated{}, nil
+		return nil, nil
 	}
 	srv := t.group.Pick()
 	if err := srv.Assimilate(update, epoch); err != nil {
-		return Assimilated{}, err
+		return nil, err
 	}
-	cur, err := srv.Current()
-	if err != nil {
-		return Assimilated{}, err
-	}
+	return srv.CurrentInto(dst)
+}
+
+// ScoreAndRecord is the second half: score cur, the copy Blend read
+// back, and record the score. Params in the result is cur itself.
+func (t *Trainer) ScoreAndRecord(cur []float64) (Assimilated, error) {
 	out := t.Record(t.Score(cur), nil)
 	out.Params = cur
+	var err error
 	if out.Stop {
 		// Every result was blended before it was recorded, so this is the
 		// end state even if other servers wrote after cur was read.

@@ -59,12 +59,17 @@ func (s *Server) Publish(params []float64) error {
 
 // Current returns the server parameter copy as seen through the store
 // (possibly stale for eventual-consistency backends).
-func (s *Server) Current() ([]float64, error) {
+func (s *Server) Current() ([]float64, error) { return s.CurrentInto(nil) }
+
+// CurrentInto is Current into caller-owned memory: it fills and returns
+// dst when dst has the model's length, and a new vector otherwise, so a
+// caller that reads after every assimilation can recycle one vector.
+func (s *Server) CurrentInto(dst []float64) ([]float64, error) {
 	blob, _, err := s.Store.Get(s.Key)
 	if err != nil {
 		return nil, fmt.Errorf("ps: read server params: %w", err)
 	}
-	return wire.DecodeRaw(blob)
+	return wire.DecodeRawInto(dst, blob)
 }
 
 // Assimilate applies Equation 1 for a client parameter copy delivered

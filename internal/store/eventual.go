@@ -91,16 +91,15 @@ func (e *Eventual) Get(key string) ([]byte, uint64, error) {
 // Set implements Store. The write commits on the primary immediately;
 // replicas observe it later through the retained version history.
 func (e *Eventual) Set(key string, value []byte) error {
-	e.commit(key, value, nil)
+	e.commit(key, append([]byte(nil), value...), nil)
 	return nil
 }
 
-// commit appends a new version. If base is non-nil it is the version the
-// caller's read observed; a mismatch with the current head means a
-// concurrent commit slipped in between and is being clobbered — a lost
-// update.
-func (e *Eventual) commit(key string, value []byte, base *uint64) {
-	v := append([]byte(nil), value...)
+// commit appends v, which the store now owns, as a new version. If base
+// is non-nil it is the version the caller's read observed; a mismatch
+// with the current head means a concurrent commit slipped in between and
+// is being clobbered — a lost update.
+func (e *Eventual) commit(key string, v []byte, base *uint64) {
 	var lost bool
 	e.mu.Lock()
 	hist := e.history[key]

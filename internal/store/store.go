@@ -45,6 +45,8 @@ type Store interface {
 	// native concurrency semantics: serializable for Strong (no lost
 	// updates), optimistic and lossy for Eventual. old is a private copy
 	// (nil for a missing key): f may modify it in place and return it.
+	// The store adopts whatever f returns as the stored value, without
+	// copying it, so f must hand over a slice nothing else will write.
 	Update(key string, f func(old []byte) []byte) error
 	// Stats returns operation counters accumulated so far.
 	Stats() Stats

@@ -214,6 +214,39 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
+// TestUpdateAdoptsReturnedBuffer pins the ownership rule of Update on both
+// backends: old is a private copy, what f returns becomes the stored
+// value without another copy, Set and Get still copy, and the counters
+// read what they read when Update re-copied the value.
+func TestUpdateAdoptsReturnedBuffer(t *testing.T) {
+	for _, st := range []Store{NewEventual(1, 0, 1), NewStrong()} {
+		seed := []byte("abc")
+		st.Set("k", seed)
+		seed[0] = 'X' // Set copied: the caller's slice is still its own
+		var handed []byte
+		st.Update("k", func(old []byte) []byte {
+			old[1] = 'B' // in place, on the private copy
+			handed = append(old, 'd')
+			return handed
+		})
+		got, _, err := st.Get("k")
+		if err != nil || string(got) != "aBcd" {
+			t.Fatalf("%s: stored %q (err %v), want \"aBcd\"", st.Name(), got, err)
+		}
+		got[0] = 'Y' // Get copied
+		handed[3] = 'D'
+		if got, _, _ = st.Get("k"); string(got) != "aBcD" {
+			t.Fatalf("%s: stored %q after writing through the slice f returned: Update copied it (or Get lent it)", st.Name(), got)
+		}
+		stats := st.Stats()
+		stats.ModeledTime = 0
+		want := Stats{Gets: 3, Sets: 2, Updates: 1, BytesRead: 3 + 4 + 4, BytesWritten: 3 + 4}
+		if stats != want {
+			t.Fatalf("%s: stats %+v, want %+v", st.Name(), stats, want)
+		}
+	}
+}
+
 // Property: for any single-goroutine sequence of Set/Update operations the
 // two backends converge to identical final values (consistency models only
 // diverge under concurrency or replica lag).

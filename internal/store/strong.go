@@ -70,7 +70,8 @@ func (s *Strong) Set(key string, value []byte) error {
 	return nil
 }
 
-// commitLocked applies a write and appends the WAL record. Callers hold mu.
+// commitLocked applies a write of v, which the store now owns, and
+// appends the WAL record. Callers hold mu.
 func (s *Strong) commitLocked(key string, v []byte) {
 	ver := s.data[key].version + 1
 	s.data[key] = entry{value: v, version: ver}
@@ -90,7 +91,7 @@ func (s *Strong) Update(key string, f func(old []byte) []byte) error {
 	s.mu.Lock()
 	old := s.data[key].value
 	nv := f(append([]byte(nil), old...))
-	s.commitLocked(key, append([]byte(nil), nv...))
+	s.commitLocked(key, nv)
 	s.mu.Unlock()
 	s.counter.add(func(st *Stats) {
 		st.Updates++

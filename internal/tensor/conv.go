@@ -36,10 +36,32 @@ func Im2Col(x *Tensor, d ConvDims) *Tensor {
 	return Im2ColInto(New(d.Batch*d.OutH*d.OutW, d.InC*d.KH*d.KW), x, d)
 }
 
+// clipTaps returns the half-open range of kernel taps k in [0, taps) whose
+// input coordinate i0+k lies inside [0, n). The range is empty (lo == hi)
+// when the window misses the image on this axis altogether.
+func clipTaps(i0, taps, n int) (lo, hi int) {
+	lo, hi = 0, taps
+	if i0 < 0 {
+		lo = -i0
+	}
+	if i0+taps > n {
+		hi = n - i0
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return lo, hi
+}
+
 // Im2ColInto unrolls x into caller-owned cols (shape
 // [N*OutH*OutW, C*KH*KW]). Every element of cols is overwritten —
 // padding positions are written as explicit zeros — so cols needs no
 // pre-clearing and reuse across calls is safe. Returns cols.
+//
+// Unrolling is a clipped copy: each window's valid taps
+// [kyLo,kyHi)×[kxLo,kxHi) are worked out once and each kernel row is
+// copied as one run with no test per element; a window that overhangs
+// the image zeroes its row of cols first.
 func Im2ColInto(cols, x *Tensor, d ConvDims) *Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: Im2Col wants NCHW rank-4 input, got %v", x.shape))
@@ -49,26 +71,52 @@ func Im2ColInto(cols, x *Tensor, d ConvDims) *Tensor {
 	}
 	chw := d.InC * d.InH * d.InW
 	hw := d.InH * d.InW
-	colW := d.InC * d.KH * d.KW
+	khw := d.KH * d.KW
+	colW := d.InC * khw
+	inW, kw := d.InW, d.KW
 	for n := 0; n < d.Batch; n++ {
 		img := x.Data[n*chw : (n+1)*chw]
 		for oy := 0; oy < d.OutH; oy++ {
+			iy0 := oy*d.Stride - d.Pad
+			kyLo, kyHi := clipTaps(iy0, d.KH, d.InH)
 			for ox := 0; ox < d.OutW; ox++ {
-				row := cols.Data[((n*d.OutH+oy)*d.OutW+ox)*colW:]
-				ci := 0
-				for c := 0; c < d.InC; c++ {
-					ch := img[c*hw : (c+1)*hw]
-					for ky := 0; ky < d.KH; ky++ {
-						iy := oy*d.Stride + ky - d.Pad
-						for kx := 0; kx < d.KW; kx++ {
-							ix := ox*d.Stride + kx - d.Pad
-							if iy >= 0 && iy < d.InH && ix >= 0 && ix < d.InW {
-								row[ci] = ch[iy*d.InW+ix]
-							} else {
-								row[ci] = 0
-							}
-							ci++
+				ix0 := ox*d.Stride - d.Pad
+				kxLo, kxHi := clipTaps(ix0, d.KW, d.InW)
+				r0 := ((n*d.OutH+oy)*d.OutW + ox) * colW
+				row := cols.Data[r0 : r0+colW]
+				run := kxHi - kxLo
+				if run < d.KW || kyHi-kyLo < d.KH {
+					zeroFloats(row)
+					if run == 0 {
+						continue
+					}
+				}
+				// Offsets of the first valid tap (ix0 alone is negative on
+				// the left border).
+				si0, ci0 := (iy0+kyLo)*d.InW+ix0+kxLo, kyLo*d.KW+kxLo
+				// A 3×3 kernel's whole row — every built-in model's — is
+				// unrolled: at three elements the loop costs what the copy does.
+				if run == 3 {
+					for c := 0; c < d.InC; c++ {
+						si, ci := si0+c*hw, ci0+c*khw
+						for ky := kyLo; ky < kyHi; ky++ {
+							src, dst := img[si:si+3], row[ci:ci+3]
+							dst[0], dst[1], dst[2] = src[0], src[1], src[2]
+							si += inW
+							ci += kw
 						}
+					}
+					continue
+				}
+				for c := 0; c < d.InC; c++ {
+					si, ci := si0+c*hw, ci0+c*khw
+					for ky := kyLo; ky < kyHi; ky++ {
+						src, dst := img[si:si+run], row[ci:ci+run]
+						for i, v := range src {
+							dst[i] = v
+						}
+						si += inW
+						ci += kw
 					}
 				}
 			}
@@ -86,6 +134,11 @@ func Col2Im(cols *Tensor, d ConvDims) *Tensor {
 
 // Col2ImInto scatters cols into caller-owned x (NCHW), zeroing x first
 // because overlapping kernel windows accumulate. Returns x.
+//
+// Windows are visited in the (n, oy, ox, c, ky, kx) order the
+// per-element form used and a window adds at most one term to a pixel, so
+// every pixel sums its terms in the same order and every float is the
+// same; only the bounds tests are hoisted (see Im2ColInto).
 func Col2ImInto(x, cols *Tensor, d ConvDims) *Tensor {
 	if x.Rank() != 4 || x.shape[0] != d.Batch || x.shape[1] != d.InC || x.shape[2] != d.InH || x.shape[3] != d.InW {
 		panic(fmt.Sprintf("tensor: Col2ImInto dst shape %v, want [%d %d %d %d]", x.shape, d.Batch, d.InC, d.InH, d.InW))
@@ -93,24 +146,47 @@ func Col2ImInto(x, cols *Tensor, d ConvDims) *Tensor {
 	zeroFloats(x.Data)
 	chw := d.InC * d.InH * d.InW
 	hw := d.InH * d.InW
-	colW := d.InC * d.KH * d.KW
+	khw := d.KH * d.KW
+	colW := d.InC * khw
+	inW, kw := d.InW, d.KW
 	for n := 0; n < d.Batch; n++ {
 		img := x.Data[n*chw : (n+1)*chw]
 		for oy := 0; oy < d.OutH; oy++ {
+			iy0 := oy*d.Stride - d.Pad
+			kyLo, kyHi := clipTaps(iy0, d.KH, d.InH)
 			for ox := 0; ox < d.OutW; ox++ {
-				row := cols.Data[((n*d.OutH+oy)*d.OutW+ox)*colW:]
-				ci := 0
-				for c := 0; c < d.InC; c++ {
-					ch := img[c*hw : (c+1)*hw]
-					for ky := 0; ky < d.KH; ky++ {
-						iy := oy*d.Stride + ky - d.Pad
-						for kx := 0; kx < d.KW; kx++ {
-							ix := ox*d.Stride + kx - d.Pad
-							if iy >= 0 && iy < d.InH && ix >= 0 && ix < d.InW {
-								ch[iy*d.InW+ix] += row[ci]
-							}
-							ci++
+				ix0 := ox*d.Stride - d.Pad
+				kxLo, kxHi := clipTaps(ix0, d.KW, d.InW)
+				run := kxHi - kxLo
+				if run == 0 {
+					continue
+				}
+				r0 := ((n*d.OutH+oy)*d.OutW + ox) * colW
+				row := cols.Data[r0 : r0+colW]
+				di0, ci0 := (iy0+kyLo)*d.InW+ix0+kxLo, kyLo*d.KW+kxLo
+				if run == 3 {
+					for c := 0; c < d.InC; c++ {
+						di, ci := di0+c*hw, ci0+c*khw
+						for ky := kyLo; ky < kyHi; ky++ {
+							dst, src := img[di:di+3], row[ci:ci+3]
+							dst[0] += src[0]
+							dst[1] += src[1]
+							dst[2] += src[2]
+							di += inW
+							ci += kw
 						}
+					}
+					continue
+				}
+				for c := 0; c < d.InC; c++ {
+					di, ci := di0+c*hw, ci0+c*khw
+					for ky := kyLo; ky < kyHi; ky++ {
+						dst, src := img[di:di+run], row[ci:ci+run]
+						for i, v := range src {
+							dst[i] += v
+						}
+						di += inW
+						ci += kw
 					}
 				}
 			}

@@ -63,22 +63,51 @@ func BenchmarkMatMulTransBInto(bm *testing.B) {
 	benchKernel(bm, 3, matMulTransBBenchShapes, func(m, k, n int) (int, int, int, int) { return m, k, n, k }, MatMulTransBInto)
 }
 
+// convBenchGeoms are the lowering benchmarks' geometries (3×3, stride 1,
+// pad 1): the paper CNN's first layer, whose single channel makes the
+// matrix nine columns wide, and live_train's residual convolutions —
+// 25 images of 8 channels, a [1600, 72] matrix — where the lowering was
+// a quarter of a subtask.
+var convBenchGeoms = []struct {
+	name                string
+	batch, inC, h, w, c int
+}{
+	{"8x1x14x14", 8, 1, 14, 14, 8},
+	{"25x8x8x8", 25, 8, 8, 8, 8},
+}
+
+// benchConvLowering runs kernel(cols, x, d) on each geometry.
+// Alloc-pinned to 0.
+func benchConvLowering(bm *testing.B, kernel func(cols, x *Tensor, d ConvDims)) {
+	for _, g := range convBenchGeoms {
+		d, err := NewConvDims(g.batch, g.inC, g.h, g.w, g.c, 3, 3, 1, 1)
+		if err != nil {
+			bm.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(4))
+		x := New(d.Batch, d.InC, d.InH, d.InW)
+		cols := New(d.Batch*d.OutH*d.OutW, d.InC*d.KH*d.KW)
+		for _, t := range []*Tensor{x, cols} {
+			for i := range t.Data {
+				t.Data[i] = rng.NormFloat64()
+			}
+		}
+		bm.Run(g.name, func(bm *testing.B) {
+			bm.ReportAllocs()
+			for i := 0; i < bm.N; i++ {
+				kernel(cols, x, d)
+			}
+		})
+	}
+}
+
 // BenchmarkIm2ColInto measures the unroll step of the convolution
-// lowering on the paper CNN's first-layer geometry. Alloc-pinned to 0.
+// lowering.
 func BenchmarkIm2ColInto(bm *testing.B) {
-	d, err := NewConvDims(8, 1, 14, 14, 8, 3, 3, 1, 1)
-	if err != nil {
-		bm.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	x := New(d.Batch, d.InC, d.InH, d.InW)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	cols := New(d.Batch*d.OutH*d.OutW, d.InC*d.KH*d.KW)
-	bm.ReportAllocs()
-	bm.ResetTimer()
-	for i := 0; i < bm.N; i++ {
-		Im2ColInto(cols, x, d)
-	}
+	benchConvLowering(bm, func(cols, x *Tensor, d ConvDims) { Im2ColInto(cols, x, d) })
+}
+
+// BenchmarkCol2ImInto measures its adjoint, the input-gradient scatter.
+func BenchmarkCol2ImInto(bm *testing.B) {
+	benchConvLowering(bm, func(cols, x *Tensor, d ConvDims) { Col2ImInto(x, cols, d) })
 }

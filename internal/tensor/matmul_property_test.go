@@ -379,39 +379,86 @@ func naiveIm2Col(x *Tensor, d ConvDims) *Tensor {
 	return cols
 }
 
+// naiveCol2Im is the per-element scatter Col2ImInto replaced, kept as
+// the reference: four compares per element, one += per valid tap, in
+// (n, oy, ox, c, ky, kx) order.
+func naiveCol2Im(cols *Tensor, d ConvDims) *Tensor {
+	x := New(d.Batch, d.InC, d.InH, d.InW)
+	chw := d.InC * d.InH * d.InW
+	hw := d.InH * d.InW
+	colW := d.InC * d.KH * d.KW
+	for n := 0; n < d.Batch; n++ {
+		for oy := 0; oy < d.OutH; oy++ {
+			for ox := 0; ox < d.OutW; ox++ {
+				ci := 0
+				for c := 0; c < d.InC; c++ {
+					for ky := 0; ky < d.KH; ky++ {
+						iy := oy*d.Stride + ky - d.Pad
+						for kx := 0; kx < d.KW; kx++ {
+							ix := ox*d.Stride + kx - d.Pad
+							if iy >= 0 && iy < d.InH && ix >= 0 && ix < d.InW {
+								x.Data[n*chw+c*hw+iy*d.InW+ix] += cols.Data[((n*d.OutH+oy)*d.OutW+ox)*colW+ci]
+							}
+							ci++
+						}
+					}
+				}
+			}
+		}
+	}
+	return x
+}
+
+// TestIm2ColIntoBitIdenticalToNaive holds Im2ColInto and Col2ImInto to
+// the per-element loops they replaced, bit for bit, through dirty
+// scratch: on a few fixed geometries and on random ones — stride 1–2,
+// pad 0–2, kernels 1/2/3/5 wide and high, non-square images down to one
+// pixel (so a kernel overhangs both sides at once, or misses the image
+// on an axis), batches of 1–3.
 func TestIm2ColIntoBitIdenticalToNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	geoms := []struct{ b, c, h, w, oc, kh, kw, stride, pad int }{
+	type geom struct{ b, c, h, w, oc, kh, kw, stride, pad int }
+	geoms := []geom{
 		{1, 1, 1, 1, 1, 1, 1, 1, 0},
 		{2, 3, 7, 5, 4, 3, 3, 1, 1},
 		{1, 2, 13, 11, 3, 5, 3, 2, 2},
 		{3, 1, 9, 9, 2, 2, 2, 3, 0},
+		{2, 2, 2, 3, 1, 5, 5, 1, 2},  // overhangs left and right, top and bottom
+		{1, 1, 4, 1, 1, 1, 1, 1, 2},  // corner windows miss the image entirely
+		{25, 8, 8, 8, 8, 3, 3, 1, 1}, // live_train
+	}
+	sizes := []int{1, 2, 3, 5}
+	for len(geoms) < 300 {
+		g := geom{
+			b: 1 + rng.Intn(3), c: 1 + rng.Intn(3), h: 1 + rng.Intn(9), w: 1 + rng.Intn(9), oc: 1,
+			kh: sizes[rng.Intn(len(sizes))], kw: sizes[rng.Intn(len(sizes))], stride: 1 + rng.Intn(2), pad: rng.Intn(3),
+		}
+		if _, err := NewConvDims(g.b, g.c, g.h, g.w, g.oc, g.kh, g.kw, g.stride, g.pad); err == nil {
+			geoms = append(geoms, g)
+		}
+	}
+	dirty := func(shape ...int) *Tensor {
+		x := New(shape...)
+		for i := range x.Data {
+			x.Data[i] = math.NaN()
+		}
+		return x
 	}
 	for _, g := range geoms {
 		d, err := NewConvDims(g.b, g.c, g.h, g.w, g.oc, g.kh, g.kw, g.stride, g.pad)
 		if err != nil {
 			t.Fatalf("NewConvDims: %v", err)
 		}
-		x := randTensor(rng, 1, g.b*g.c*g.h*g.w)
-		x = x.Reshape(g.b, g.c, g.h, g.w)
+		name := fmt.Sprintf("%+v", g)
+		x := randTensor(rng, 1, g.b*g.c*g.h*g.w).Reshape(g.b, g.c, g.h, g.w)
 		want := naiveIm2Col(x, d)
-		bitsEqual(t, "Im2Col", Im2Col(x, d), want)
+		bitsEqual(t, "Im2Col "+name, Im2Col(x, d), want)
+		// Every element must be overwritten, padding zeros included.
+		rows, width := d.Batch*d.OutH*d.OutW, d.InC*d.KH*d.KW
+		bitsEqual(t, "Im2ColInto "+name, Im2ColInto(dirty(rows, width), x, d), want)
 
-		// Reused dirty scratch: every element must be overwritten,
-		// including padding zeros.
-		dst := New(d.Batch*d.OutH*d.OutW, d.InC*d.KH*d.KW)
-		for i := range dst.Data {
-			dst.Data[i] = math.NaN()
-		}
-		bitsEqual(t, "Im2ColInto", Im2ColInto(dst, x, d), want)
-
-		// Col2ImInto through dirty scratch matches Col2Im.
-		cols := want
-		img := New(d.Batch, d.InC, d.InH, d.InW)
-		for i := range img.Data {
-			img.Data[i] = math.NaN()
-		}
-		bitsEqual(t, "Col2ImInto", Col2ImInto(img, cols, d), Col2Im(cols, d))
+		cols := randTensor(rng, rows, width)
+		bitsEqual(t, "Col2ImInto "+name, Col2ImInto(dirty(d.Batch, d.InC, d.InH, d.InW), cols, d), naiveCol2Im(cols, d))
 	}
 }
 

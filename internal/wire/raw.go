@@ -21,7 +21,12 @@ func EncodeRaw(params []float64) []byte {
 }
 
 // DecodeRaw reverses EncodeRaw.
-func DecodeRaw(blob []byte) ([]float64, error) {
+func DecodeRaw(blob []byte) ([]float64, error) { return DecodeRawInto(nil, blob) }
+
+// DecodeRawInto is DecodeRaw into caller-owned memory: the vector is
+// written over dst when dst has the blob's length, and into a new slice
+// otherwise. It returns the decoded vector.
+func DecodeRawInto(dst []float64, blob []byte) ([]float64, error) {
 	if len(blob) < 8 {
 		return nil, fmt.Errorf("wire: raw blob too short (%d bytes)", len(blob))
 	}
@@ -31,9 +36,11 @@ func DecodeRaw(blob []byte) ([]float64, error) {
 	if body := uint64(len(blob) - 8); body%8 != 0 || n != body/8 {
 		return nil, fmt.Errorf("wire: raw blob length %d does not match %d params", len(blob), n)
 	}
-	params := make([]float64, n)
-	for i := range params {
-		params[i] = math.Float64frombits(binary.LittleEndian.Uint64(blob[8+8*i:]))
+	if uint64(len(dst)) != n {
+		dst = make([]float64, n)
 	}
-	return params, nil
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(blob[8+8*i:]))
+	}
+	return dst, nil
 }
