@@ -31,10 +31,26 @@ const matmulParallelThreshold = 64 * 64
 // p, so the adds of different outputs overlap while every output's own
 // chain is the scalar loop's; a tile's leftover columns take 2×1 blocks
 // and its odd last row the scalar loop.
+//
+// On amd64 with AVX2 the innermost loops run in assembly (kern_amd64.s)
+// under the same rule: a vector's lanes are neighbouring output elements
+// j, each lane does its element's multiply and add separately (no fused
+// multiply-add) in ascending p, and nothing is ever summed across lanes.
+// The fused axpy group becomes axpy4AVX2, 8/4/1 elements of the row at a
+// time; the dot form becomes dotPanelAVX2 over 4-row × 8-column blocks
+// of outputs. The zero-group test, the k mod 4 tail, the row and column
+// remainders and every other GOARCH keep the Go loops, which are the
+// reference the assembly is bit-compared against.
 const (
 	matmulTileI = 64
 	matmulTileJ = 256
 )
+
+// useAVX2 selects the assembly inner loops of kern_amd64.s under the
+// three range kernels; it is false on every other GOARCH and on amd64
+// hosts without AVX2, where the Go loops below are the whole kernel.
+// Both paths produce the same bits (the tests flip it to compare them).
+var useAVX2 = cpuHasAVX2()
 
 // MatMul returns a @ b for rank-2 tensors a [m,k] and b [k,n].
 // The kernel is a cache-tiled ikj loop (streaming through b rows),
@@ -135,6 +151,10 @@ func matMulRange(dst, a, b []float64, lo, hi, k, n int) {
 						axpyRows(di, ai[p:p+4], b[p*n+jb:], n)
 						continue
 					}
+					if useAVX2 {
+						axpy4AVX2(&di[0], &b[p*n+jb : (p+3)*n+je][0], n, len(di), a0, a1, a2, a3)
+						continue
+					}
 					b0 := b[p*n+jb : p*n+je][:len(di)]
 					b1 := b[(p+1)*n+jb : (p+1)*n+je][:len(di)]
 					b2 := b[(p+2)*n+jb : (p+2)*n+je][:len(di)]
@@ -225,6 +245,10 @@ func matMulTransARange(dst, a, b []float64, k, m, n int) {
 						axpyRows(di, []float64{a0, a1, a2, a3}, b[p*n+jb:], n)
 						continue
 					}
+					if useAVX2 {
+						axpy4AVX2(&di[0], &b[p*n+jb : (p+3)*n+je][0], n, w, a0, a1, a2, a3)
+						continue
+					}
 					for j, bv := range b0 {
 						di[j] = (((di[j] + a0*bv) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
 					}
@@ -267,21 +291,66 @@ func matmulTransBShape(a, b *Tensor) (m, n int) {
 	return a.shape[0], b.shape[0]
 }
 
-// matMulTransBRange assigns dst = a @ bᵀ tiled over i and j. Each
-// element is an independent dot product accumulated in ascending-p
-// order into a scalar starting at +0.0, so neither tiling nor computing
-// several elements side by side can change its bits. Tiles start on
-// multiples of tileI and tileJ, so the 2×4 blocks never straddle one.
+// dotPanelMaxK is the longest inner dimension the AVX2 dot-form path
+// takes: its packed 8-column panel of bᵀ is a fixed stack array of
+// 8·dotPanelMaxK floats (8 KiB), enough for every conv and dense
+// product the models form.
+const dotPanelMaxK = 128
+
+// matMulTransBRange assigns dst = a @ bᵀ. Each element is an independent
+// dot product accumulated in ascending-p order into a scalar starting at
+// +0.0, so neither tiling, nor computing several elements side by side,
+// nor which of the two paths computes an element can change its bits.
+// With AVX2 the leading rows (a multiple of 4) of the leading columns
+// (a multiple of 8) go through dotPanelAVX2; the remaining rows and
+// columns, or everything, take the Go blocks.
 func matMulTransBRange(dst, a, b []float64, m, k, n int) {
-	for ib := 0; ib < m; ib += matmulTileI {
-		ie := ib + matmulTileI
-		if ie > m {
-			ie = m
+	m4, n8 := 0, 0
+	if useAVX2 && m >= 4 && n >= 8 && k >= 1 && k <= dotPanelMaxK {
+		m4, n8 = m&^3, n&^7
+		matMulTransBPanels(dst, a, b, m4, k, n, n8)
+	}
+	matMulTransBBlock(dst, a, b, m4, m, 0, n8, k, n)
+	matMulTransBBlock(dst, a, b, 0, m, n8, n, k, n)
+}
+
+// matMulTransBPanels computes rows [0,m4) × columns [0,n8) of dst = a @
+// bᵀ, m4 a multiple of 4 and n8 of 8. Each 8-column panel of bᵀ is
+// packed once into bt (lanes are columns j; p ascends along the panel)
+// and every tile of rows is then one assembly call, which bounds the
+// time a goroutine spends where it cannot be preempted.
+func matMulTransBPanels(dst, a, b []float64, m4, k, n, n8 int) {
+	var bt [8 * dotPanelMaxK]float64
+	for jb := 0; jb < n8; jb += 8 {
+		for c := 0; c < 8; c++ {
+			for p, v := range b[(jb+c)*k : (jb+c+1)*k] {
+				bt[8*p+c] = v
+			}
 		}
-		for jb := 0; jb < n; jb += matmulTileJ {
+		for ib := 0; ib < m4; ib += matmulTileI {
+			rows := m4 - ib
+			if rows > matmulTileI {
+				rows = matmulTileI
+			}
+			dotPanelAVX2(&dst[ib*n+jb : (ib+rows-1)*n+jb+8][0], n, &a[ib*k : (ib+rows)*k][0], k, &bt[:8*k][0], rows)
+		}
+	}
+}
+
+// matMulTransBBlock is the Go dot-form kernel over rows [i0,i1) and
+// columns [j0,j1) of dst = a @ bᵀ, tiled over i and j: 2×4 blocks of
+// outputs, 2×1 blocks for a tile's leftover columns and the scalar loop
+// for its odd last row.
+func matMulTransBBlock(dst, a, b []float64, i0, i1, j0, j1, k, n int) {
+	for ib := i0; ib < i1; ib += matmulTileI {
+		ie := ib + matmulTileI
+		if ie > i1 {
+			ie = i1
+		}
+		for jb := j0; jb < j1; jb += matmulTileJ {
 			je := jb + matmulTileJ
-			if je > n {
-				je = n
+			if je > j1 {
+				je = j1
 			}
 			i := ib
 			for ; i+2 <= ie; i += 2 {

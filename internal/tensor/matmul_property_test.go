@@ -112,7 +112,31 @@ func bitsEqual(t *testing.T, name string, got, want *Tensor) {
 	}
 }
 
+// onBothPaths runs f under each kernel dispatch: the Go loops alone,
+// then the AVX2 inner loops (skipped where the CPU has none). Every
+// bit-identity test below holds both to the same naive references.
+func onBothPaths(t *testing.T, f func(t *testing.T)) {
+	for _, avx2 := range []bool{false, true} {
+		name := "go"
+		if avx2 {
+			name = "avx2"
+		}
+		t.Run(name, func(t *testing.T) {
+			if avx2 && !cpuHasAVX2() {
+				t.Skip("CPU lacks AVX2")
+			}
+			defer func(prev bool) { useAVX2 = prev }(useAVX2)
+			useAVX2 = avx2
+			f(t)
+		})
+	}
+}
+
 func TestMatMulBitIdenticalToNaive(t *testing.T) {
+	onBothPaths(t, testMatMulBitIdenticalToNaive)
+}
+
+func testMatMulBitIdenticalToNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, s := range propShapes {
 		a := randTensor(rng, s.m, s.k)
@@ -129,6 +153,10 @@ func TestMatMulBitIdenticalToNaive(t *testing.T) {
 }
 
 func TestMatMulTransABitIdenticalToNaive(t *testing.T) {
+	onBothPaths(t, testMatMulTransABitIdenticalToNaive)
+}
+
+func testMatMulTransABitIdenticalToNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, s := range propShapes {
 		a := randTensor(rng, s.k, s.m)
@@ -144,6 +172,10 @@ func TestMatMulTransABitIdenticalToNaive(t *testing.T) {
 }
 
 func TestMatMulTransBBitIdenticalToNaive(t *testing.T) {
+	onBothPaths(t, testMatMulTransBBitIdenticalToNaive)
+}
+
+func testMatMulTransBBitIdenticalToNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, s := range propShapes {
 		a := randTensor(rng, s.m, s.k)
@@ -164,7 +196,9 @@ func TestMatMulTransBBitIdenticalToNaive(t *testing.T) {
 // 3 and 4 goroutines are chunks of 65, 43 and 33: every split is odd,
 // so chunk boundaries fall inside what a serial pass treats as one row
 // block.
-func TestMatMulParallelBitIdentical(t *testing.T) {
+func TestMatMulParallelBitIdentical(t *testing.T) { onBothPaths(t, testMatMulParallelBitIdentical) }
+
+func testMatMulParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := randTensor(rng, 129, 65)
 	b := randTensor(rng, 65, 67)
@@ -248,8 +282,11 @@ func (kn matmulKernel) check(t *testing.T, label string, a, b *Tensor, m, n int)
 
 // TestMatMulKernelEdgeShapes walks every k around the four-wide group
 // (1…9) and around the conv layer's 72, against every m and n around
-// the 2×4 output block, plus the three conv-layer products themselves.
-func TestMatMulKernelEdgeShapes(t *testing.T) {
+// the 2×4 output block (and the 8-wide vector: n = 9 is one vector and
+// a scalar tail), plus the conv-layer products of both benchmark models.
+func TestMatMulKernelEdgeShapes(t *testing.T) { onBothPaths(t, testMatMulKernelEdgeShapes) }
+
+func testMatMulKernelEdgeShapes(t *testing.T) {
 	dims := []int{1, 2, 3, 5, 7, 8, 9}
 	var shapes [][3]int
 	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 71, 72, 73} {
@@ -262,6 +299,11 @@ func TestMatMulKernelEdgeShapes(t *testing.T) {
 	// Forward, input-gradient and weight-gradient products of a conv
 	// layer with 1600 im2col rows, 72 patch columns, 8 channels.
 	shapes = append(shapes, [3]int{1600, 72, 8}, [3]int{1600, 8, 72}, [3]int{8, 1600, 72})
+	// The same three products of sim_fleet's SmallCNN: 8 images of one
+	// 8×8 channel into 8 channels, then 4×4 of 8 channels into 16.
+	shapes = append(shapes,
+		[3]int{512, 9, 8}, [3]int{512, 8, 9}, [3]int{8, 512, 9},
+		[3]int{128, 72, 16}, [3]int{128, 16, 72}, [3]int{16, 128, 72})
 	rng := rand.New(rand.NewSource(14))
 	fill := func(r, c int) *Tensor { return randTensor(rng, r, c) }
 	for _, kn := range matmulKernels {
@@ -277,9 +319,17 @@ func TestMatMulKernelEdgeShapes(t *testing.T) {
 // compares equal to zero) at each of the four positions of a k-group,
 // and at all four, against ±Inf and NaN in the matching row of B. The
 // axpy-form kernels must not form 0·Inf or 0·NaN, so their outputs stay
-// finite; every kernel must match its reference bit for bit.
+// finite; the dot-form kernel has no zero-skip, so every one of its
+// outputs must be NaN; every kernel must match its reference bit for
+// bit. The second shape is wide enough for the vector loops: 13 columns
+// are one 8-wide, one 4-wide and one scalar step of the axpy row, and
+// 6×13 outputs are one 4×8 dot-form panel plus leftover rows and columns.
 func TestMatMulZeroSkipInsideGroups(t *testing.T) {
-	const m, k, n = 3, 10, 5 // two full groups and a tail of two
+	onBothPaths(t, testMatMulZeroSkipInsideGroups)
+}
+
+func testMatMulZeroSkipInsideGroups(t *testing.T) {
+	const k = 10 // two full groups and a tail of two
 	negZero := math.Copysign(0, -1)
 	rng := rand.New(rand.NewSource(15))
 	dense := func(r, c int) *Tensor {
@@ -291,26 +341,29 @@ func TestMatMulZeroSkipInsideGroups(t *testing.T) {
 	}
 	positions := [][]int{{0}, {1}, {2}, {3}, {0, 1, 2, 3}, {4, 7}, {8}, {9}}
 	for _, kn := range matmulKernels {
-		for _, ps := range positions {
-			for _, zero := range []float64{0, negZero} {
-				for _, poison := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
-					a, b := kn.operands(m, k, n, dense)
-					for _, p := range ps {
-						for i := 0; i < m; i++ {
-							a.Data[kn.aAt(i, p, m, k)] = zero
+		for _, mn := range [][2]int{{3, 5}, {6, 13}} {
+			m, n := mn[0], mn[1]
+			for _, ps := range positions {
+				for _, zero := range []float64{0, negZero} {
+					for _, poison := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+						a, b := kn.operands(m, k, n, dense)
+						for _, p := range ps {
+							for i := 0; i < m; i++ {
+								a.Data[kn.aAt(i, p, m, k)] = zero
+							}
+							for j := 0; j < n; j++ {
+								b.Data[kn.bAt(p, j, k, n)] = poison
+							}
 						}
-						for j := 0; j < n; j++ {
-							b.Data[kn.bAt(p, j, k, n)] = poison
-						}
-					}
-					got := kn.check(t, fmt.Sprintf("zero=%g at p=%v vs %g", zero, ps, poison), a, b, m, n)
-					if !kn.skipsZero {
-						continue
-					}
-					for i, v := range got.Data {
-						if math.IsNaN(v) || math.IsInf(v, 0) {
-							t.Fatalf("%s zero=%g at p=%v vs %g: element %d = %g, a skipped product was formed",
-								kn.name, zero, ps, poison, i, v)
+						label := fmt.Sprintf("m=%d n=%d zero=%g at p=%v vs %g", m, n, zero, ps, poison)
+						got := kn.check(t, label, a, b, m, n)
+						for i, v := range got.Data {
+							if kn.skipsZero && (math.IsNaN(v) || math.IsInf(v, 0)) {
+								t.Fatalf("%s %s: element %d = %g, a skipped product was formed", kn.name, label, i, v)
+							}
+							if !kn.skipsZero && !math.IsNaN(v) {
+								t.Fatalf("%s %s: element %d = %g, want NaN from 0·%g", kn.name, label, i, v, poison)
+							}
 						}
 					}
 				}
@@ -322,7 +375,9 @@ func TestMatMulZeroSkipInsideGroups(t *testing.T) {
 // TestMatMulSignedZeroOperands draws operands from {−0.0, +0.0, ±1}:
 // sums of signed zeros are where an accumulator that did not start at
 // +0.0, or a reordered add, would flip a sign bit.
-func TestMatMulSignedZeroOperands(t *testing.T) {
+func TestMatMulSignedZeroOperands(t *testing.T) { onBothPaths(t, testMatMulSignedZeroOperands) }
+
+func testMatMulSignedZeroOperands(t *testing.T) {
 	vals := []float64{math.Copysign(0, -1), 0, 1, -1}
 	rng := rand.New(rand.NewSource(16))
 	fill := func(r, c int) *Tensor {
