@@ -81,6 +81,18 @@ func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	c.backwardParams(grad)
+	d := c.dims
+	// dCols = g @ W ; dX = col2im(dCols).
+	c.dCols = tensor.EnsureShape(c.dCols, d.Batch*d.OutH*d.OutW, d.InC*d.KH*d.KW)
+	tensor.MatMulInto(c.dCols, c.g, c.W)
+	c.dImg = tensor.EnsureShape(c.dImg, d.Batch, d.InC, d.InH, d.InW)
+	return tensor.Col2ImInto(c.dImg, c.dCols, d)
+}
+
+// backwardParams is the half of Backward that accumulates dW and dB; it
+// leaves the input gradient unformed (see Network.TrainBatch).
+func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
 	d := c.dims
 	ohw := d.OutH * d.OutW
 	// Rearrange grad [N, OutC, OH, OW] to [N*OH*OW, OutC].
@@ -101,11 +113,6 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.dW.AddInPlace(tensor.MatMulTransAInto(c.dWprod, g, c.cols))
 	c.dBsum = tensor.EnsureShape(c.dBsum, c.OutC)
 	c.dB.AddInPlace(tensor.SumRowsInto(c.dBsum, g))
-	// dCols = g @ W ; dX = col2im(dCols).
-	c.dCols = tensor.EnsureShape(c.dCols, d.Batch*ohw, d.InC*d.KH*d.KW)
-	tensor.MatMulInto(c.dCols, g, c.W)
-	c.dImg = tensor.EnsureShape(c.dImg, d.Batch, d.InC, d.InH, d.InW)
-	return tensor.Col2ImInto(c.dImg, c.dCols, d)
 }
 
 // Params implements Layer.

@@ -66,30 +66,31 @@ func (d *Dense) forwardFused(x *tensor.Tensor, r *ReLU) *tensor.Tensor {
 		m := mask[row*d.Out : (row+1)*d.Out]
 		for j, v := range o {
 			v += d.B.Data[j]
-			if v > 0 {
-				o[j] = v
-				m[j] = true
-			} else {
-				o[j] = 0
-				m[j] = false
-			}
+			pos := v > 0
+			m[j] = pos
+			o[j] = keepIf(v, pos)
 		}
 	}
 	return d.out
 }
 
-// Backward implements Layer.
+// Backward implements Layer: dX = grad Wᵀ, after backwardParams.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	// dW += xᵀ grad ; dB += column sums ; dX = grad Wᵀ. The products go
-	// through zeroed scratch then AddInPlace — NOT directly into dW/dB —
-	// because the two-step form is the accumulation order the historical
-	// kernel used and float addition is order-sensitive.
+	d.backwardParams(grad)
+	d.dx = tensor.EnsureShape(d.dx, grad.Dim(0), d.In)
+	return tensor.MatMulTransBInto(d.dx, grad, d.W)
+}
+
+// backwardParams accumulates dW += xᵀ grad and dB += column sums,
+// leaving the input gradient unformed (see Network.TrainBatch). The
+// products go through zeroed scratch then AddInPlace — NOT directly into
+// dW/dB — because the two-step form is the accumulation order the
+// historical kernel used and float addition is order-sensitive.
+func (d *Dense) backwardParams(grad *tensor.Tensor) {
 	d.dWprod = tensor.EnsureShape(d.dWprod, d.In, d.Out)
 	d.dW.AddInPlace(tensor.MatMulTransAInto(d.dWprod, d.x, grad))
 	d.dBsum = tensor.EnsureShape(d.dBsum, d.Out)
 	d.dB.AddInPlace(tensor.SumRowsInto(d.dBsum, grad))
-	d.dx = tensor.EnsureShape(d.dx, grad.Dim(0), d.In)
-	return tensor.MatMulTransBInto(d.dx, grad, d.W)
 }
 
 // Params implements Layer.

@@ -7,6 +7,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 
 	"vcdl/internal/tensor"
@@ -57,18 +58,34 @@ func (r *ReLU) ensureMask(n int) []bool {
 	return r.mask
 }
 
+// b2u is 1 for true and 0 for false. The compiler reads the bool's byte
+// (a SETcc result, or a stored mask) instead of branching on it.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
+}
+
+// keepIf returns v if keep holds and +0.0 otherwise, with no branch:
+// keep widens to an all-ones or all-zeros mask over v's bits. An
+// activation's sign is a coin flip the predictor loses half the time,
+// which cost the branchy form most of its time per element; the result
+// is the same float either way (a rejected v, whatever its sign or NaN
+// payload, becomes +0.0).
+func keepIf(v float64, keep bool) float64 {
+	return math.Float64frombits(math.Float64bits(v) & -b2u(keep))
+}
+
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	r.out = tensor.EnsureShape(r.out, x.Shape()...)
-	r.ensureMask(x.Size())
+	out, mask := r.out.Data[:len(x.Data)], r.ensureMask(len(x.Data))
 	for i, v := range x.Data {
-		if v > 0 {
-			r.mask[i] = true
-			r.out.Data[i] = v
-		} else {
-			r.mask[i] = false
-			r.out.Data[i] = 0
-		}
+		pos := v > 0
+		mask[i] = pos
+		out[i] = keepIf(v, pos)
 	}
 	return r.out
 }
@@ -76,12 +93,9 @@ func (r *ReLU) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	r.gout = tensor.EnsureShape(r.gout, grad.Shape()...)
+	gout, mask := r.gout.Data[:len(grad.Data)], r.mask[:len(grad.Data)]
 	for i, g := range grad.Data {
-		if r.mask[i] {
-			r.gout.Data[i] = g
-		} else {
-			r.gout.Data[i] = 0
-		}
+		gout[i] = keepIf(g, mask[i])
 	}
 	return r.gout
 }

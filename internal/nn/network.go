@@ -84,13 +84,32 @@ func (n *Network) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 // parameter gradients, and returns the mean loss and the number of correct
 // predictions. Callers are responsible for ZeroGrads and the optimizer
 // step.
+//
+// The first layer's input gradient would be dLoss/dx of the batch itself,
+// which nothing reads, so a first layer that can stop at its parameter
+// gradients does: a conv stem skips its g·W product and col2im scatter,
+// a dense input layer its grad·Wᵀ. Parameter gradients never depend on
+// the input gradient, so every accumulated bit is unchanged.
 func (n *Network) TrainBatch(x *tensor.Tensor, labels []int) (loss float64, correct int) {
 	logits := n.Forward(x, true)
 	loss, grad, correct := n.Loss.LossAndGrad(logits, labels)
-	for i := len(n.Layers) - 1; i >= 0; i-- {
+	for i := len(n.Layers) - 1; i > 0; i-- {
 		grad = n.Layers[i].Backward(grad)
 	}
+	if len(n.Layers) > 0 {
+		if p, ok := n.Layers[0].(paramBackwarder); ok {
+			p.backwardParams(grad)
+		} else {
+			n.Layers[0].Backward(grad)
+		}
+	}
 	return loss, correct
+}
+
+// paramBackwarder is a layer that can accumulate its parameter gradients
+// without forming the input gradient Backward returns.
+type paramBackwarder interface {
+	backwardParams(grad *tensor.Tensor)
 }
 
 // EvalBatch returns the mean loss and correct count on a batch in

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"vcdl/internal/tensor"
@@ -43,23 +44,37 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 		p.argmax = make([]int, out.Size())
 	}
 	p.argmax = p.argmax[:out.Size()]
-	for i := 0; i < n*c; i++ {
-		plane := x.Data[i*h*w:]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := plane[oy*p.K*w+ox*p.K]
-				bestIdx := oy*p.K*w + ox*p.K
-				for ky := 0; ky < p.K; ky++ {
-					for kx := 0; kx < p.K; kx++ {
-						idx := (oy*p.K+ky)*w + ox*p.K + kx
-						if plane[idx] > best {
-							best, bestIdx = plane[idx], idx
-						}
-					}
+	// A strip is one row of windows: K input rows of one plane, whose
+	// first row starts at s·K·w because the planes tile x without gaps.
+	// Each window keeps the first of its largest taps in (ky, kx) order —
+	// a later tap wins only if strictly greater, so a NaN wins only as the
+	// first tap — but the taps are visited one (ky, kx) at a time across
+	// the whole strip, the running best and argmax held in the output
+	// rows, so neighbouring windows' compares are independent work. The
+	// compare picks by mask rather than by branch: which tap of a window
+	// is largest is as unpredictable as a sign (see keepIf).
+	k := p.K
+	for s := 0; s < n*c*oh; s++ {
+		best, arg := out.Data[s*ow:(s+1)*ow], p.argmax[s*ow:(s+1)*ow]
+		top := s * k * w
+		for ox := range best {
+			arg[ox] = top + ox*k
+			best[ox] = x.Data[arg[ox]]
+		}
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				if ky == 0 && kx == 0 {
+					continue
 				}
-				o := (i*oh+oy)*ow + ox
-				out.Data[o] = best
-				p.argmax[o] = i*h*w + bestIdx
+				tap := top + ky*w + kx
+				for ox, b := range best {
+					idx := tap + ox*k
+					v := x.Data[idx]
+					m := -b2u(v > b)
+					bb := math.Float64bits(b)
+					best[ox] = math.Float64frombits(bb ^ (bb^math.Float64bits(v))&m)
+					arg[ox] ^= (arg[ox] ^ idx) & int(m)
+				}
 			}
 		}
 	}

@@ -68,7 +68,6 @@ func MatMul(a, b *Tensor) *Tensor {
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	m, n := matmulShape(a, b)
 	checkDstShape("MatMulInto", dst, m, n)
-	zeroFloats(dst.Data)
 	matMulInto(dst.Data, a.Data, b.Data, m, a.shape[1], n)
 	return dst
 }
@@ -125,10 +124,12 @@ func matMulInto(dst, a, b []float64, m, k, n int) {
 	wg.Wait()
 }
 
-// matMulRange computes rows [lo,hi) of dst += a @ b, tiled over i and j.
-// dst rows [lo,hi) must be zero (or hold a partial sum being extended).
-// Accumulation into each dst element runs over p in ascending order with
-// the same zero-skip as the naive kernel, so output bits match it.
+// matMulRange assigns rows [lo,hi) of dst = a @ b, tiled over i and j.
+// Accumulation into each dst element starts from +0.0 and runs over p in
+// ascending order with the same zero-skip as the naive kernel, so output
+// bits match it. Each row of a tile is zeroed just before its k loop, so
+// the zeros are written where the sums are about to land, in cache,
+// rather than by a separate pass over the whole destination.
 func matMulRange(dst, a, b []float64, lo, hi, k, n int) {
 	k4 := k &^ 3
 	for ib := lo; ib < hi; ib += matmulTileI {
@@ -143,6 +144,7 @@ func matMulRange(dst, a, b []float64, lo, hi, k, n int) {
 			}
 			for i := ib; i < ie; i++ {
 				di := dst[i*n+jb : i*n+je]
+				zeroFloats(di)
 				ai := a[i*k : (i+1)*k]
 				p := 0
 				for ; p < k4; p += 4 {
@@ -201,7 +203,6 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 	m, n := matmulTransAShape(a, b)
 	checkDstShape("MatMulTransAInto", dst, m, n)
-	zeroFloats(dst.Data)
 	matMulTransARange(dst.Data, a.Data, b.Data, a.shape[0], m, n)
 	return dst
 }
@@ -216,9 +217,10 @@ func matmulTransAShape(a, b *Tensor) (m, n int) {
 	return a.shape[1], b.shape[1]
 }
 
-// matMulTransARange computes dst += aᵀ @ b tiled over i and j, with p
+// matMulTransARange assigns dst = aᵀ @ b tiled over i and j, with p
 // streaming in ascending order inside each tile: per-element
-// accumulation order matches the naive p-outer kernel exactly.
+// accumulation order matches the naive p-outer kernel exactly. Each tile
+// is zeroed as it is entered, as in matMulRange.
 func matMulTransARange(dst, a, b []float64, k, m, n int) {
 	k4 := k &^ 3
 	for ib := 0; ib < m; ib += matmulTileI {
@@ -232,6 +234,9 @@ func matMulTransARange(dst, a, b []float64, k, m, n int) {
 				je = n
 			}
 			w := je - jb
+			for i := ib; i < ie; i++ {
+				zeroFloats(dst[i*n+jb : i*n+je])
+			}
 			p := 0
 			for ; p < k4; p += 4 {
 				b0 := b[p*n+jb : p*n+je]
