@@ -465,10 +465,11 @@ func BenchmarkMatMul128(b *testing.B) {
 	y := tensor.New(128, 128)
 	x.RandNormal(0, 1, rng)
 	y.RandNormal(0, 1, rng)
+	dst := tensor.New(128, 128)
 	b.SetBytes(3 * 128 * 128 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.MatMul(x, y)
+		tensor.MatMulInto(dst, x, y)
 	}
 }
 

@@ -185,7 +185,7 @@ func TestScoresRecordedInTicketOrder(t *testing.T) {
 		t.Fatalf("tickets scored in order %v, want %v", tickets, want)
 	}
 	ev := NewEvaluator(cfg.Builder, testCorpus(t).Val, cfg.ValSubset, cfg.BatchSize*4)
-	tracker := ps.NewEpochTracker(cfg.Subtasks)
+	tracker := ps.NewEpochTrackerAt(cfg.Subtasks, 1)
 	var replay []ps.EpochSummary
 	for _, cur := range copies {
 		if sum, closed := tracker.Record(ev.Accuracy(cur)); closed {

@@ -8,46 +8,12 @@ import (
 )
 
 // Checkpointing. The paper's system snapshots the central parameter copy
-// as a compressed .h5 file per epoch; these helpers give library users the
-// same durability for the flat parameter vector (resume a job, archive a
-// trained model, seed a new job from an old one).
-
-// SaveParams writes a parameter vector to path in the compressed,
-// checksummed wire format. The write is atomic (temp file + rename).
-func SaveParams(path string, params []float64) error {
-	blob, err := wire.EncodeParams(params)
-	if err != nil {
-		return fmt.Errorf("core: encode checkpoint: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return fmt.Errorf("core: write checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("core: commit checkpoint: %w", err)
-	}
-	return nil
-}
-
-// LoadParams reads a checkpoint written by SaveParams, verifying its
-// checksum.
-func LoadParams(path string) ([]float64, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: read checkpoint: %w", err)
-	}
-	params, err := wire.DecodeParams(blob)
-	if err != nil {
-		return nil, fmt.Errorf("core: decode checkpoint %s: %w", path, err)
-	}
-	return params, nil
-}
+// as a compressed .h5 file per epoch; these helpers give the server the
+// same durability for the flat parameter vector in the VCK1 frame.
 
 // SaveCheckpoint writes an epoch-stamped checkpoint to path, atomically
-// (temp file + rename). Unlike SaveParams it records which epoch the
-// snapshot closed, so a restarted server resumes at epoch+1 instead of
-// retraining from scratch.
+// (temp file + rename). It records which epoch the snapshot closed, so a
+// restarted server resumes at epoch+1 instead of retraining from scratch.
 func SaveCheckpoint(path string, epoch int, params []float64) error {
 	blob, err := wire.EncodeCheckpoint(epoch, params)
 	if err != nil {

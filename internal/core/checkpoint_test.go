@@ -14,12 +14,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		params[i] = rng.NormFloat64()
 	}
 	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if err := SaveParams(path, params); err != nil {
+	if err := SaveCheckpoint(path, 7, params); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadParams(path)
+	epoch, back, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if epoch != 7 {
+		t.Fatalf("epoch %d, want 7", epoch)
 	}
 	if len(back) != len(params) {
 		t.Fatalf("len %d, want %d", len(back), len(params))
@@ -34,7 +37,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointAtomicNoTempLeft(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.ckpt")
-	if err := SaveParams(path, []float64{1, 2, 3}); err != nil {
+	if err := SaveCheckpoint(path, 1, []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -48,7 +51,7 @@ func TestCheckpointAtomicNoTempLeft(t *testing.T) {
 
 func TestCheckpointCorruptionDetected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if err := SaveParams(path, make([]float64, 4096)); err != nil {
+	if err := SaveCheckpoint(path, 1, make([]float64, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)
@@ -59,13 +62,13 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadParams(path); err == nil {
+	if _, _, err := LoadCheckpoint(path); err == nil {
 		t.Fatal("corrupted checkpoint must fail to load")
 	}
 }
 
 func TestCheckpointMissingFile(t *testing.T) {
-	if _, err := LoadParams(filepath.Join(t.TempDir(), "nope.ckpt")); err == nil {
+	if _, _, err := LoadCheckpoint(filepath.Join(t.TempDir(), "nope.ckpt")); err == nil {
 		t.Fatal("missing checkpoint must error")
 	}
 }
@@ -81,10 +84,10 @@ func TestCheckpointResumesTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "resume.ckpt")
-	if err := SaveParams(path, res.FinalParams); err != nil {
+	if err := SaveCheckpoint(path, cfg.MaxEpochs, res.FinalParams); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadParams(path)
+	_, loaded, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,14 +30,11 @@ type ExecStats struct {
 // data would — but physically it recycles per-worker scratch arenas
 // (network, optimizer, shard view) through a sync.Pool, because
 // SetParameters + Adam.Reset + View.Reset restore every observable bit
-// of that state. The steady state therefore allocates almost nothing
-// per subtask. Reuse is disabled when the model carries layers whose
-// hidden state a reset cannot restore (Dropout's mask RNG).
+// of that state. Every model stack recycles, so the steady state
+// allocates almost nothing per subtask.
 type Executor struct {
-	cfg JobConfig
-	// reusable reports whether the builder's stack is scratch-safe.
-	reusable bool
-	scratch  sync.Pool
+	cfg     JobConfig
+	scratch sync.Pool
 }
 
 // execScratch is one worker's arena: a private model clone, optimizer
@@ -50,29 +47,7 @@ type execScratch struct {
 
 // NewExecutor creates an executor for the job.
 func NewExecutor(cfg JobConfig) *Executor {
-	e := &Executor{cfg: cfg}
-	if cfg.Builder != nil {
-		e.reusable = stackReusable(cfg.Builder())
-	}
-	return e
-}
-
-// stackReusable reports whether every layer's training-visible state is
-// restored by SetParameters + ZeroGrads. Dropout is the one offender:
-// its mask RNG advances per batch, so a recycled instance would draw
-// different masks than a fresh one.
-func stackReusable(layers []nn.Layer) bool {
-	for _, l := range layers {
-		switch v := l.(type) {
-		case *nn.Dropout:
-			return false
-		case *nn.Residual:
-			if !stackReusable(v.Body) || !stackReusable(v.Proj) {
-				return false
-			}
-		}
-	}
-	return true
+	return &Executor{cfg: cfg}
 }
 
 // SubtaskSeed derives the seed of the subtask training shard during
@@ -119,27 +94,18 @@ func (e *Executor) RunSurrogate(params []float64, shard *data.Dataset, seed int6
 // requirement), and each pass costs O(batch) gathers instead of the
 // historical O(shard-bytes) Subset copy.
 func (e *Executor) run(params []float64, shard *data.Dataset, seed int64, passes, perPass int) ([]float64, ExecStats) {
-	var net *nn.Network
-	var optimizer *opt.Adam
-	var local *data.View
-	if e.reusable {
-		sc, _ := e.scratch.Get().(*execScratch)
-		if sc == nil {
-			sc = &execScratch{
-				net:       nn.NewNetwork(e.cfg.Builder),
-				optimizer: opt.NewAdam(e.cfg.LearningRate),
-				view:      &data.View{},
-			}
+	sc, _ := e.scratch.Get().(*execScratch)
+	if sc == nil {
+		sc = &execScratch{
+			net:       nn.NewNetwork(e.cfg.Builder),
+			optimizer: opt.NewAdam(e.cfg.LearningRate),
+			view:      &data.View{},
 		}
-		defer e.scratch.Put(sc)
-		net, optimizer, local = sc.net, sc.optimizer, sc.view
-		optimizer.Reset()
-		local.Reset(shard)
-	} else {
-		net = nn.NewNetwork(e.cfg.Builder)
-		optimizer = opt.NewAdam(e.cfg.LearningRate)
-		local = data.NewView(shard)
 	}
+	defer e.scratch.Put(sc)
+	net, optimizer, local := sc.net, sc.optimizer, sc.view
+	optimizer.Reset()
+	local.Reset(shard)
 	net.SetParameters(params)
 	rng := rand.New(rand.NewSource(seed))
 

@@ -31,9 +31,6 @@ func TestExecutorScratchReuseBitIdentical(t *testing.T) {
 	shard2 := corpus2.Train
 
 	reused := NewExecutor(cfg)
-	if !reused.reusable {
-		t.Fatal("SmallCNN stack should be scratch-safe")
-	}
 	jobs := []struct {
 		shard *data.Dataset
 		seed  int64
@@ -143,24 +140,6 @@ func TestTrainingAppExecutorReuseBitIdentical(t *testing.T) {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Fatalf("concurrent slots, job %d: upload differs from a fresh app's", i)
 		}
-	}
-}
-
-// TestExecutorDropoutDisablesReuse pins the gate: stacks carrying
-// Dropout (whose mask RNG a reset cannot restore) must not recycle.
-func TestExecutorDropoutDisablesReuse(t *testing.T) {
-	cfg, _, _ := backendFixture(t)
-	cfg.Builder = func() []nn.Layer {
-		return []nn.Layer{nn.NewDense(4, 8), nn.NewDropout(0.5), nn.NewDense(8, 2)}
-	}
-	if NewExecutor(cfg).reusable {
-		t.Fatal("Dropout stack must not be scratch-reusable")
-	}
-	cfg.Builder = func() []nn.Layer {
-		return []nn.Layer{nn.NewResidual(nn.NewDropout(0.1))}
-	}
-	if NewExecutor(cfg).reusable {
-		t.Fatal("Dropout nested in Residual must not be scratch-reusable")
 	}
 }
 
@@ -280,7 +259,7 @@ func TestParallelPoolSerializesKernels(t *testing.T) {
 	before := tensor.KernelFanouts()
 	x := tensor.New(64, 256)
 	w := tensor.New(256, 256)
-	tensor.MatMul(x, w)
+	tensor.MatMulInto(tensor.New(64, 256), x, w)
 	if tensor.KernelFanouts() == before {
 		t.Fatal("expected kernel fan-out after pool closed")
 	}

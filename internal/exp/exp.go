@@ -41,8 +41,6 @@ type (
 	Observer = vcsim.Observer
 	// ObserverFuncs adapts plain functions to Observer.
 	ObserverFuncs = vcsim.ObserverFuncs
-	// Observers fans events out to several observers.
-	Observers = vcsim.Observers
 	// AssimEvent, EpochEvent, PreemptEvent and TimeoutEvent are the
 	// observer event payloads.
 	AssimEvent   = vcsim.AssimEvent
@@ -72,13 +70,8 @@ type Spec struct {
 	// instantiated per Config lowering so workers never share one.
 	policyName string
 	policyArgs []string
-	// realSpec, when set, lowers the run onto the live fleet instead of
-	// the simulator (WithRealMode); realScale is its virtual→wall
-	// mapping (0 = live.DefaultTimeScale).
-	realSpec  *core.ModelSpec
-	realScale float64
 	// metrics/trace are the observability attachments (WithMetrics,
-	// WithTrace); both lower into vcsim.Config or the live fleet.
+	// WithTrace); both lower into vcsim.Config.
 	metrics *obs.Registry
 	trace   *obs.Tracer
 }
@@ -130,7 +123,6 @@ func (s *Spec) Config() vcsim.Config {
 	cfg := s.cfg
 	cfg.Name = s.name
 	cfg.ClientInstances = append([]cloud.InstanceType(nil), s.cfg.ClientInstances...)
-	cfg.Regions = append([]cloud.Region(nil), s.cfg.Regions...)
 	if s.newStore != nil {
 		cfg.Store = s.newStore()
 	}
@@ -155,10 +147,9 @@ func (s *Spec) Config() vcsim.Config {
 	return cfg
 }
 
-// Run executes one spec to completion on the calling goroutine — on
-// the simulator, or on a live fleet when the spec carries WithRealMode.
-// Errors are returned unwrapped; Sweep (and other callers) add the run
-// label.
+// Run executes one spec to completion on the simulator, on the calling
+// goroutine. Errors are returned unwrapped; Sweep (and other callers) add
+// the run label.
 func Run(s *Spec) (*Result, error) { return run(s, 0) }
 
 // run is Run with the compute-pool size a spec that did not choose one
@@ -166,9 +157,6 @@ func Run(s *Spec) (*Result, error) { return run(s, 0) }
 func run(s *Spec, computeWorkers int) (*Result, error) {
 	if s == nil {
 		return nil, fmt.Errorf("exp: nil spec")
-	}
-	if s.realSpec != nil {
-		return runReal(s)
 	}
 	cfg := s.Config()
 	if cfg.ComputeWorkers == 0 {

@@ -47,7 +47,6 @@ func TestOptionsLowerToConfig(t *testing.T) {
 		Seed(42),
 		Preempt(0.25),
 		Timeout(123),
-		Regions(cloud.USEast, cloud.Europe),
 		StoreBackend(func() store.Store { return store.NewStrong() }),
 		Rule(rule),
 		RecordTest(),
@@ -79,8 +78,6 @@ func TestOptionsLowerToConfig(t *testing.T) {
 		t.Fatalf("PreemptProb = %v", cfg.PreemptProb)
 	case cfg.TimeoutSeconds != 123:
 		t.Fatalf("TimeoutSeconds = %v", cfg.TimeoutSeconds)
-	case len(cfg.Regions) != 2:
-		t.Fatalf("Regions = %v", cfg.Regions)
 	case cfg.Store == nil:
 		t.Fatal("store not lowered")
 	case cfg.Rule == nil:
@@ -110,16 +107,15 @@ func TestOptionsLowerToConfig(t *testing.T) {
 
 func TestSpecConfigIsACopy(t *testing.T) {
 	job, corpus := quickWorkload(t, 1, 2)
-	spec, err := New(job, corpus, Topology(1, 2, 2), Regions(cloud.USEast))
+	spec, err := New(job, corpus, Topology(1, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := spec.Config()
 	cfg.ClientInstances[0] = cloud.ClientD
-	cfg.Regions[0] = cloud.Europe
 	cfg.PServers = 99
 	fresh := spec.Config()
-	if fresh.ClientInstances[0] == cloud.ClientD || fresh.Regions[0] == cloud.Europe || fresh.PServers == 99 {
+	if fresh.ClientInstances[0] == cloud.ClientD || fresh.PServers == 99 {
 		t.Fatal("Config() must return an independent copy")
 	}
 }

@@ -106,15 +106,6 @@ func Timeout(seconds float64) Option {
 	}
 }
 
-// Regions spreads the fleet round-robin across geographic regions; every
-// transfer then pays the region's round-trip latency (§III-E).
-func Regions(regions ...cloud.Region) Option {
-	return func(s *Spec) error {
-		s.cfg.Regions = append([]cloud.Region(nil), regions...)
-		return nil
-	}
-}
-
 // StoreBackend swaps the store backing the shared server parameter copy
 // (nil restores the default eventual store, the paper's Redis choice).
 // newStore is a factory, not an instance: stores are mutable and runs
@@ -261,8 +252,7 @@ func Observe(observers ...Observer) Option {
 // metrics (vcdl_sim_*), histograms in virtual seconds. The registry
 // sink composes with any Observe observers — registry first, then the
 // observers in attachment order — and, like them, never perturbs the
-// run. In real mode (WithRealMode) the same registry is attached to the
-// live server instead, with wall-clock histograms.
+// run.
 func WithMetrics(r *obs.Registry) Option {
 	return func(s *Spec) error {
 		if r == nil {
@@ -273,11 +263,9 @@ func WithMetrics(r *obs.Registry) Option {
 	}
 }
 
-// WithTrace attaches a workunit lifecycle tracer to the run. In sim
-// mode spans carry the full lifecycle (created → assigned →
-// compute_start/end → uploaded → validated → assimilated) in virtual
-// seconds; in real mode the scheduler-side kinds are recorded in wall
-// seconds.
+// WithTrace attaches a workunit lifecycle tracer to the run. Spans carry
+// the full lifecycle (created → assigned → compute_start/end → uploaded
+// → validated → assimilated) in virtual seconds.
 func WithTrace(t *obs.Tracer) Option {
 	return func(s *Spec) error {
 		if t == nil {

@@ -21,27 +21,12 @@ func TestMeanStdMinMax(t *testing.T) {
 }
 
 func TestEmptyStats(t *testing.T) {
-	if Mean(nil) != 0 || Std(nil) != 0 || Median(nil) != 0 {
+	if Mean(nil) != 0 || Std(nil) != 0 {
 		t.Fatal("empty stats should be 0")
 	}
 	lo, hi := MinMax(nil)
 	if lo != 0 || hi != 0 {
 		t.Fatal("empty MinMax should be 0,0")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Fatal("odd median")
-	}
-	if Median([]float64{4, 1, 3, 2}) != 2.5 {
-		t.Fatal("even median")
-	}
-	// Median must not mutate its input.
-	xs := []float64{3, 1, 2}
-	Median(xs)
-	if xs[0] != 3 {
-		t.Fatal("Median sorted the caller's slice")
 	}
 }
 

@@ -1,7 +1,7 @@
-// Package opt provides the stochastic optimizers used by training clients:
-// plain SGD, SGD with momentum, and Adam (the paper's client-side optimizer,
-// used with a constant learning rate of 0.001 and no momentum tweaks), plus
-// learning-rate schedules.
+// Package opt provides the training clients' optimizer, Adam (the paper's
+// client-side optimizer, used with a constant learning rate of 0.001 and
+// no momentum tweaks), and the schedules of the VC-ASGD α
+// hyperparameter.
 package opt
 
 import (
@@ -10,83 +10,6 @@ import (
 
 	"vcdl/internal/tensor"
 )
-
-// Optimizer updates parameter tensors in place from aligned gradient
-// tensors. Implementations keep per-slot state (momenta) keyed by position,
-// so an optimizer instance must always be stepped with the same tensor
-// lists.
-type Optimizer interface {
-	// Step applies one update. params[i] is updated using grads[i].
-	Step(params, grads []*tensor.Tensor)
-	// LR returns the current base learning rate.
-	LR() float64
-	// SetLR replaces the base learning rate (used by schedules).
-	SetLR(lr float64)
-	// Name identifies the optimizer for logs and reports.
-	Name() string
-}
-
-// SGD is plain stochastic gradient descent: p -= lr * g.
-type SGD struct {
-	Rate float64
-}
-
-// NewSGD returns plain SGD with the given learning rate.
-func NewSGD(lr float64) *SGD { return &SGD{Rate: lr} }
-
-// Name implements Optimizer.
-func (s *SGD) Name() string { return "sgd" }
-
-// LR implements Optimizer.
-func (s *SGD) LR() float64 { return s.Rate }
-
-// SetLR implements Optimizer.
-func (s *SGD) SetLR(lr float64) { s.Rate = lr }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params, grads []*tensor.Tensor) {
-	checkAligned(params, grads)
-	for i, p := range params {
-		p.Axpy(-s.Rate, grads[i])
-	}
-}
-
-// Momentum is SGD with classical momentum: v = mu*v + g ; p -= lr*v.
-type Momentum struct {
-	Rate, Mu float64
-	vel      [][]float64
-}
-
-// NewMomentum returns SGD with momentum mu.
-func NewMomentum(lr, mu float64) *Momentum { return &Momentum{Rate: lr, Mu: mu} }
-
-// Name implements Optimizer.
-func (m *Momentum) Name() string { return "momentum" }
-
-// LR implements Optimizer.
-func (m *Momentum) LR() float64 { return m.Rate }
-
-// SetLR implements Optimizer.
-func (m *Momentum) SetLR(lr float64) { m.Rate = lr }
-
-// Step implements Optimizer.
-func (m *Momentum) Step(params, grads []*tensor.Tensor) {
-	checkAligned(params, grads)
-	if m.vel == nil {
-		m.vel = make([][]float64, len(params))
-		for i, p := range params {
-			m.vel[i] = make([]float64, p.Size())
-		}
-	}
-	for i, p := range params {
-		v := m.vel[i]
-		g := grads[i].Data
-		for j := range v {
-			v[j] = m.Mu*v[j] + g[j]
-			p.Data[j] -= m.Rate * v[j]
-		}
-	}
-}
 
 // Adam implements Kingma & Ba's Adam with bias correction.
 type Adam struct {
@@ -102,16 +25,9 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{Rate: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Name implements Optimizer.
-func (a *Adam) Name() string { return "adam" }
-
-// LR implements Optimizer.
-func (a *Adam) LR() float64 { return a.Rate }
-
-// SetLR implements Optimizer.
-func (a *Adam) SetLR(lr float64) { a.Rate = lr }
-
-// Step implements Optimizer.
+// Step applies one update: params[i] is updated using grads[i]. Adam keeps
+// per-slot moments keyed by position, so an instance must always be
+// stepped with the same tensor lists.
 func (a *Adam) Step(params, grads []*tensor.Tensor) {
 	checkAligned(params, grads)
 	if a.m == nil {

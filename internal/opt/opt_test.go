@@ -2,7 +2,6 @@ package opt
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -13,51 +12,22 @@ func single(v float64) []*tensor.Tensor {
 	return []*tensor.Tensor{tensor.FromSlice([]float64{v}, 1)}
 }
 
-func TestSGDStep(t *testing.T) {
-	p := single(1.0)
-	g := single(0.5)
-	NewSGD(0.1).Step(p, g)
-	if math.Abs(p[0].Data[0]-0.95) > 1e-15 {
-		t.Fatalf("p = %v, want 0.95", p[0].Data[0])
-	}
-}
-
-func TestSGDMisalignedPanics(t *testing.T) {
+func TestAdamMisalignedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("misaligned Step did not panic")
 		}
 	}()
-	NewSGD(0.1).Step(single(1), nil)
+	NewAdam(0.1).Step(single(1), nil)
 }
 
-func TestSGDSizeMismatchPanics(t *testing.T) {
+func TestAdamSizeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("size-mismatched Step did not panic")
 		}
 	}()
-	NewSGD(0.1).Step(single(1), []*tensor.Tensor{tensor.New(2)})
-}
-
-func TestMomentumAcceleratesOnConstantGradient(t *testing.T) {
-	// With a constant gradient, momentum's effective step grows toward
-	// lr/(1-mu): successive deltas must increase.
-	p := single(0)
-	g := single(1)
-	m := NewMomentum(0.1, 0.9)
-	prev := p[0].Data[0]
-	var deltas []float64
-	for i := 0; i < 5; i++ {
-		m.Step(p, g)
-		deltas = append(deltas, prev-p[0].Data[0])
-		prev = p[0].Data[0]
-	}
-	for i := 1; i < len(deltas); i++ {
-		if deltas[i] <= deltas[i-1] {
-			t.Fatalf("momentum deltas not increasing: %v", deltas)
-		}
-	}
+	NewAdam(0.1).Step(single(1), []*tensor.Tensor{tensor.New(2)})
 }
 
 func TestAdamFirstStepIsLR(t *testing.T) {
@@ -87,31 +57,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
-func TestMomentumConvergesOnQuadratic(t *testing.T) {
-	p := single(-5)
-	m := NewMomentum(0.05, 0.9)
-	g := single(0)
-	for i := 0; i < 2000; i++ {
-		g[0].Data[0] = 2 * (p[0].Data[0] - 3)
-		m.Step(p, g)
-	}
-	if math.Abs(p[0].Data[0]-3) > 1e-3 {
-		t.Fatalf("momentum converged to %v, want 3", p[0].Data[0])
-	}
-}
-
-func TestOptimizerLRAccessors(t *testing.T) {
-	for _, o := range []Optimizer{NewSGD(0.1), NewMomentum(0.1, 0.9), NewAdam(0.1)} {
-		if o.LR() != 0.1 {
-			t.Fatalf("%s LR = %v", o.Name(), o.LR())
-		}
-		o.SetLR(0.2)
-		if o.LR() != 0.2 {
-			t.Fatalf("%s SetLR failed", o.Name())
-		}
-	}
-}
-
 func TestAdamStatePerSlot(t *testing.T) {
 	// Two parameters with different gradients must evolve independently.
 	p := []*tensor.Tensor{tensor.FromSlice([]float64{0, 0}, 2)}
@@ -134,36 +79,6 @@ func TestConstantSchedule(t *testing.T) {
 		if s.At(e) != 0.95 {
 			t.Fatalf("Constant.At(%d) = %v", e, s.At(e))
 		}
-	}
-}
-
-func TestStepDecay(t *testing.T) {
-	s := StepDecay{Base: 1.0, Factor: 0.5, Every: 10}
-	if s.At(1) != 1.0 || s.At(10) != 1.0 {
-		t.Fatal("no decay expected in first window")
-	}
-	if s.At(11) != 0.5 {
-		t.Fatalf("At(11) = %v, want 0.5", s.At(11))
-	}
-	if s.At(21) != 0.25 {
-		t.Fatalf("At(21) = %v, want 0.25", s.At(21))
-	}
-}
-
-func TestStepDecayZeroEvery(t *testing.T) {
-	s := StepDecay{Base: 2.0, Factor: 0.5, Every: 0}
-	if s.At(100) != 2.0 {
-		t.Fatal("Every=0 must mean no decay")
-	}
-}
-
-func TestExpDecay(t *testing.T) {
-	s := ExpDecay{Base: 1.0, Gamma: 0.9}
-	if s.At(1) != 1.0 {
-		t.Fatalf("At(1) = %v", s.At(1))
-	}
-	if math.Abs(s.At(3)-0.81) > 1e-12 {
-		t.Fatalf("At(3) = %v, want 0.81", s.At(3))
 	}
 }
 
@@ -193,22 +108,6 @@ func TestEpochFractionMonotoneProperty(t *testing.T) {
 		return s.At(x) < s.At(x+1) && s.At(x+1) < 1
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: one SGD step on a positive-definite quadratic with a small
-// enough rate never increases distance to the optimum.
-func TestSGDContractionProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		x0 := rng.Float64()*20 - 10
-		p := single(x0)
-		g := single(2 * (x0 - 3))
-		NewSGD(0.1).Step(p, g)
-		return math.Abs(p[0].Data[0]-3) <= math.Abs(x0-3)+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

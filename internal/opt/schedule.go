@@ -1,11 +1,8 @@
 package opt
 
-import "math"
-
-// Schedule maps an epoch number (1-based) to a multiplier or value. It is
-// used both for learning rates and for the VC-ASGD α hyperparameter (the
-// paper's "Var" experiment sets αe = e/(e+1), explicitly analogous to
-// learning-rate scheduling).
+// Schedule maps an epoch number (1-based) to a value: the VC-ASGD α
+// hyperparameter (the paper's "Var" experiment sets αe = e/(e+1),
+// explicitly analogous to learning-rate scheduling).
 type Schedule interface {
 	// At returns the scheduled value for epoch e (1-based).
 	At(e int) float64
@@ -21,35 +18,6 @@ func (c Constant) At(int) float64 { return c.V }
 
 // Name implements Schedule.
 func (c Constant) Name() string { return "const" }
-
-// StepDecay multiplies Base by Factor every Every epochs.
-type StepDecay struct {
-	Base, Factor float64
-	Every        int
-}
-
-// At implements Schedule.
-func (s StepDecay) At(e int) float64 {
-	if s.Every <= 0 {
-		return s.Base
-	}
-	k := (e - 1) / s.Every
-	return s.Base * math.Pow(s.Factor, float64(k))
-}
-
-// Name implements Schedule.
-func (s StepDecay) Name() string { return "step" }
-
-// ExpDecay returns Base * Gamma^(e-1).
-type ExpDecay struct {
-	Base, Gamma float64
-}
-
-// At implements Schedule.
-func (s ExpDecay) At(e int) float64 { return s.Base * math.Pow(s.Gamma, float64(e-1)) }
-
-// Name implements Schedule.
-func (s ExpDecay) Name() string { return "exp" }
 
 // EpochFraction is the paper's Var α schedule: αe = e/(e+1), rising from
 // 0.5 at epoch 1 toward 1 as e grows (≈0.98 at e=40).

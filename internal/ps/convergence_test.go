@@ -93,7 +93,7 @@ func TestContractionFactorProperty(t *testing.T) {
 func TestEpochTrackerClosureProperty(t *testing.T) {
 	f := func(nRaw uint8, values []float64) bool {
 		n := int(nRaw)%10 + 1
-		tr := NewEpochTracker(n)
+		tr := NewEpochTrackerAt(n, 1)
 		for i, v := range values {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				v = 0.5

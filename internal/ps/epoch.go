@@ -35,16 +35,11 @@ func (s EpochSummary) Point(hours float64) metrics.Point {
 	return metrics.Point{Epoch: s.Epoch, Hours: hours, Value: s.Mean, Lo: s.Lo, Hi: s.Hi}
 }
 
-// NewEpochTracker tracks epochs of the given subtask count.
-func NewEpochTracker(subtasks int) *EpochTracker {
-	return &EpochTracker{subtasks: subtasks, epoch: 1}
-}
-
-// NewEpochTrackerAt tracks epochs starting at start (minimum 1) — the
-// resume path: a job restored from an epoch-e checkpoint continues at
-// e+1 instead of recounting from scratch. StopCriterion compares
-// against absolute epoch numbers, so a resumed job still stops at the
-// original budget.
+// NewEpochTrackerAt tracks epochs of the given subtask count starting at
+// start (minimum 1). A fresh job starts at 1; a job restored from an
+// epoch-e checkpoint continues at e+1 instead of recounting from
+// scratch. StopCriterion compares against absolute epoch numbers, so a
+// resumed job still stops at the original budget.
 func NewEpochTrackerAt(subtasks, start int) *EpochTracker {
 	if start < 1 {
 		start = 1

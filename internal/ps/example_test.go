@@ -45,7 +45,7 @@ func ExampleGroup() {
 // parameter server performs: the epoch closes when all subtasks have
 // reported, yielding the mean and the error-bar range of Figure 4.
 func ExampleEpochTracker() {
-	tr := ps.NewEpochTracker(3)
+	tr := ps.NewEpochTrackerAt(3, 1)
 	tr.Record(0.50)
 	tr.Record(0.70)
 	sum, done := tr.Record(0.60)

@@ -18,7 +18,7 @@ import (
 // store.Stats behind.
 func referenceAssimilate(st store.Store, key string, alpha float64, clientParams []float64) error {
 	return st.Update(key, func(old []byte) []byte {
-		ws, err := wire.DecodeRaw(old)
+		ws, err := wire.DecodeRawInto(nil, old)
 		if err != nil || len(ws) != len(clientParams) {
 			return wire.EncodeRaw(clientParams)
 		}

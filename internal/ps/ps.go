@@ -79,7 +79,7 @@ func (s *Server) CurrentInto(dst []float64) ([]float64, error) {
 // The blend runs in place on the private copy Store.Update hands its
 // callback, one little-endian word at a time. Reading a word with
 // Float64frombits and writing the result with Float64bits is what
-// DecodeRaw and EncodeRaw did around the same expression, so the stored
+// DecodeRawInto and EncodeRaw do around the same expression, so the stored
 // bytes — and the lengths the store's Stats count — are what the
 // decode–blend–encode form produced.
 func (s *Server) Assimilate(clientParams []float64, epoch int) error {

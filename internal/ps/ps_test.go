@@ -223,7 +223,7 @@ func TestEventualStoreMayLoseAssimilations(t *testing.T) {
 }
 
 func TestEpochTrackerAggregation(t *testing.T) {
-	tr := NewEpochTracker(3)
+	tr := NewEpochTrackerAt(3, 1)
 	if _, done := tr.Record(0.5); done {
 		t.Fatal("epoch closed early")
 	}
@@ -298,9 +298,9 @@ func TestAssimilateConvexProperty(t *testing.T) {
 }
 
 func TestRawCodecInterop(t *testing.T) {
-	// ps relies on wire.EncodeRaw/DecodeRaw round-tripping exactly.
+	// ps relies on wire.EncodeRaw/DecodeRawInto round-tripping exactly.
 	params := []float64{1.5, -2.25, 0, math.Pi}
-	back, err := wire.DecodeRaw(wire.EncodeRaw(params))
+	back, err := wire.DecodeRawInto(nil, wire.EncodeRaw(params))
 	if err != nil {
 		t.Fatal(err)
 	}

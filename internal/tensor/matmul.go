@@ -52,19 +52,11 @@ const (
 // Both paths produce the same bits (the tests flip it to compare them).
 var useAVX2 = cpuHasAVX2()
 
-// MatMul returns a @ b for rank-2 tensors a [m,k] and b [k,n].
-// The kernel is a cache-tiled ikj loop (streaming through b rows),
-// and splits row blocks of a across goroutines for large products.
-func MatMul(a, b *Tensor) *Tensor {
-	m, n := matmulShape(a, b)
-	out := New(m, n)
-	matMulInto(out.Data, a.Data, b.Data, m, a.shape[1], n)
-	return out
-}
-
-// MatMulInto computes dst = a @ b using caller-owned storage. dst must
-// be rank-2 with shape [m,n]; its prior contents are discarded. Results
-// are bit-identical to MatMul. Returns dst.
+// MatMulInto computes dst = a @ b for rank-2 tensors a [m,k] and b [k,n]
+// using caller-owned storage. dst must be rank-2 with shape [m,n]; its
+// prior contents are discarded. The kernel is a cache-tiled ikj loop
+// (streaming through b rows), and splits row blocks of a across
+// goroutines for large products. Returns dst.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	m, n := matmulShape(a, b)
 	checkDstShape("MatMulInto", dst, m, n)
@@ -195,17 +187,9 @@ func axpyRows(di, av, b []float64, n int) {
 	}
 }
 
-// MatMulTransA returns aᵀ @ b for a [k,m] and b [k,n], without materialising
-// the transpose. Used by Dense backward for the weight gradient.
-func MatMulTransA(a, b *Tensor) *Tensor {
-	m, n := matmulTransAShape(a, b)
-	out := New(m, n)
-	matMulTransARange(out.Data, a.Data, b.Data, a.shape[0], m, n)
-	return out
-}
-
-// MatMulTransAInto computes dst = aᵀ @ b into caller-owned storage,
-// discarding dst's prior contents. Bit-identical to MatMulTransA.
+// MatMulTransAInto computes dst = aᵀ @ b for a [k,m] and b [k,n] into
+// caller-owned storage, without materialising the transpose, discarding
+// dst's prior contents. Used by Dense backward for the weight gradient.
 func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 	m, n := matmulTransAShape(a, b)
 	checkDstShape("MatMulTransAInto", dst, m, n)
@@ -274,17 +258,9 @@ func matMulTransARange(dst, a, b []float64, k, m, n int) {
 	}
 }
 
-// MatMulTransB returns a @ bᵀ for a [m,k] and b [n,k], without materialising
-// the transpose. Used by Dense backward for the input gradient.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, n := matmulTransBShape(a, b)
-	out := New(m, n)
-	matMulTransBRange(out.Data, a.Data, b.Data, m, a.shape[1], n)
-	return out
-}
-
-// MatMulTransBInto computes dst = a @ bᵀ into caller-owned storage,
-// overwriting every element of dst. Bit-identical to MatMulTransB.
+// MatMulTransBInto computes dst = a @ bᵀ for a [m,k] and b [n,k] into
+// caller-owned storage, without materialising the transpose, overwriting
+// every element of dst. Used by Dense backward for the input gradient.
 func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 	m, n := matmulTransBShape(a, b)
 	checkDstShape("MatMulTransBInto", dst, m, n)

@@ -141,9 +141,9 @@ func testMatMulBitIdenticalToNaive(t *testing.T) {
 	for _, s := range propShapes {
 		a := randTensor(rng, s.m, s.k)
 		b := randTensor(rng, s.k, s.n)
-		bitsEqual(t, "MatMul", MatMul(a, b), naiveMatMul(a, b))
+		bitsEqual(t, "MatMulInto", MatMulInto(New(s.m, s.n), a, b), naiveMatMul(a, b))
 
-		// Into variant through dirty scratch must match too.
+		// Through dirty scratch it must match too.
 		dst := New(s.m, s.n)
 		for i := range dst.Data {
 			dst.Data[i] = math.NaN()
@@ -161,7 +161,7 @@ func testMatMulTransABitIdenticalToNaive(t *testing.T) {
 	for _, s := range propShapes {
 		a := randTensor(rng, s.k, s.m)
 		b := randTensor(rng, s.k, s.n)
-		bitsEqual(t, "MatMulTransA", MatMulTransA(a, b), naiveMatMulTransA(a, b))
+		bitsEqual(t, "MatMulTransAInto", MatMulTransAInto(New(s.m, s.n), a, b), naiveMatMulTransA(a, b))
 
 		dst := New(s.m, s.n)
 		for i := range dst.Data {
@@ -180,7 +180,7 @@ func testMatMulTransBBitIdenticalToNaive(t *testing.T) {
 	for _, s := range propShapes {
 		a := randTensor(rng, s.m, s.k)
 		b := randTensor(rng, s.n, s.k)
-		bitsEqual(t, "MatMulTransB", MatMulTransB(a, b), naiveMatMulTransB(a, b))
+		bitsEqual(t, "MatMulTransBInto", MatMulTransBInto(New(s.m, s.n), a, b), naiveMatMulTransB(a, b))
 
 		dst := New(s.m, s.n)
 		for i := range dst.Data {
@@ -203,14 +203,14 @@ func testMatMulParallelBitIdentical(t *testing.T) {
 	a := randTensor(rng, 129, 65)
 	b := randTensor(rng, 65, 67)
 	release := ReserveSerial()
-	want := MatMul(a, b)
+	want := MatMulInto(New(129, 67), a, b)
 	release()
 	bitsEqual(t, "MatMul(serial vs naive)", want, naiveMatMul(a, b))
 
 	for _, threads := range []int{2, 3, 4} {
 		prev := SetMaxThreads(threads)
 		before := KernelFanouts()
-		got := MatMul(a, b)
+		got := MatMulInto(New(129, 67), a, b)
 		// Each chunk zeroes its own rows as it reaches them: a NaN left
 		// in any row would survive into the sum.
 		dirty := New(129, 67)
@@ -540,7 +540,8 @@ func TestReserveSerialSuppressesFanout(t *testing.T) {
 		b.Data[i] = 1
 	}
 
-	MatMul(a, b) // warm: fan-out expected here
+	dst := New(128, 128)
+	MatMulInto(dst, a, b) // warm: fan-out expected here
 	if MaxThreads() != 4 {
 		t.Fatalf("MaxThreads = %d, want 4", MaxThreads())
 	}
@@ -550,7 +551,7 @@ func TestReserveSerialSuppressesFanout(t *testing.T) {
 		t.Fatalf("MaxThreads under reservation = %d, want 1", MaxThreads())
 	}
 	before := KernelFanouts()
-	MatMul(a, b)
+	MatMulInto(dst, a, b)
 	if got := KernelFanouts(); got != before {
 		t.Fatalf("kernel fanned out %d times under serial reservation", got-before)
 	}
@@ -561,7 +562,7 @@ func TestReserveSerialSuppressesFanout(t *testing.T) {
 		t.Fatalf("MaxThreads after release = %d, want 4", MaxThreads())
 	}
 	before = KernelFanouts()
-	MatMul(a, b)
+	MatMulInto(dst, a, b)
 	if KernelFanouts() == before {
 		t.Fatalf("kernel did not fan out after reservation released")
 	}

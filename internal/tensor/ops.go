@@ -5,36 +5,6 @@ import (
 	"math"
 )
 
-// Add returns t + u elementwise as a new tensor.
-func Add(t, u *Tensor) *Tensor {
-	checkSameShape("Add", t, u)
-	out := New(t.shape...)
-	for i := range t.Data {
-		out.Data[i] = t.Data[i] + u.Data[i]
-	}
-	return out
-}
-
-// Sub returns t - u elementwise as a new tensor.
-func Sub(t, u *Tensor) *Tensor {
-	checkSameShape("Sub", t, u)
-	out := New(t.shape...)
-	for i := range t.Data {
-		out.Data[i] = t.Data[i] - u.Data[i]
-	}
-	return out
-}
-
-// Mul returns the elementwise (Hadamard) product as a new tensor.
-func Mul(t, u *Tensor) *Tensor {
-	checkSameShape("Mul", t, u)
-	out := New(t.shape...)
-	for i := range t.Data {
-		out.Data[i] = t.Data[i] * u.Data[i]
-	}
-	return out
-}
-
 // AddInPlace sets t += u.
 func (t *Tensor) AddInPlace(u *Tensor) {
 	checkSameShape("AddInPlace", t, u)
@@ -73,22 +43,6 @@ func (t *Tensor) Lerp(alpha float64, u *Tensor) {
 	for i := range t.Data {
 		t.Data[i] = alpha*t.Data[i] + (1-alpha)*u.Data[i]
 	}
-}
-
-// Apply replaces each element x with f(x).
-func (t *Tensor) Apply(f func(float64) float64) {
-	for i, v := range t.Data {
-		t.Data[i] = f(v)
-	}
-}
-
-// Map returns a new tensor whose elements are f(x) for each element x of t.
-func Map(t *Tensor, f func(float64) float64) *Tensor {
-	out := New(t.shape...)
-	for i, v := range t.Data {
-		out.Data[i] = f(v)
-	}
-	return out
 }
 
 // Sum returns the sum of all elements.
@@ -166,26 +120,9 @@ func (t *Tensor) Norm2() float64 {
 	return math.Sqrt(Dot(t, t))
 }
 
-// SumRows reduces a [rows, cols] matrix along rows, returning a [cols]
-// vector. Used for bias gradients.
-func SumRows(t *Tensor) *Tensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: SumRows wants rank 2, got %v", t.shape))
-	}
-	rows, cols := t.shape[0], t.shape[1]
-	out := New(cols)
-	for r := 0; r < rows; r++ {
-		row := t.Data[r*cols : (r+1)*cols]
-		for c, v := range row {
-			out.Data[c] += v
-		}
-	}
-	return out
-}
-
-// SumRowsInto is SumRows through caller-owned dst (shape [cols]): dst
-// is zeroed, then rows accumulate in ascending order — bit-identical to
-// SumRows. Returns dst.
+// SumRowsInto reduces a [rows, cols] matrix along rows into caller-owned
+// dst (shape [cols]), as for bias gradients: dst is zeroed, then rows
+// accumulate in ascending order. Returns dst.
 func SumRowsInto(dst, t *Tensor) *Tensor {
 	if t.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: SumRows wants rank 2, got %v", t.shape))
@@ -259,21 +196,6 @@ func (t *Tensor) AddRowVector(v *Tensor) {
 			row[c] += v.Data[c]
 		}
 	}
-}
-
-// Transpose returns the transpose of a rank-2 tensor as a new tensor.
-func Transpose(t *Tensor) *Tensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose wants rank 2, got %v", t.shape))
-	}
-	rows, cols := t.shape[0], t.shape[1]
-	out := New(cols, rows)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			out.Data[c*rows+r] = t.Data[r*cols+c]
-		}
-	}
-	return out
 }
 
 func checkSameShape(op string, t, u *Tensor) {

@@ -106,17 +106,14 @@ func TestReshapeBadSizePanics(t *testing.T) {
 	x.Reshape(4, 2)
 }
 
-func TestAddSubMul(t *testing.T) {
+func TestAddInto(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3}, 3)
 	b := FromSlice([]float64{10, 20, 30}, 3)
-	if got := Add(a, b).Data; got[0] != 11 || got[2] != 33 {
-		t.Fatalf("Add = %v", got)
+	if got := AddInto(New(3), a, b).Data; got[0] != 11 || got[2] != 33 {
+		t.Fatalf("AddInto = %v", got)
 	}
-	if got := Sub(b, a).Data; got[0] != 9 || got[2] != 27 {
-		t.Fatalf("Sub = %v", got)
-	}
-	if got := Mul(a, b).Data; got[1] != 40 {
-		t.Fatalf("Mul = %v", got)
+	if got := AddInto(a, a, b).Data; got[0] != 11 || got[2] != 33 {
+		t.Fatalf("AddInto aliasing its operand = %v", got)
 	}
 }
 
@@ -157,11 +154,11 @@ func TestReductions(t *testing.T) {
 
 func TestSumRowsAndAddRowVector(t *testing.T) {
 	m := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	s := SumRows(m)
+	s := SumRowsInto(New(3), m)
 	want := []float64{5, 7, 9}
 	for i := range want {
 		if s.Data[i] != want[i] {
-			t.Fatalf("SumRows = %v, want %v", s.Data, want)
+			t.Fatalf("SumRowsInto = %v, want %v", s.Data, want)
 		}
 	}
 	v := FromSlice([]float64{10, 20, 30}, 3)
@@ -171,21 +168,10 @@ func TestSumRowsAndAddRowVector(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	m := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	mt := Transpose(m)
-	if mt.Dim(0) != 3 || mt.Dim(1) != 2 {
-		t.Fatalf("Transpose shape = %v", mt.Shape())
-	}
-	if mt.At(2, 1) != 6 || mt.At(0, 1) != 4 {
-		t.Fatal("Transpose values wrong")
-	}
-}
-
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float64{5, 6, 7, 8}, 2, 2)
-	c := MatMul(a, b)
+	c := MatMulInto(New(2, 2), a, b)
 	want := []float64{19, 22, 43, 50}
 	for i := range want {
 		if c.Data[i] != want[i] {
@@ -200,7 +186,7 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 			t.Fatal("MatMul with mismatched shapes did not panic")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 2))
+	MatMulInto(New(2, 2), New(2, 3), New(4, 2))
 }
 
 // TestMatMulParallelMatchesSerial checks the goroutine fan-out path against
@@ -211,7 +197,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	b := New(70, 90)
 	a.RandNormal(0, 1, rng)
 	b.RandNormal(0, 1, rng)
-	got := MatMul(a, b)
+	got := MatMulInto(New(130, 90), a, b)
 	want := New(130, 90)
 	matMulRange(want.Data, a.Data, b.Data, 0, 130, 70, 90, false)
 	for i := range want.Data {
@@ -227,8 +213,14 @@ func TestMatMulTransAMatchesExplicit(t *testing.T) {
 	b := New(7, 6)
 	a.RandNormal(0, 1, rng)
 	b.RandNormal(0, 1, rng)
-	got := MatMulTransA(a, b)
-	want := MatMul(Transpose(a), b)
+	at := New(5, 7)
+	for i := 0; i < 7; i++ {
+		for j := 0; j < 5; j++ {
+			at.Set(a.At(i, j), j, i)
+		}
+	}
+	got := MatMulTransAInto(New(5, 6), a, b)
+	want := MatMulInto(New(5, 6), at, b)
 	for i := range want.Data {
 		if !almostEqual(got.Data[i], want.Data[i], 1e-9) {
 			t.Fatalf("MatMulTransA differs at %d", i)
@@ -242,8 +234,14 @@ func TestMatMulTransBMatchesExplicit(t *testing.T) {
 	b := New(6, 5)
 	a.RandNormal(0, 1, rng)
 	b.RandNormal(0, 1, rng)
-	got := MatMulTransB(a, b)
-	want := MatMul(a, Transpose(b))
+	bt := New(5, 6)
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 5; j++ {
+			bt.Set(b.At(i, j), j, i)
+		}
+	}
+	got := MatMulTransBInto(New(4, 6), a, b)
+	want := MatMulInto(New(4, 6), a, bt)
 	for i := range want.Data {
 		if !almostEqual(got.Data[i], want.Data[i], 1e-9) {
 			t.Fatalf("MatMulTransB differs at %d", i)
@@ -427,8 +425,8 @@ func TestMatMulDistributiveProperty(t *testing.T) {
 		a.RandNormal(0, 1, rng)
 		b.RandNormal(0, 1, rng)
 		c.RandNormal(0, 1, rng)
-		lhs := MatMul(a, Add(b, c))
-		rhs := Add(MatMul(a, b), MatMul(a, c))
+		lhs := MatMulInto(New(m, n), a, AddInto(New(k, n), b, c))
+		rhs := AddInto(New(m, n), MatMulInto(New(m, n), a, b), MatMulInto(New(m, n), a, c))
 		for i := range lhs.Data {
 			if !almostEqual(lhs.Data[i], rhs.Data[i], 1e-9) {
 				return false
@@ -481,17 +479,5 @@ func TestDotAndNorm(t *testing.T) {
 	}
 	if x.Norm2() != 5 {
 		t.Fatalf("Norm2 = %v", x.Norm2())
-	}
-}
-
-func TestApplyAndMap(t *testing.T) {
-	x := FromSlice([]float64{-1, 2}, 2)
-	y := Map(x, math.Abs)
-	if y.Data[0] != 1 || x.Data[0] != -1 {
-		t.Fatal("Map should not mutate input")
-	}
-	x.Apply(func(v float64) float64 { return v * 2 })
-	if x.Data[0] != -2 || x.Data[1] != 4 {
-		t.Fatalf("Apply = %v", x.Data)
 	}
 }

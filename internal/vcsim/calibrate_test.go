@@ -8,7 +8,7 @@ import (
 
 // TestCalibrationProbe prints paper-scale dynamics. It is skipped in
 // -short mode and exists to validate the shape calibration documented in
-// EXPERIMENTS.md.
+// DESIGN.md §3.
 func TestCalibrationProbe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration probe skipped in -short mode")

@@ -28,7 +28,7 @@ func NewPaperSetup(seed int64, epochs int) (*PaperSetup, error) {
 	dc.Seed = seed
 	// Difficulty calibrated so the serial baseline plateaus near the
 	// paper's 0.82–0.85 band and 40 distributed epochs land around 0.73
-	// (see EXPERIMENTS.md, calibration).
+	// (see DESIGN.md §3, calibration).
 	dc.NoiseStd = 2.0
 	dc.LabelNoise = 0.12
 	corpus, err := data.GenerateSynth(dc)

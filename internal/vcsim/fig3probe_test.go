@@ -52,7 +52,7 @@ func TestFig3ShapeProbe(t *testing.T) {
 	}
 	// P5C5: the paper reports a mild rise T2→T4→T8; our model reproduces
 	// the T4→T8 rise exactly and keeps T4 within 10% of T2 (documented
-	// divergence, EXPERIMENTS.md).
+	// divergence, DESIGN.md §3).
 	if !(hours["P5C5T8"] > hours["P5C5T4"]) {
 		t.Errorf("want P5C5T8 > P5C5T4: %v vs %v", hours["P5C5T8"], hours["P5C5T4"])
 	}

@@ -68,10 +68,10 @@ func TestDecodersRejectHostileCounts(t *testing.T) {
 	}{
 		{"params: bare header claiming 2^32-1", func() error { _, err := DecodeParams(hostileParamsHeader(math.MaxUint32)); return err }},
 		{"params: a real gzip stream under a 2^32-1 count", func() error { _, err := DecodeParams(inflated); return err }},
-		{"raw: header claiming 2^61, empty body", func() error { _, err := DecodeRaw(raw(1<<61, 0)); return err }},
-		{"raw: header claiming 2^61+1, one word", func() error { _, err := DecodeRaw(raw(1<<61+1, 8)); return err }},
-		{"raw: header claiming 2^64-1", func() error { _, err := DecodeRaw(raw(math.MaxUint64, 0)); return err }},
-		{"raw: ragged body", func() error { _, err := DecodeRaw(raw(1, 9)); return err }},
+		{"raw: header claiming 2^61, empty body", func() error { _, err := DecodeRawInto(nil, raw(1<<61, 0)); return err }},
+		{"raw: header claiming 2^61+1, one word", func() error { _, err := DecodeRawInto(nil, raw(1<<61+1, 8)); return err }},
+		{"raw: header claiming 2^64-1", func() error { _, err := DecodeRawInto(nil, raw(math.MaxUint64, 0)); return err }},
+		{"raw: ragged body", func() error { _, err := DecodeRawInto(nil, raw(1, 9)); return err }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

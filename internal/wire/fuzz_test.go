@@ -77,7 +77,7 @@ func FuzzDecodeRaw(f *testing.F) {
 			params []float64
 			err    error
 		)
-		checkAlloc(t, blob, func() { params, err = DecodeRaw(blob) })
+		checkAlloc(t, blob, func() { params, err = DecodeRawInto(nil, blob) })
 		if err != nil {
 			return
 		}

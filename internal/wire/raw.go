@@ -20,12 +20,10 @@ func EncodeRaw(params []float64) []byte {
 	return out
 }
 
-// DecodeRaw reverses EncodeRaw.
-func DecodeRaw(blob []byte) ([]float64, error) { return DecodeRawInto(nil, blob) }
-
-// DecodeRawInto is DecodeRaw into caller-owned memory: the vector is
-// written over dst when dst has the blob's length, and into a new slice
-// otherwise. It returns the decoded vector.
+// DecodeRawInto reverses EncodeRaw into caller-owned memory: the vector
+// is written over dst when dst has the blob's length, and into a new
+// slice otherwise (nil dst always allocates). It returns the decoded
+// vector.
 func DecodeRawInto(dst []float64, blob []byte) ([]float64, error) {
 	if len(blob) < 8 {
 		return nil, fmt.Errorf("wire: raw blob too short (%d bytes)", len(blob))
