@@ -577,7 +577,7 @@ func BenchmarkUploadAssimilate(b *testing.B) {
 	}
 }
 
-func BenchmarkParamCodecCompressed(b *testing.B) {
+func BenchmarkParamCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	params := make([]float64, 100_000)
 	for i := range params {

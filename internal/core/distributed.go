@@ -52,7 +52,7 @@ type SubtaskPayload struct {
 // NewTrainingApp returns the client-side application (the TensorFlow
 // stand-in) for a boinc.Client: it decodes the model spec, parameter copy
 // and data shard from the downloaded files, trains, and returns the
-// compressed updated parameters. The app keeps one Executor for as long
+// encoded updated parameters. The app keeps one Executor for as long
 // as the model file's bytes stay the same, so a daemon's subtasks (and
 // its concurrent slots) recycle the executor's scratch arenas; a
 // different model file rebuilds it.
@@ -124,7 +124,7 @@ type Distributed struct {
 	paramCount int
 	decoded    sync.Pool // of *decodedParams
 	// Test seams, left alone in production: decode is the one place an
-	// upload is decompressed; onRelease sees each vector as it goes back
+	// upload is decoded; onRelease sees each vector as it goes back
 	// to the pool; onScore sees each blended copy, with its ticket, as the
 	// evaluator takes it off the queue.
 	decode    func(dst []float64, blob []byte) error
@@ -252,7 +252,7 @@ func NewDistributedJob(cfg JobConfig, spec ModelSpec, corpus *data.Corpus, pn in
 		sched = *opts.Scheduler
 	}
 	d.server = boinc.NewServer(sched, d.validate, d.assimilate)
-	d.server.SetMaxUpload(int64(wire.MaxEncodedSize(d.paramCount)) + uploadSlack)
+	d.server.SetMaxUpload(int64(wire.MaxEncodedSize(d.paramCount)))
 	if opts.Policy != nil {
 		d.server.Scheduler(func(s *boinc.Scheduler) { s.SetPolicy(opts.Policy) })
 	}
@@ -449,10 +449,6 @@ func (d *Distributed) generateEpoch(epoch int) error {
 	}
 	return nil
 }
-
-// uploadSlack is what an upload may exceed wire.MaxEncodedSize by: room
-// for an encoder that frames its gzip stream less tightly than ours.
-const uploadSlack = 4096
 
 // decodedParams is one upload's parameter vector, decoded by validate.
 // The upload handler holds it until it calls Release; if the result is

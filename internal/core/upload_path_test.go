@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
@@ -27,7 +29,7 @@ import (
 // and the stored copy must match a serial recomputation bit for bit. A
 // pooled buffer read after release, or handed to two uploads at once,
 // shows up as NaN or as a foreign epoch's values. It also pins the
-// one-decode rule: gzip is entered once per upload handled, and every
+// one-decode rule: the decoder runs once per upload handled, and every
 // decoded vector is released exactly once — canonical, redundant
 // replica or not.
 func TestUploadPathBufferLifetimes(t *testing.T) {
@@ -219,4 +221,45 @@ func TestValidateRejectsAndReleases(t *testing.T) {
 	if releases != len(cases) {
 		t.Fatalf("%d releases for %d verdicts", releases, len(cases))
 	}
+}
+
+// TestUploadLimitIsExact: a job's upload limit is its frame's exact
+// length. A result of exactly that length is accepted; a declared
+// Content-Length one byte over is answered 413 before a byte of the
+// body is read.
+func TestUploadLimitIsExact(t *testing.T) {
+	d, _ := distTestJob(t, 5, 2)
+	u := uploader{t, d, "c1"}
+	asn, p, ok := u.request()
+	if !ok {
+		t.Fatal("scheduler has no work")
+	}
+	url := fmt.Sprintf("/upload?result=%d", asn.ResultID)
+	blob := u.result(p)
+	if len(blob) != wire.MaxEncodedSize(d.paramCount) {
+		t.Fatalf("result is %d bytes, limit %d", len(blob), wire.MaxEncodedSize(d.paramCount))
+	}
+	var body unreadBody
+	req := httptest.NewRequest("POST", url, &body)
+	req.ContentLength = int64(len(blob)) + 1
+	w := httptest.NewRecorder()
+	d.Server().ServeHTTP(w, req)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("one byte over the limit: %d, want 413", w.Code)
+	}
+	if body.read {
+		t.Fatal("the oversize body was read")
+	}
+	u.do("POST", url, blob)
+	if _, up := d.Server().Traffic(); up != int64(len(blob)) {
+		t.Fatalf("bytes up = %d, want the %d of the accepted upload", up, len(blob))
+	}
+}
+
+// unreadBody is a request body that records whether it was read.
+type unreadBody struct{ read bool }
+
+func (b *unreadBody) Read([]byte) (int, error) {
+	b.read = true
+	return 0, io.EOF
 }

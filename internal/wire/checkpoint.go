@@ -1,36 +1,28 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 )
 
 // Checkpoint encoding: a fixed header carrying the epoch the snapshot
-// closed, followed by the standard compressed, checksummed parameter
-// blob. One format serves both durability paths — core's on-disk
-// checkpoint files and the PS group's store-backed checkpoints — so a
-// file written at SIGTERM and a store value written at epoch close are
-// interchangeable.
+// closed, followed by the standard parameter frame. One format serves
+// both durability paths — core's on-disk checkpoint files and the PS
+// group's store-backed checkpoints — so a file written at SIGTERM and a
+// store value written at epoch close are interchangeable.
 
 const ckptMagic = 0x56434B31 // "VCK1"
 
-// EncodeCheckpoint serializes an epoch-stamped parameter snapshot. The
-// parameter payload streams directly into the output buffer after the
-// checkpoint header — one buffer, no intermediate blob copy.
+// EncodeCheckpoint serializes an epoch-stamped parameter snapshot: the
+// checkpoint header and the parameter frame, in one buffer.
 func EncodeCheckpoint(epoch int, params []float64) ([]byte, error) {
 	if epoch < 0 {
 		return nil, fmt.Errorf("wire: negative checkpoint epoch %d", epoch)
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], ckptMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(epoch))
-	var buf bytes.Buffer
-	buf.Write(hdr[:])
-	if err := EncodeParamsTo(&buf, params); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	buf := make([]byte, 8, 8+MaxEncodedSize(len(params)))
+	binary.LittleEndian.PutUint32(buf[0:], ckptMagic)
+	binary.LittleEndian.PutUint32(buf[4:], uint32(epoch))
+	return appendParams(buf, params), nil
 }
 
 // DecodeCheckpoint reverses EncodeCheckpoint, verifying the embedded

@@ -3,20 +3,18 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
-// Raw (uncompressed) parameter encoding, used for parameter-store blobs
-// where the store's latency model already accounts for byte volume and
-// per-update gzip would dominate simulation wall-clock time.
+// Raw parameter encoding for parameter-store values: a 64-bit count and
+// the words, with no checksum. Store values never leave the process, so
+// a CRC there would guard no boundary, yet Assimilate would pay for it
+// on every in-place blend and every read.
 
-// EncodeRaw serializes a flat parameter vector without compression.
+// EncodeRaw serializes a flat parameter vector as a store value.
 func EncodeRaw(params []float64) []byte {
-	out := make([]byte, 8+8*len(params))
+	out := make([]byte, 8+RawSize(len(params)))
 	binary.LittleEndian.PutUint64(out[0:], uint64(len(params)))
-	for i, v := range params {
-		binary.LittleEndian.PutUint64(out[8+8*i:], math.Float64bits(v))
-	}
+	putWords(out[8:], params)
 	return out
 }
 
@@ -37,8 +35,6 @@ func DecodeRawInto(dst []float64, blob []byte) ([]float64, error) {
 	if uint64(len(dst)) != n {
 		dst = make([]float64, n)
 	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(blob[8+8*i:]))
-	}
+	getWords(dst, blob[8:])
 	return dst, nil
 }
