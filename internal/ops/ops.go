@@ -132,13 +132,12 @@ type Snapshot struct {
 	Clients        []ClientStatus `json:"clients"`
 }
 
-// Core is the shared ops implementation. It implements the scenario
-// engine's full Injector surface (plus the Detacher/Rejoiner/BlobKiller
-// capabilities) by delegating to its target, so the scenario engine can
-// route every event through a Core, and the HTTP handlers and CLI drive
-// the very same methods. Actions are counted per action name in
-// vcdl_ops_actions_total; actions that could not apply (unknown client,
-// missing capability) count in vcdl_ops_failures_total instead.
+// Core is the shared ops implementation: every fleet action, delegated
+// to its target. Scenario events apply to a Core directly, and the HTTP
+// handlers and CLI drive the very same methods. Actions are counted per
+// action name in vcdl_ops_actions_total; actions that could not apply
+// (unknown client, missing capability) count in vcdl_ops_failures_total
+// instead.
 type Core struct {
 	target   Target
 	actions  *obs.CounterVec
@@ -170,9 +169,6 @@ func (c *Core) counted(action string, ok bool) bool {
 	}
 	return ok
 }
-
-// Target returns the wrapped engine target (for capability probing).
-func (c *Core) Target() Target { return c.target }
 
 // ActiveClients lists active client IDs (a pure read; not counted so
 // event helpers that resolve #indexes don't inflate action counts).
@@ -401,14 +397,22 @@ func (c *Core) KnownClient(id string) bool {
 	return true
 }
 
-// Clients returns the rich per-client listing (falling back to bare IDs
-// when the target has no Lister).
+// Clients returns the rich per-client listing.
 func (c *Core) Clients() []ClientStatus {
 	c.count("list")
+	if out := c.clientStatus(); out != nil {
+		return out
+	}
+	return []ClientStatus{}
+}
+
+// clientStatus is the uncounted per-client listing: the target's own
+// when it has a Lister, bare active IDs otherwise (nil when none).
+func (c *Core) clientStatus() []ClientStatus {
 	if l, ok := c.target.(Lister); ok {
 		return l.ClientStatus()
 	}
-	out := []ClientStatus{}
+	var out []ClientStatus
 	for _, id := range c.target.ActiveClients() {
 		out = append(out, ClientStatus{ID: id, Active: true, Reliability: 1})
 	}
@@ -423,13 +427,7 @@ func (c *Core) Snapshot() Snapshot {
 		PServers: c.PServers(),
 	}
 	snap.Subtasks, snap.TasksPerClient = c.FleetShape()
-	if l, ok := c.target.(Lister); ok {
-		snap.Clients = l.ClientStatus()
-	} else {
-		for _, id := range c.target.ActiveClients() {
-			snap.Clients = append(snap.Clients, ClientStatus{ID: id, Active: true, Reliability: 1})
-		}
-	}
+	snap.Clients = c.clientStatus()
 	for _, cs := range snap.Clients {
 		if cs.Active {
 			snap.ActiveClients++

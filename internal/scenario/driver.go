@@ -3,8 +3,7 @@ package scenario
 import (
 	"fmt"
 
-	"vcdl/internal/boinc"
-	"vcdl/internal/cloud"
+	"vcdl/internal/ops"
 )
 
 // Mode names a scenario execution engine.
@@ -32,67 +31,6 @@ func ParseMode(s string) (Mode, error) {
 	return "", fmt.Errorf("unknown mode %q (want sim or real)", s)
 }
 
-// Injector is the engine-side injection surface scenario events drive.
-// Both engines implement it: *vcsim.Sim natively (its hooks were built
-// for this) and *live.Fleet by translating each call into client
-// controls, process kills or scheduler reconfiguration on the live
-// deployment. Events that only one engine can express (graceful
-// detach) type-assert for the extra capability instead.
-type Injector interface {
-	ActiveClients() []string
-	AddClient(inst cloud.InstanceType, region cloud.Region) string
-	RemoveClients(n int) []string
-	RemoveClient(id string) bool
-	SlowClient(id string, factor float64) bool
-	SlowClientAt(i int, factor float64) (string, bool)
-	SetPreemptProb(p float64)
-	PreemptModel(p float64) cloud.PreemptModel
-	FleetShape() (subtasks, tasksPerClient int)
-	SetRegionRTT(region cloud.Region, rtt float64)
-	ClearRegionRTT(region cloud.Region)
-	PServers() int
-	SetPServers(n int)
-	SetTimeout(seconds float64)
-	SetReliabilityFloor(floor float64)
-	SetPolicy(p boinc.Policy)
-	PolicyName() string
-}
-
-// Detacher is the graceful-departure capability only the real engine
-// has: the client finishes its in-flight assignments before leaving.
-type Detacher interface {
-	DetachClient(id string) bool
-	DetachClients(n int) []string
-}
-
-// Rejoiner is the churn-recovery capability only the real engine has:
-// a departed client is revived under its original ID, keeping its blob
-// cache warm (DESIGN.md §11).
-type Rejoiner interface {
-	RejoinClient(id string) bool
-	RejoinClients(n int) []string
-}
-
-// BlobKiller is the data-plane fault-injection capability only the real
-// engine has: sever every blob transfer after n bytes (0 disarms).
-type BlobKiller interface {
-	SetBlobKill(n int64) bool
-}
-
-// Cordoner quarantines a client (the scheduler answers its work requests
-// with nothing) and releases it again. Both engines have it.
-type Cordoner interface {
-	Cordon(id string, on bool) bool
-}
-
-// Byzantiner switches a client's adversarial behavior mid-run
-// (boinc.ByzantineBehaviors; "" or "off" restores honesty). Both
-// engines have it: the simulator flips the client's behavior flag, the
-// real engine ships it to the daemon through ClientControl.
-type Byzantiner interface {
-	SetByzantine(id, behavior string) bool
-}
-
 // targeted is implemented by events that address one client by id. The
 // engines check the id against the run's full membership history before
 // applying: an event targeting an id that never existed fails the run
@@ -102,13 +40,23 @@ type targeted interface {
 	TargetID() string
 }
 
-// targetOf returns the event's target client id, or "" when the event
-// is not id-addressed (counts, indexes, fleet-wide knobs).
-func targetOf(ev Event) string {
+// dispatch applies one event through the run's ops core and hands the
+// outcome, stamped with hours (the engine's current virtual time), to
+// the engine's trace sink. An event aimed at a client id that never
+// existed in the run is traced as an ERROR and not applied; the
+// returned error lets the engine fail the run.
+func dispatch(sc *Scenario, ctrl *ops.Core, ev Event, hours float64, trace func(string)) error {
+	var id string
 	if t, ok := ev.(targeted); ok {
-		return t.TargetID()
+		id = t.TargetID()
 	}
-	return ""
+	if id != "" && !ctrl.KnownClient(id) {
+		msg := fmt.Sprintf("event %q targets client %q, which never existed in this run", ev.Desc(), id)
+		trace(fmt.Sprintf("[%7.3fh] ERROR: %s", hours, msg))
+		return fmt.Errorf("scenario %s: %s", sc.Name, msg)
+	}
+	trace(fmt.Sprintf("[%7.3fh] %s", hours, ev.Apply(ctrl)))
+	return nil
 }
 
 // Modes reports which engines can execute the scenario, and for each
@@ -162,12 +110,14 @@ func (sc *Scenario) Modes() (modes []Mode, reasons map[Mode][]string) {
 		noSim = append(noSim, fmt.Sprintf("admission %d %d (load shedding needs the real HTTP server)", f.AdmitMax, f.AdmitQueue))
 	}
 	for _, ev := range sc.Events {
-		switch ev.(type) {
-		case detachEvent:
+		member, _ := ev.(memberEvent)
+		_, blobKill := ev.(blobKillEvent)
+		switch {
+		case member.verb == "detach":
 			noSim = append(noSim, fmt.Sprintf("event %q (graceful detach needs the real engine; sim departures are abrupt)", ev.Desc()))
-		case rejoinEvent:
+		case member.verb == "rejoin":
 			noSim = append(noSim, fmt.Sprintf("event %q (reviving departed clients needs the real engine)", ev.Desc()))
-		case blobKillEvent:
+		case blobKill:
 			noSim = append(noSim, fmt.Sprintf("event %q (blob fault injection needs the real engine)", ev.Desc()))
 		}
 	}

@@ -234,19 +234,13 @@ func runSim(sc *Scenario, opts Options) (*Report, error) {
 	// byte-identical with or without it.
 	ctrl := ops.NewCore(s, reg)
 	eng := s.Engine()
+	trace := func(line string) { rep.traceTo(opts.Progress, line) }
 	var evErr error
 	for _, ev := range sc.Events {
-		ev := ev
 		eng.ScheduleAt(ev.At(), func() {
-			if id := targetOf(ev); id != "" && !ctrl.KnownClient(id) {
-				msg := fmt.Sprintf("event %q targets client %q, which never existed in this run", ev.Desc(), id)
-				rep.traceTo(opts.Progress, fmt.Sprintf("[%7.3fh] ERROR: %s", eng.NowHours(), msg))
-				if evErr == nil {
-					evErr = fmt.Errorf("scenario %s: %s", sc.Name, msg)
-				}
-				return
+			if err := dispatch(sc, ctrl, ev, eng.NowHours(), trace); evErr == nil {
+				evErr = err
 			}
-			rep.traceTo(opts.Progress, fmt.Sprintf("[%7.3fh] %s", eng.NowHours(), ev.Apply(ctrl)))
 		})
 	}
 

@@ -6,6 +6,7 @@ import (
 
 	"vcdl/internal/boinc"
 	"vcdl/internal/cloud"
+	"vcdl/internal/ops"
 )
 
 // fmtT renders an event's virtual firing time for descriptions.
@@ -37,7 +38,7 @@ func (e joinEvent) Desc() string {
 	}
 	return fmt.Sprintf("at %s join %d %s @%s", fmtT(e.at), e.n, name, e.region)
 }
-func (e joinEvent) Apply(s Injector) string {
+func (e joinEvent) Apply(s *ops.Core) string {
 	types := []cloud.InstanceType{e.inst}
 	if e.mixed {
 		types = cloud.ClientTypes()
@@ -56,31 +57,44 @@ func (e joinEvent) Apply(s Injector) string {
 	return fmt.Sprintf("join %d clients (%s..%s) @%s", e.n, first, last, e.region)
 }
 
-// leaveEvent departs n clients (most recent joiners first) or one
-// specific client by ID.
-type leaveEvent struct {
-	at float64
-	n  int
-	id string // non-empty: depart this client instead of a count
+// memberEvent changes fleet membership by count (most recent first) or
+// by client ID. verb picks the ops action: "leave" departs clients
+// abruptly; "detach" departs them gracefully, after they finish their
+// in-flight assignments (real engine only — sim departures are always
+// abrupt); "rejoin" revives departed clients under their original
+// identity, so with the data plane on they return holding a warm blob
+// cache (real engine only). Modes marks detach and rejoin real-only.
+type memberEvent struct {
+	at   float64
+	verb string // "leave" | "detach" | "rejoin"
+	n    int
+	id   string // non-empty: address this client instead of a count
 }
 
-func (e leaveEvent) At() float64 { return e.at }
-func (e leaveEvent) Desc() string {
+func (e memberEvent) At() float64 { return e.at }
+func (e memberEvent) Desc() string {
 	if e.id != "" {
-		return fmt.Sprintf("at %s leave %s", fmtT(e.at), e.id)
+		return fmt.Sprintf("at %s %s %s", fmtT(e.at), e.verb, e.id)
 	}
-	return fmt.Sprintf("at %s leave %d", fmtT(e.at), e.n)
+	return fmt.Sprintf("at %s %s %d", fmtT(e.at), e.verb, e.n)
 }
-func (e leaveEvent) TargetID() string { return e.id }
-func (e leaveEvent) Apply(s Injector) string {
-	if e.id != "" {
-		if s.RemoveClient(e.id) {
-			return "leave " + e.id
-		}
-		return fmt.Sprintf("leave %s (no such active client)", e.id)
+func (e memberEvent) TargetID() string { return e.id }
+func (e memberEvent) Apply(s *ops.Core) string {
+	one, many, pool, remain := s.RemoveClient, s.RemoveClients, "active", "active remain"
+	switch e.verb {
+	case "detach":
+		one, many = s.DetachClient, s.DetachClients
+	case "rejoin":
+		one, many, pool, remain = s.RejoinClient, s.RejoinClients, "departed", "active now"
 	}
-	gone := s.RemoveClients(e.n)
-	return fmt.Sprintf("leave %d clients %v (%d active remain)", len(gone), gone, len(s.ActiveClients()))
+	if e.id != "" {
+		if one(e.id) {
+			return e.verb + " " + e.id
+		}
+		return fmt.Sprintf("%s %s (no such %s client)", e.verb, e.id, pool)
+	}
+	ids := many(e.n)
+	return fmt.Sprintf("%s %d clients %v (%d %s)", e.verb, len(ids), ids, len(s.ActiveClients()), remain)
 }
 
 // preemptEvent hot-changes the preemption probability; p > 0 starts a
@@ -95,7 +109,7 @@ func (e preemptEvent) At() float64 { return e.at }
 func (e preemptEvent) Desc() string {
 	return fmt.Sprintf("at %s preempt %g", fmtT(e.at), e.p)
 }
-func (e preemptEvent) Apply(s Injector) string {
+func (e preemptEvent) Apply(s *ops.Core) string {
 	s.SetPreemptProb(e.p)
 	if e.p == 0 {
 		return "preemption storm ends (p=0)"
@@ -119,7 +133,7 @@ func (e outageEvent) At() float64 { return e.at }
 func (e outageEvent) Desc() string {
 	return fmt.Sprintf("at %s outage %s rtt=%gs", fmtT(e.at), e.region, e.rtt)
 }
-func (e outageEvent) Apply(s Injector) string {
+func (e outageEvent) Apply(s *ops.Core) string {
 	s.SetRegionRTT(e.region, e.rtt)
 	return fmt.Sprintf("region %s outage: RTT %.0f ms -> %.0f ms", e.region, e.region.RTT()*1000, e.rtt*1000)
 }
@@ -133,7 +147,7 @@ func (e recoverEvent) At() float64 { return e.at }
 func (e recoverEvent) Desc() string {
 	return fmt.Sprintf("at %s recover %s", fmtT(e.at), e.region)
 }
-func (e recoverEvent) Apply(s Injector) string {
+func (e recoverEvent) Apply(s *ops.Core) string {
 	s.ClearRegionRTT(e.region)
 	return fmt.Sprintf("region %s recovered (RTT back to %.0f ms)", e.region, e.region.RTT()*1000)
 }
@@ -156,7 +170,7 @@ func (e slowEvent) Desc() string {
 	return fmt.Sprintf("at %s slow %s x%g", fmtT(e.at), who, e.factor)
 }
 func (e slowEvent) TargetID() string { return e.id }
-func (e slowEvent) Apply(s Injector) string {
+func (e slowEvent) Apply(s *ops.Core) string {
 	if e.id != "" {
 		if s.SlowClient(e.id, e.factor) {
 			return fmt.Sprintf("slow %s x%g", e.id, e.factor)
@@ -183,7 +197,7 @@ func (e psEvent) Desc() string {
 	}
 	return fmt.Sprintf("at %s ps-recover %d", fmtT(e.at), e.delta)
 }
-func (e psEvent) Apply(s Injector) string {
+func (e psEvent) Apply(s *ops.Core) string {
 	before := s.PServers()
 	s.SetPServers(before + e.delta)
 	if e.delta < 0 {
@@ -205,7 +219,7 @@ func (e policyEvent) At() float64 { return e.at }
 func (e policyEvent) Desc() string {
 	return strings.TrimSpace(fmt.Sprintf("at %s policy %s %s", fmtT(e.at), e.name, strings.Join(e.args, " ")))
 }
-func (e policyEvent) Apply(s Injector) string {
+func (e policyEvent) Apply(s *ops.Core) string {
 	p, err := boinc.NewPolicy(e.name, e.args...)
 	if err != nil {
 		return fmt.Sprintf("policy %s not swapped: %v", e.name, err)
@@ -226,7 +240,7 @@ func (e setEvent) At() float64 { return e.at }
 func (e setEvent) Desc() string {
 	return fmt.Sprintf("at %s set %s %g", fmtT(e.at), e.key, e.value)
 }
-func (e setEvent) Apply(s Injector) string {
+func (e setEvent) Apply(s *ops.Core) string {
 	switch e.key {
 	case "timeout":
 		s.SetTimeout(e.value)
@@ -236,72 +250,6 @@ func (e setEvent) Apply(s Injector) string {
 		return fmt.Sprintf("scheduler reliability floor -> %g", e.value)
 	}
 	return "set " + e.key + " (unknown key)"
-}
-
-// detachEvent gracefully departs clients: they finish their in-flight
-// assignments before leaving (the server's detach control). Real-mode
-// only — the simulator's departures are always abrupt, so Modes marks
-// scenarios using it as real-only.
-type detachEvent struct {
-	at float64
-	n  int
-	id string // non-empty: detach this client instead of a count
-}
-
-func (e detachEvent) At() float64 { return e.at }
-func (e detachEvent) Desc() string {
-	if e.id != "" {
-		return fmt.Sprintf("at %s detach %s", fmtT(e.at), e.id)
-	}
-	return fmt.Sprintf("at %s detach %d", fmtT(e.at), e.n)
-}
-func (e detachEvent) TargetID() string { return e.id }
-func (e detachEvent) Apply(s Injector) string {
-	d, ok := s.(Detacher)
-	if !ok {
-		return "detach skipped (engine cannot express graceful departure)"
-	}
-	if e.id != "" {
-		if d.DetachClient(e.id) {
-			return "detach " + e.id
-		}
-		return fmt.Sprintf("detach %s (no such active client)", e.id)
-	}
-	gone := d.DetachClients(e.n)
-	return fmt.Sprintf("detach %d clients %v (%d active remain)", len(gone), gone, len(s.ActiveClients()))
-}
-
-// rejoinEvent revives departed clients under their original identity —
-// with the data plane on, they return holding a warm blob cache, so the
-// re-transfer cost of churn is what the scenario measures. Real-mode
-// only: the simulator has no notion of a volunteer coming back.
-type rejoinEvent struct {
-	at float64
-	n  int
-	id string // non-empty: rejoin this client instead of a count
-}
-
-func (e rejoinEvent) At() float64 { return e.at }
-func (e rejoinEvent) Desc() string {
-	if e.id != "" {
-		return fmt.Sprintf("at %s rejoin %s", fmtT(e.at), e.id)
-	}
-	return fmt.Sprintf("at %s rejoin %d", fmtT(e.at), e.n)
-}
-func (e rejoinEvent) TargetID() string { return e.id }
-func (e rejoinEvent) Apply(s Injector) string {
-	r, ok := s.(Rejoiner)
-	if !ok {
-		return "rejoin skipped (engine cannot revive departed clients)"
-	}
-	if e.id != "" {
-		if r.RejoinClient(e.id) {
-			return "rejoin " + e.id
-		}
-		return fmt.Sprintf("rejoin %s (no such departed client)", e.id)
-	}
-	back := r.RejoinClients(e.n)
-	return fmt.Sprintf("rejoin %d clients %v (%d active now)", len(back), back, len(s.ActiveClients()))
 }
 
 // cordonEvent quarantines a client (no new work while in-flight results
@@ -322,16 +270,12 @@ func (e cordonEvent) Desc() string {
 	}
 	return fmt.Sprintf("at %s %s %s", fmtT(e.at), verb, e.id)
 }
-func (e cordonEvent) Apply(s Injector) string {
+func (e cordonEvent) Apply(s *ops.Core) string {
 	verb := "cordon"
 	if !e.on {
 		verb = "uncordon"
 	}
-	c, ok := s.(Cordoner)
-	if !ok {
-		return verb + " skipped (engine cannot quarantine clients)"
-	}
-	if !c.Cordon(e.id, e.on) {
+	if !s.Cordon(e.id, e.on) {
 		return fmt.Sprintf("%s %s (no such active client)", verb, e.id)
 	}
 	if e.on {
@@ -355,12 +299,8 @@ func (e byzantineEvent) TargetID() string { return e.id }
 func (e byzantineEvent) Desc() string {
 	return fmt.Sprintf("at %s byzantine %s %s", fmtT(e.at), e.id, e.behavior)
 }
-func (e byzantineEvent) Apply(s Injector) string {
-	b, ok := s.(Byzantiner)
-	if !ok {
-		return "byzantine skipped (engine has no adversarial clients)"
-	}
-	if !b.SetByzantine(e.id, e.behavior) {
+func (e byzantineEvent) Apply(s *ops.Core) string {
+	if !s.SetByzantine(e.id, e.behavior) {
 		return fmt.Sprintf("byzantine %s (no such active client)", e.id)
 	}
 	if e.behavior == "off" {
@@ -384,12 +324,8 @@ func (e blobKillEvent) Desc() string {
 	}
 	return fmt.Sprintf("at %s blob-kill %d", fmtT(e.at), e.bytes)
 }
-func (e blobKillEvent) Apply(s Injector) string {
-	k, ok := s.(BlobKiller)
-	if !ok {
-		return "blob-kill skipped (engine has no data plane)"
-	}
-	if !k.SetBlobKill(e.bytes) {
+func (e blobKillEvent) Apply(s *ops.Core) string {
+	if !s.SetBlobKill(e.bytes) {
 		return "blob-kill skipped (data plane is off — add 'blobs on' to the fleet)"
 	}
 	if e.bytes == 0 {

@@ -211,7 +211,7 @@ func (p *parser) fleetLine(n int, key string, fields []string) {
 		}
 		f.Clients = p.intArg(n, key, args[:1])
 		if len(args) == 2 {
-			if _, ok := instanceByName(args[1]); !ok {
+			if _, ok := cloud.InstanceByName(args[1]); !ok {
 				p.errorf(n, "unknown client type %q", args[1])
 			}
 			f.ClientType = args[1]
@@ -398,7 +398,7 @@ func (p *parser) eventLine(n int, fields []string) {
 		if strings.EqualFold(args[1], "mixed") {
 			ev.mixed = true
 		} else {
-			it, ok := instanceByName(args[1])
+			it, ok := cloud.InstanceByName(args[1])
 			if !ok {
 				p.errorf(n, "unknown client type %q", args[1])
 				return
@@ -414,48 +414,20 @@ func (p *parser) eventLine(n int, fields []string) {
 			ev.region = r
 		}
 		p.sc.Events = append(p.sc.Events, ev)
-	case "leave":
+	case "leave", "detach", "rejoin":
 		if len(args) != 1 {
-			bad("leave <n|client-id>")
+			bad(verb + " <n|client-id>")
 			return
 		}
 		if cnt, err := strconv.Atoi(args[0]); err == nil {
 			if cnt < 1 {
-				p.errorf(n, "bad leave count %q", args[0])
+				p.errorf(n, "bad %s count %q", verb, args[0])
 				return
 			}
-			p.sc.Events = append(p.sc.Events, leaveEvent{at: at, n: cnt})
+			p.sc.Events = append(p.sc.Events, memberEvent{at: at, verb: verb, n: cnt})
 			return
 		}
-		p.sc.Events = append(p.sc.Events, leaveEvent{at: at, id: args[0]})
-	case "detach":
-		if len(args) != 1 {
-			bad("detach <n|client-id>")
-			return
-		}
-		if cnt, err := strconv.Atoi(args[0]); err == nil {
-			if cnt < 1 {
-				p.errorf(n, "bad detach count %q", args[0])
-				return
-			}
-			p.sc.Events = append(p.sc.Events, detachEvent{at: at, n: cnt})
-			return
-		}
-		p.sc.Events = append(p.sc.Events, detachEvent{at: at, id: args[0]})
-	case "rejoin":
-		if len(args) != 1 {
-			bad("rejoin <n|client-id>")
-			return
-		}
-		if cnt, err := strconv.Atoi(args[0]); err == nil {
-			if cnt < 1 {
-				p.errorf(n, "bad rejoin count %q", args[0])
-				return
-			}
-			p.sc.Events = append(p.sc.Events, rejoinEvent{at: at, n: cnt})
-			return
-		}
-		p.sc.Events = append(p.sc.Events, rejoinEvent{at: at, id: args[0]})
+		p.sc.Events = append(p.sc.Events, memberEvent{at: at, verb: verb, id: args[0]})
 	case "blob-kill":
 		if len(args) != 1 {
 			bad("blob-kill <bytes|off>")

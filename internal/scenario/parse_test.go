@@ -197,10 +197,10 @@ assert:
 	if e, ok := sc.Events[0].(blobKillEvent); !ok || e.bytes != 8000 {
 		t.Fatalf("event 0 = %#v, want blob-kill 8000", sc.Events[0])
 	}
-	if e, ok := sc.Events[2].(rejoinEvent); !ok || e.n != 1 || e.id != "" {
+	if e, ok := sc.Events[2].(memberEvent); !ok || e.verb != "rejoin" || e.n != 1 || e.id != "" {
 		t.Fatalf("event 2 = %#v, want rejoin 1", sc.Events[2])
 	}
-	if e, ok := sc.Events[3].(rejoinEvent); !ok || e.id != "client-02-t2.small" {
+	if e, ok := sc.Events[3].(memberEvent); !ok || e.verb != "rejoin" || e.id != "client-02-t2.small" {
 		t.Fatalf("event 3 = %#v, want rejoin by id", sc.Events[3])
 	}
 	if e, ok := sc.Events[4].(blobKillEvent); !ok || e.bytes != 0 {
@@ -255,4 +255,38 @@ func TestMalformedScenariosGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParse feeds the parser arbitrary scenario text, seeded with every
+// bundled scenario and every malformed-file fixture. Parse must never
+// panic, and a scenario it accepts must survive Validate, Modes and
+// every event's Desc without panicking either.
+func FuzzParse(f *testing.F) {
+	for _, pattern := range []string{
+		filepath.Join("..", "..", "examples", "scenarios", "*.txt"),
+		filepath.Join("testdata", "bad", "*.txt"),
+	} {
+		files, err := filepath.Glob(pattern)
+		if err != nil || len(files) == 0 {
+			f.Fatalf("no seed files match %s: %v", pattern, err)
+		}
+		for _, file := range files {
+			src, err := os.ReadFile(file)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(string(src))
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		sc, err := Parse(strings.NewReader(src), "fuzz.txt")
+		if err != nil {
+			return
+		}
+		_ = sc.Validate()
+		sc.Modes()
+		for _, ev := range sc.Events {
+			_ = ev.Desc()
+		}
+	})
 }

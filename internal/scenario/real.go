@@ -20,10 +20,10 @@ const DefaultWallLimit = 120 * time.Second
 
 // runReal compiles the scenario onto a live fleet: an in-process BOINC
 // server plus real client daemons, with every `at <t>` event fired on
-// the wall clock at t × TimeScale and applied through the same Injector
-// interface the simulator implements. All reported times are mapped
-// back into virtual hours so the scenario's assertions (and the
-// fidelity CSV) compare like with like (DESIGN.md §9).
+// the wall clock at t × TimeScale and applied through the fleet's
+// ops.Core, the same control plane sim events go through. All reported
+// times are mapped back into virtual hours so the scenario's assertions
+// (and the fidelity CSV) compare like with like (DESIGN.md §9).
 func runReal(sc *Scenario, opts Options) (*Report, error) {
 	if sc.Fleet.Procs && opts.Spawn == nil {
 		// The harness cannot invent a client binary; only a caller that
@@ -142,9 +142,9 @@ func runReal(sc *Scenario, opts Options) (*Report, error) {
 	eventsDone := make(chan struct{})
 	// Events flow through the fleet's shared ops core — the same object
 	// the /ops admin API serves — so scenario actions and curl'd actions
-	// land in the same vcdl_ops_actions_total counters.
+	// land in the same vcdl_ops_actions_total counters. Only the event
+	// goroutine writes evErr; it is read after eventsDone closes.
 	ctrl := fleet.Ops()
-	var evErrMu sync.Mutex
 	var evErr error
 	go func() {
 		defer close(eventsDone)
@@ -162,17 +162,9 @@ func runReal(sc *Scenario, opts Options) (*Report, error) {
 			if ctx.Err() != nil {
 				return
 			}
-			if id := targetOf(ev); id != "" && !ctrl.KnownClient(id) {
-				msg := fmt.Sprintf("event %q targets client %q, which never existed in this run", ev.Desc(), id)
-				trace(fmt.Sprintf("[%7.3fh] ERROR: %s", fleet.VirtualHours(), msg))
-				evErrMu.Lock()
-				if evErr == nil {
-					evErr = fmt.Errorf("scenario %s: %s", sc.Name, msg)
-				}
-				evErrMu.Unlock()
-				continue
+			if err := dispatch(sc, ctrl, ev, fleet.VirtualHours(), trace); evErr == nil {
+				evErr = err
 			}
-			trace(fmt.Sprintf("[%7.3fh] %s", fleet.VirtualHours(), ev.Apply(ctrl)))
 		}
 	}()
 
@@ -182,8 +174,6 @@ func runReal(sc *Scenario, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s (real mode): %w", sc.Name, err)
 	}
-	evErrMu.Lock()
-	defer evErrMu.Unlock()
 	if evErr != nil {
 		return nil, evErr
 	}

@@ -7,15 +7,15 @@
 // never exercises (DESIGN.md §5). The full grammar reference is
 // docs/scenario-dsl.md.
 //
-// The same file compiles onto two engines through one Injector
-// interface: ModeSim schedules the events on the deterministic
-// simulator's virtual clock (vcsim.Sim hooks; identical trace per
-// seed), and ModeReal maps them onto the wall clock against a live
-// fleet — an in-process BOINC server plus real HTTP client daemons
-// (internal/live) — with all reported times mapped back into virtual
-// hours. Scenario.Modes classifies which engines a file supports, and
-// both engines fill metrics.RunStats, the rows of the sim↔real
-// fidelity CSV (DESIGN.md §9).
+// The same file compiles onto two engines, and both apply its events to
+// an ops.Core, the control plane the /ops admin API and CLI also drive:
+// ModeSim schedules the events on the deterministic simulator's virtual
+// clock (vcsim.Sim hooks; identical trace per seed), and ModeReal maps
+// them onto the wall clock against a live fleet — an in-process BOINC
+// server plus real HTTP client daemons (internal/live) — with all
+// reported times mapped back into virtual hours. Scenario.Modes
+// classifies which engines a file supports, and both engines fill
+// metrics.RunStats, the rows of the sim↔real fidelity CSV (DESIGN.md §9).
 package scenario
 
 import (
@@ -27,6 +27,7 @@ import (
 	"vcdl/internal/core"
 	"vcdl/internal/data"
 	"vcdl/internal/nn"
+	"vcdl/internal/ops"
 	"vcdl/internal/vcsim"
 )
 
@@ -117,8 +118,9 @@ type FleetSpec struct {
 	AdmitQueue int
 }
 
-// Event is one timed injection against a running engine (simulated or
-// real — the same event applies to either through Injector).
+// Event is one timed injection against a running engine, simulated or
+// real: both engines wrap themselves in an ops.Core, the control plane
+// the /ops admin API and the CLI also drive, and apply every event to it.
 type Event interface {
 	// At is the virtual time (seconds) the event fires. The sim engine
 	// fires it on the virtual clock; the real engine maps it onto the
@@ -126,15 +128,9 @@ type Event interface {
 	At() float64
 	// Desc renders the event for listings and validation output.
 	Desc() string
-	// Apply mutates the running engine and returns a trace line
-	// fragment describing what happened.
-	Apply(s Injector) string
-}
-
-// instanceByName resolves a fleet/client type name: the clientA..D
-// aliases or the Table I instance names.
-func instanceByName(name string) (cloud.InstanceType, bool) {
-	return cloud.InstanceByName(name)
+	// Apply mutates the running engine through its ops core and returns
+	// a trace line fragment describing what happened.
+	Apply(s *ops.Core) string
 }
 
 // regionByName resolves a region name.
@@ -160,7 +156,7 @@ func (sc *Scenario) Validate() error {
 		errs = append(errs, fmt.Sprintf("unknown workload %q (want quick or paper)", f.Workload))
 	}
 	if f.ClientType != "" {
-		if _, ok := instanceByName(f.ClientType); !ok {
+		if _, ok := cloud.InstanceByName(f.ClientType); !ok {
 			errs = append(errs, fmt.Sprintf("unknown client type %q", f.ClientType))
 		}
 	}
@@ -286,7 +282,7 @@ func (sc *Scenario) BuildConfig() (vcsim.Config, error) {
 
 	cfg := vcsim.DefaultConfig(job, corpus, pn, cn, tn)
 	if f.ClientType != "" {
-		it, ok := instanceByName(f.ClientType)
+		it, ok := cloud.InstanceByName(f.ClientType)
 		if !ok {
 			return vcsim.Config{}, fmt.Errorf("scenario %s: unknown client type %q", sc.Name, f.ClientType)
 		}
