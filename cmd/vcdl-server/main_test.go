@@ -111,7 +111,11 @@ func TestServeSigtermCheckpointResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "server.ckpt")
 	opts := tinyOpts()
 	opts.epochs = 4
-	opts.subtasks = 10 // long enough epochs that the SIGTERM lands mid-run
+	// Long enough epochs that the SIGTERM lands mid-run: serve reports
+	// epochs on a 100 ms tick and this test polls its output every
+	// 50 ms, so the first report can reach the test 150 ms after epoch 1
+	// closed, and four epochs must take longer than that.
+	opts.subtasks = 30
 	opts.checkpoint = ckpt
 	stop := make(chan os.Signal, 1)
 	opts.stop = stop

@@ -39,11 +39,15 @@ func NewEvaluator(builder func() []nn.Layer, ds *data.Dataset, subset, batch int
 // N returns the number of samples the evaluator scores.
 func (e *Evaluator) N() int { return e.ds.N() }
 
-// Accuracy returns classification accuracy of params on the dataset.
+// Accuracy returns classification accuracy of params on the dataset. It
+// scores params where they lie: the network reads them in place for the
+// length of the call, without a copy, and holds no reference to them
+// once it returns, so the caller may recycle the vector straight after.
+// The caller must not write params while the call runs.
 func (e *Evaluator) Accuracy(params []float64) float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.net.SetParameters(params)
-	_, acc := e.net.Evaluate(e.ds.X, e.ds.Labels, e.batch)
+	var acc float64
+	e.net.WithParameters(params, func() { _, acc = e.net.Evaluate(e.ds.X, e.ds.Labels, e.batch) })
 	return acc
 }

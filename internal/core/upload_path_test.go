@@ -168,8 +168,9 @@ func TestUploadPathBufferLifetimes(t *testing.T) {
 		}
 	}
 	same("FinalParams", res.FinalParams, ws)
-	stored, _, err := st.Get(ps.DefaultKey)
-	if err != nil || !bytes.Equal(stored, wire.EncodeRaw(ws)) {
+	var match bool
+	err = st.View(ps.DefaultKey, func(stored []byte, _ uint64) { match = bytes.Equal(stored, wire.EncodeRaw(ws)) })
+	if err != nil || !match {
 		t.Fatalf("stored copy differs from the serial reference (err %v)", err)
 	}
 }

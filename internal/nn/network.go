@@ -225,6 +225,39 @@ func (n *Network) SetParameters(flat []float64) {
 	}
 }
 
+// WithParameters runs f with the network's parameter and state tensors
+// pointing into flat, laid out as Parameters exports it, instead of
+// copying flat in as SetParameters does. The tensors get their own
+// storage back before WithParameters returns, so nothing the network
+// keeps points into flat afterwards. f may only read the tensors — run
+// the network forward in evaluation mode — since any write, a
+// training-mode batch norm or an optimizer step, would land in flat.
+// It panics if the length does not match the architecture.
+func (n *Network) WithParameters(flat []float64, f func()) {
+	ts := n.blobTensors()
+	own := make([][]float64, len(ts))
+	off := 0
+	for i, t := range ts {
+		own[i] = t.Data
+		off += len(own[i])
+	}
+	if len(flat) != off {
+		panic(fmt.Sprintf("nn: WithParameters got %d values, want %d", len(flat), off))
+	}
+	off = 0
+	for i, t := range ts {
+		end := off + len(own[i])
+		t.Data = flat[off:end:end]
+		off = end
+	}
+	defer func() {
+		for i, t := range ts {
+			t.Data = own[i]
+		}
+	}()
+	f()
+}
+
 // Gradients exports the accumulated gradients (trainable slots only; state
 // slots are zero-padded so the layout matches Parameters).
 func (n *Network) Gradients() []float64 {

@@ -131,6 +131,57 @@ func TestSetParametersWrongLengthPanics(t *testing.T) {
 	net.SetParameters(make([]float64, 5))
 }
 
+// TestWithParametersLendsAndRestores: evaluating a vector through
+// WithParameters gives the loss and accuracy bits SetParameters gives,
+// on a network with batch-norm state in the blob; the vector is not
+// written; and afterwards the network holds its own parameters again,
+// with no tensor pointing into the lent vector.
+func TestWithParametersLendsAndRestores(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	build := MiniResNetV2Builder(3, 8, 8, 4, 1, 5)
+	net := NewNetwork(build)
+	net.Init(rng)
+	x, labels := randomBatch(rng, []int{12, 3, 8, 8}, 5)
+	net.TrainBatch(x, labels) // running statistics away from their init
+	own := net.Parameters()
+
+	other := NewNetwork(build)
+	other.Init(rand.New(rand.NewSource(22)))
+	other.TrainBatch(x, labels)
+	flat := other.Parameters()
+	before := append([]float64(nil), flat...)
+
+	var loss, acc float64
+	net.WithParameters(flat, func() { loss, acc = net.Evaluate(x, labels, 5) })
+	wantLoss, wantAcc := other.Evaluate(x, labels, 5)
+	if math.Float64bits(loss) != math.Float64bits(wantLoss) || acc != wantAcc {
+		t.Fatalf("lent evaluation (%v, %v), copied (%v, %v)", loss, acc, wantLoss, wantAcc)
+	}
+	for i := range flat {
+		if math.Float64bits(flat[i]) != math.Float64bits(before[i]) {
+			t.Fatalf("WithParameters wrote the lent vector at %d", i)
+		}
+	}
+	for i := range flat {
+		flat[i] = math.NaN()
+	}
+	for i, v := range net.Parameters() {
+		if math.Float64bits(v) != math.Float64bits(own[i]) {
+			t.Fatalf("parameter %d is %v after WithParameters, own value %v", i, v, own[i])
+		}
+	}
+}
+
+func TestWithParametersWrongLengthPanics(t *testing.T) {
+	net := NewNetwork(MLPBuilder(3, nil, 2))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("WithParameters with wrong length did not panic")
+		}
+	}()
+	net.WithParameters(make([]float64, 5), func() { t.Fatal("f ran on a vector of the wrong length") })
+}
+
 func TestCloneIsIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	net := NewNetwork(MLPBuilder(4, []int{5}, 3))

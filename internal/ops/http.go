@@ -39,17 +39,15 @@ func (c *Core) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /ops/clients/{id}/{action}", c.handleClientAction)
 	mux.HandleFunc("POST /ops/join", func(w http.ResponseWriter, r *http.Request) {
-		if _, can := c.target.(Churner); !can {
-			c.fail("join")
-			httpError(w, http.StatusConflict, "this deployment cannot add clients (volunteers attach on their own)")
-			return
-		}
 		inst, ok := cloud.InstanceByName(r.FormValue("inst"))
 		if !ok {
 			inst = cloud.ClientB
 		}
-		region := cloud.Region(r.FormValue("region"))
-		id := c.AddClient(inst, region)
+		id, ok := c.AddClient(inst, cloud.Region(r.FormValue("region")))
+		if !ok {
+			httpError(w, http.StatusConflict, "this deployment cannot add clients (volunteers attach on their own)")
+			return
+		}
 		writeJSON(w, map[string]string{"id": id})
 	})
 	mux.HandleFunc("POST /ops/policy", func(w http.ResponseWriter, r *http.Request) {

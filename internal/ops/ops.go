@@ -174,15 +174,15 @@ func (c *Core) counted(action string, ok bool) bool {
 // event helpers that resolve #indexes don't inflate action counts).
 func (c *Core) ActiveClients() []string { return c.target.ActiveClients() }
 
-// AddClient joins a new client (volunteer churn, flash crowds).
-func (c *Core) AddClient(inst cloud.InstanceType, region cloud.Region) string {
-	t, ok := c.target.(Churner)
-	if !ok {
-		c.fail("join")
-		return "(engine cannot add clients)"
+// AddClient joins a new client (volunteer churn, flash crowds) and
+// returns its ID. ok is false, and no client joins, when the target
+// cannot add clients.
+func (c *Core) AddClient(inst cloud.InstanceType, region cloud.Region) (id string, ok bool) {
+	t, can := c.target.(Churner)
+	if !c.counted("join", can) {
+		return "", false
 	}
-	c.count("join")
-	return t.AddClient(inst, region)
+	return t.AddClient(inst, region), true
 }
 
 // RemoveClients abruptly kills the n most recently joined clients.

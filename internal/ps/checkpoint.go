@@ -37,14 +37,19 @@ func (g *Group) SaveCheckpoint(epoch int, params []float64) error {
 	return nil
 }
 
-// LatestCheckpoint reads the newest checkpoint from the shared store.
+// LatestCheckpoint reads the newest checkpoint from the shared store,
+// decoding it from the bytes the store lends into a vector of its own.
 // Returns epoch 0 and no error when none has been written yet.
 func (g *Group) LatestCheckpoint() (epoch int, params []float64, err error) {
-	blob, _, gerr := g.first().Store.Get(CheckpointKey)
-	if gerr != nil || len(blob) == 0 {
+	var empty bool
+	verr := g.first().Store.View(CheckpointKey, func(blob []byte, _ uint64) {
+		if empty = len(blob) == 0; !empty {
+			epoch, params, err = wire.DecodeCheckpoint(blob)
+		}
+	})
+	if verr != nil || empty {
 		return 0, nil, nil // no checkpoint yet
 	}
-	epoch, params, err = wire.DecodeCheckpoint(blob)
 	if err != nil {
 		return 0, nil, fmt.Errorf("ps: decode checkpoint: %w", err)
 	}

@@ -29,6 +29,12 @@ func referenceAssimilate(st store.Store, key string, alpha float64, clientParams
 	})
 }
 
+// storedCopy clones the value st lends under key.
+func storedCopy(st store.Store, key string) (value []byte, version uint64, err error) {
+	err = st.View(key, func(v []byte, ver uint64) { value, version = bytes.Clone(v), ver })
+	return value, version, err
+}
+
 // awkwardWords are the bit patterns a blend could plausibly mangle:
 // quiet and signalling NaNs with payloads, infinities, denormals, signed
 // zeros and the extremes of the normal range.
@@ -89,8 +95,8 @@ func TestInPlaceAssimilateMatchesReference(t *testing.T) {
 					if err := referenceAssimilate(want, srv.Key, sched.At(epoch), client); err != nil {
 						t.Fatal(err)
 					}
-					gv, gver, gerr := got.Get(srv.Key)
-					wv, wver, werr := want.Get(srv.Key)
+					gv, gver, gerr := storedCopy(got, srv.Key)
+					wv, wver, werr := storedCopy(want, srv.Key)
 					if gerr != nil || werr != nil || gver != wver || !bytes.Equal(gv, wv) {
 						t.Fatalf("step %d (n=%d): stored values differ (versions %d/%d, errors %v/%v)", step, n, gver, wver, gerr, werr)
 					}

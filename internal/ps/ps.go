@@ -63,13 +63,19 @@ func (s *Server) Current() ([]float64, error) { return s.CurrentInto(nil) }
 
 // CurrentInto is Current into caller-owned memory: it fills and returns
 // dst when dst has the model's length, and a new vector otherwise, so a
-// caller that reads after every assimilation can recycle one vector.
+// caller that reads after every assimilation can recycle one vector. It
+// decodes straight from the bytes the store lends, so the stored copy is
+// read once and copied nowhere else.
 func (s *Server) CurrentInto(dst []float64) ([]float64, error) {
-	blob, _, err := s.Store.Get(s.Key)
+	var out []float64
+	var derr error
+	err := s.Store.View(s.Key, func(blob []byte, _ uint64) {
+		out, derr = wire.DecodeRawInto(dst, blob)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("ps: read server params: %w", err)
 	}
-	return wire.DecodeRawInto(dst, blob)
+	return out, derr
 }
 
 // Assimilate applies Equation 1 for a client parameter copy delivered

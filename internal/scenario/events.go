@@ -45,7 +45,12 @@ func (e joinEvent) Apply(s *ops.Core) string {
 	}
 	var first, last string
 	for i := 0; i < e.n; i++ {
-		id := s.AddClient(types[i%len(types)], e.region)
+		id, ok := s.AddClient(types[i%len(types)], e.region)
+		if !ok {
+			// The target lacks the capability, so the first join is
+			// refused and the rest would be too.
+			return fmt.Sprintf("join %d refused @%s (engine cannot add clients)", e.n, e.region)
+		}
 		if i == 0 {
 			first = id
 		}

@@ -74,17 +74,27 @@ func (f memberTarget) RejoinClients(n int) []string {
 	return back
 }
 
-// TestMembershipTraceText pins the exact trace text of the count-or-id
-// membership events (leave, detach, rejoin) and the ops actions each one
-// counts, applied through an ops.Core as both engines do.
+// activeOnly is a target with no capability beyond listing its clients.
+type activeOnly struct{}
+
+func (activeOnly) ActiveClients() []string { return []string{"c1"} }
+
+// TestMembershipTraceText pins the exact trace text of the membership
+// events (join, and the count-or-id leave, detach, rejoin) and the ops
+// actions each one counts, applied through an ops.Core as both engines
+// do.
 func TestMembershipTraceText(t *testing.T) {
 	for _, tc := range []struct {
 		line     string
 		bare     bool // target lacks the Detacher and Rejoiner capabilities
+		noChurn  bool // target cannot add or remove clients at all
 		want     string
 		action   string
 		ok, fail int64
 	}{
+		{line: "join 1 ClientB", want: "join c9 @us-east", action: "join", ok: 1},
+		{line: "join 2 ClientB", noChurn: true, want: "join 2 refused @us-east (engine cannot add clients)", action: "join", fail: 1},
+		{line: "join 1 mixed us-west", noChurn: true, want: "join 1 refused @us-west (engine cannot add clients)", action: "join", fail: 1},
 		{line: "leave 2", want: "leave 2 clients [c3 c2] (1 active remain)", action: "kill", ok: 2},
 		{line: "leave c1", want: "leave c1", action: "kill", ok: 1},
 		{line: "leave ghost", want: "leave ghost (no such active client)", action: "kill", fail: 1},
@@ -101,6 +111,9 @@ func TestMembershipTraceText(t *testing.T) {
 		if tc.bare {
 			name += " (bare)"
 		}
+		if tc.noChurn {
+			name += " (no churn)"
+		}
 		t.Run(name, func(t *testing.T) {
 			sc, err := Parse(strings.NewReader("scenario s\nevents:\n  at 1s "+tc.line+"\n"), "s.txt")
 			if err != nil {
@@ -110,11 +123,14 @@ func TestMembershipTraceText(t *testing.T) {
 			if tc.bare {
 				target = newChurnTarget()
 			}
+			if tc.noChurn {
+				target = activeOnly{}
+			}
 			reg := obs.NewRegistry()
 			if got := sc.Events[0].Apply(ops.NewCore(target, reg)); got != tc.want {
 				t.Errorf("trace = %q, want %q", got, tc.want)
 			}
-			for _, action := range []string{"kill", "drain", "rejoin"} {
+			for _, action := range []string{"join", "kill", "drain", "rejoin"} {
 				var ok, fail int64
 				if action == tc.action {
 					ok, fail = tc.ok, tc.fail

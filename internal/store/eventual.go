@@ -23,6 +23,7 @@ type Eventual struct {
 	history map[string][]entry // most recent last; trimmed to max lag+1
 	rng     *rand.Rand
 	rngMu   sync.Mutex
+	free    freeList
 
 	counter counter
 }
@@ -54,29 +55,27 @@ func (e *Eventual) replicaLag(i int) int {
 	return i * e.ReplicaLagOps / e.ReplicaCount
 }
 
-// Get implements Store: it reads from a random replica, which may serve a
-// version up to its lag behind the primary.
-func (e *Eventual) Get(key string) ([]byte, uint64, error) {
+// View implements Store: it reads from a random replica, which may serve
+// a version up to its lag behind the primary.
+func (e *Eventual) View(key string, f func(value []byte, version uint64)) error {
 	e.rngMu.Lock()
 	lag := e.replicaLag(e.rng.Intn(e.ReplicaCount))
 	e.rngMu.Unlock()
 
 	e.mu.RLock()
 	hist := e.history[key]
-	var ent entry
-	var ok, stale bool
-	if len(hist) > 0 {
-		idx := len(hist) - 1 - lag
-		if idx < 0 {
-			idx = 0
-		}
-		ent, ok = hist[idx], true
-		stale = idx != len(hist)-1
+	if len(hist) == 0 {
+		e.mu.RUnlock()
+		return ErrNotFound
 	}
+	idx := len(hist) - 1 - lag
+	if idx < 0 {
+		idx = 0
+	}
+	ent := hist[idx]
+	stale := idx != len(hist)-1
+	f(ent.value, ent.version)
 	e.mu.RUnlock()
-	if !ok {
-		return nil, 0, ErrNotFound
-	}
 	e.counter.add(func(s *Stats) {
 		s.Gets++
 		if stale {
@@ -85,20 +84,21 @@ func (e *Eventual) Get(key string) ([]byte, uint64, error) {
 		s.BytesRead += uint64(len(ent.value))
 		s.ModeledTime += e.Profile.Cost(len(ent.value))
 	})
-	return append([]byte(nil), ent.value...), ent.version, nil
+	return nil
 }
 
 // Set implements Store. The write commits on the primary immediately;
 // replicas observe it later through the retained version history.
 func (e *Eventual) Set(key string, value []byte) error {
-	e.commit(key, append([]byte(nil), value...), nil)
+	e.commit(key, e.free.clone(value), nil)
 	return nil
 }
 
 // commit appends v, which the store now owns, as a new version. If base
 // is non-nil it is the version the caller's read observed; a mismatch
 // with the current head means a concurrent commit slipped in between and
-// is being clobbered — a lost update.
+// is being clobbered — a lost update. A version the history drops is
+// served by no replica any more, so its buffer goes to the free list.
 func (e *Eventual) commit(key string, v []byte, base *uint64) {
 	var lost bool
 	e.mu.Lock()
@@ -111,8 +111,13 @@ func (e *Eventual) commit(key string, v []byte, base *uint64) {
 		lost = true
 	}
 	hist = append(hist, entry{value: v, version: cur + 1})
-	if max := e.ReplicaLagOps + 1; len(hist) > max {
-		hist = hist[len(hist)-max:]
+	if drop := len(hist) - (e.ReplicaLagOps + 1); drop > 0 {
+		for _, gone := range hist[:drop] {
+			e.free.put(gone.value)
+		}
+		n := copy(hist, hist[drop:])
+		clear(hist[n:])
+		hist = hist[:n]
 	}
 	e.history[key] = hist
 	e.mu.Unlock()
@@ -126,9 +131,14 @@ func (e *Eventual) commit(key string, v []byte, base *uint64) {
 	})
 }
 
-// Update implements Store with optimistic, lossy read-modify-write.
+// Update implements Store with optimistic, lossy read-modify-write: a
+// View that copies the value out, f outside any lock, then a commit.
 func (e *Eventual) Update(key string, f func(old []byte) []byte) error {
-	old, base, err := e.Get(key)
+	var old []byte
+	var base uint64
+	err := e.View(key, func(v []byte, ver uint64) {
+		old, base = e.free.clone(v), ver
+	})
 	if err != nil && err != ErrNotFound {
 		return err
 	}

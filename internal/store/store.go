@@ -8,9 +8,9 @@
 //     observe stale replicas and unsynchronized read-modify-write cycles
 //     can lose updates — which the paper argues distributed training
 //     tolerates.
-//   - Strong: a serializable store with a global commit lock and a
-//     write-ahead log, so concurrent read-modify-write transactions apply
-//     in a serial order and nothing is lost — at a higher per-update cost.
+//   - Strong: a serializable store with a global commit lock, so
+//     concurrent read-modify-write transactions apply in a serial order
+//     and nothing is lost — at a higher per-update cost.
 //
 // Both implement Store, so parameter servers are backend-agnostic. A
 // LatencyProfile attaches a calibrated virtual cost to each operation; the
@@ -26,7 +26,7 @@ import (
 	"time"
 )
 
-// ErrNotFound is returned by Get for missing keys.
+// ErrNotFound is returned by View for missing keys.
 var ErrNotFound = errors.New("store: key not found")
 
 // Store is a key-value parameter store. Values are opaque blobs; the
@@ -36,9 +36,13 @@ var ErrNotFound = errors.New("store: key not found")
 type Store interface {
 	// Name identifies the backend ("eventual" or "strong").
 	Name() string
-	// Get returns the current value of key (possibly stale for eventual
-	// stores) and its version.
-	Get(key string) (value []byte, version uint64, err error)
+	// View calls f with the current value of key (possibly stale for
+	// eventual stores) and its version. The value is the store's own
+	// committed bytes, lent for the length of the call with the store's
+	// lock held against writers: f must not modify them, keep them or
+	// any slice of them, or call back into the store. A caller that
+	// needs the bytes later copies them inside f.
+	View(key string, f func(value []byte, version uint64)) error
 	// Set unconditionally writes value (last write wins).
 	Set(key string, value []byte) error
 	// Update performs a read-modify-write cycle using the backend's
@@ -46,7 +50,9 @@ type Store interface {
 	// updates), optimistic and lossy for Eventual. old is a private copy
 	// (nil for a missing key): f may modify it in place and return it.
 	// The store adopts whatever f returns as the stored value, without
-	// copying it, so f must hand over a slice nothing else will write.
+	// copying it, so f must hand over a slice nothing else will read or
+	// write: once that version is superseded (and, for Eventual, no
+	// replica serves it any more) its memory is reused for a later copy.
 	Update(key string, f func(old []byte) []byte) error
 	// Stats returns operation counters accumulated so far.
 	Stats() Stats
@@ -92,6 +98,56 @@ var (
 type entry struct {
 	value   []byte
 	version uint64
+}
+
+// maxFree bounds the free list: an eventual store with no replica lag
+// and one parameter server per core never has more than a couple of
+// versions in flight, and a bound keeps an idle store from holding more.
+const maxFree = 4
+
+// freeList recycles the buffers of versions no reader can reach any
+// more, for the private copies the store makes. View lends committed
+// bytes only for the length of a callback that runs with writers locked
+// out, and a version leaves the store under the writers' lock, so once
+// it has left nobody holds its memory.
+type freeList struct {
+	mu   sync.Mutex
+	bufs [][]byte
+}
+
+// put offers b for reuse; it is dropped when the list is full.
+func (l *freeList) put(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	l.mu.Lock()
+	if len(l.bufs) < maxFree {
+		l.bufs = append(l.bufs, b)
+	}
+	l.mu.Unlock()
+}
+
+// clone returns a private copy of v, in a recycled buffer when one is
+// large enough. Like append([]byte(nil), v...), it returns nil for an
+// empty v.
+func (l *freeList) clone(v []byte) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	var buf []byte
+	l.mu.Lock()
+	for i := len(l.bufs) - 1; i >= 0; i-- {
+		if cap(l.bufs[i]) >= len(v) {
+			buf = l.bufs[i][:0]
+			last := len(l.bufs) - 1
+			l.bufs[i] = l.bufs[last]
+			l.bufs[last] = nil
+			l.bufs = l.bufs[:last]
+			break
+		}
+	}
+	l.mu.Unlock()
+	return append(buf, v...)
 }
 
 // counter is a small mutex-protected Stats accumulator shared by backends.

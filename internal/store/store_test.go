@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sync"
 	"testing"
@@ -8,31 +9,59 @@ import (
 	"time"
 )
 
+// read is the copying read the tests compare against: a clone, taken
+// inside the callback, of the bytes View lends.
+func read(st Store, key string) (value []byte, version uint64, err error) {
+	err = st.View(key, func(v []byte, ver uint64) { value, version = bytes.Clone(v), ver })
+	return value, version, err
+}
+
 func TestEventualBasicSetGet(t *testing.T) {
 	e := NewEventual(3, 0, 1)
-	if _, _, err := e.Get("k"); err != ErrNotFound {
-		t.Fatalf("Get missing = %v, want ErrNotFound", err)
+	if _, _, err := read(e, "k"); err != ErrNotFound {
+		t.Fatalf("View of a missing key = %v, want ErrNotFound", err)
 	}
 	if err := e.Set("k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	v, ver, err := e.Get("k")
+	v, ver, err := read(e, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(v) != "v1" || ver != 1 {
-		t.Fatalf("Get = %q v%d", v, ver)
+		t.Fatalf("View = %q v%d", v, ver)
 	}
 }
 
-func TestEventualGetReturnsCopy(t *testing.T) {
-	e := NewEventual(1, 0, 1)
-	e.Set("k", []byte("abc"))
-	v, _, _ := e.Get("k")
-	v[0] = 'X'
-	v2, _, _ := e.Get("k")
-	if string(v2) != "abc" {
-		t.Fatal("Get must return a private copy")
+// TestViewLendsCommittedBytes: View hands f the store's own committed
+// bytes, not a copy — two views of one version see the same memory —
+// while the old value Update hands its callback is a private copy:
+// writing it changes nothing a reader sees until f returns it.
+func TestViewLendsCommittedBytes(t *testing.T) {
+	for _, st := range []Store{NewEventual(1, 0, 1), NewStrong()} {
+		st.Set("k", []byte("abc"))
+		var first, second *byte
+		st.View("k", func(v []byte, _ uint64) { first = &v[0] })
+		st.View("k", func(v []byte, _ uint64) { second = &v[0] })
+		if first != second {
+			t.Fatalf("%s: two views of one version saw different memory", st.Name())
+		}
+		st.Update("k", func(old []byte) []byte {
+			if &old[0] == first {
+				t.Fatalf("%s: Update handed its callback the committed bytes", st.Name())
+			}
+			old[0] = 'X'
+			if st.Name() == "strong" {
+				return old // f runs under the commit lock: no reader can look
+			}
+			if got, _, _ := read(st, "k"); string(got) != "abc" {
+				t.Fatalf("%s: a write to old showed before the commit: %q", st.Name(), got)
+			}
+			return old
+		})
+		if got, _, _ := read(st, "k"); string(got) != "Xbc" {
+			t.Fatalf("%s: stored %q after the update, want \"Xbc\"", st.Name(), got)
+		}
 	}
 }
 
@@ -47,7 +76,7 @@ func TestEventualStaleReads(t *testing.T) {
 	}
 	stale := 0
 	for i := 0; i < 200; i++ {
-		_, ver, err := e.Get("k")
+		_, ver, err := read(e, "k")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +115,7 @@ func TestEventualLostUpdatesUnderConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	v, _, _ := e.Get("n")
+	v, _, _ := read(e, "n")
 	got := binary.LittleEndian.Uint64(v)
 	st := e.Stats()
 	// final + LostUpdates == 400 does not hold: one clobbering commit
@@ -123,22 +152,19 @@ func TestStrongNoLostUpdatesUnderConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	v, _, _ := s.Get("n")
+	v, ver, _ := read(s, "n")
 	if got := binary.LittleEndian.Uint64(v); got != 400 {
 		t.Fatalf("strong store lost updates: %d != 400", got)
 	}
-	if !s.VerifyWAL() {
-		t.Fatal("WAL not serializable")
-	}
-	// 1 initial Set + 400 updates
-	if s.WALLen() != 401 {
-		t.Fatalf("WALLen = %d, want 401", s.WALLen())
+	// Serial order: 1 initial Set + 400 updates, each its own version.
+	if ver != 401 {
+		t.Fatalf("version = %d, want 401", ver)
 	}
 }
 
-func TestStrongGetMissing(t *testing.T) {
+func TestStrongViewMissing(t *testing.T) {
 	s := NewStrong()
-	if _, _, err := s.Get("missing"); err != ErrNotFound {
+	if _, _, err := read(s, "missing"); err != ErrNotFound {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -148,7 +174,7 @@ func TestStrongVersionsMonotonic(t *testing.T) {
 	var prev uint64
 	for i := 0; i < 10; i++ {
 		s.Set("k", []byte{byte(i)})
-		_, ver, err := s.Get("k")
+		_, ver, err := read(s, "k")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +209,7 @@ func TestLatencyCalibrationMatchesPaper(t *testing.T) {
 func TestModeledTimeAccumulates(t *testing.T) {
 	e := NewEventual(1, 0, 1)
 	e.Set("k", make([]byte, 1000))
-	e.Get("k")
+	read(e, "k")
 	if e.Stats().ModeledTime <= 0 {
 		t.Fatal("ModeledTime not accumulated")
 	}
@@ -197,7 +223,7 @@ func TestModeledTimeAccumulates(t *testing.T) {
 func TestStatsCounting(t *testing.T) {
 	e := NewEventual(2, 0, 3)
 	e.Set("a", []byte("xy"))
-	e.Get("a")
+	read(e, "a")
 	e.Update("a", func(old []byte) []byte { return append(old, 'z') })
 	st := e.Stats()
 	if st.Sets != 2 { // Set + the write half of Update
@@ -216,8 +242,8 @@ func TestStatsCounting(t *testing.T) {
 
 // TestUpdateAdoptsReturnedBuffer pins the ownership rule of Update on both
 // backends: old is a private copy, what f returns becomes the stored
-// value without another copy, Set and Get still copy, and the counters
-// read what they read when Update re-copied the value.
+// value without another copy, Set still copies, and the counters read
+// what they read when Update re-copied the value.
 func TestUpdateAdoptsReturnedBuffer(t *testing.T) {
 	for _, st := range []Store{NewEventual(1, 0, 1), NewStrong()} {
 		seed := []byte("abc")
@@ -229,14 +255,14 @@ func TestUpdateAdoptsReturnedBuffer(t *testing.T) {
 			handed = append(old, 'd')
 			return handed
 		})
-		got, _, err := st.Get("k")
+		got, _, err := read(st, "k")
 		if err != nil || string(got) != "aBcd" {
 			t.Fatalf("%s: stored %q (err %v), want \"aBcd\"", st.Name(), got, err)
 		}
-		got[0] = 'Y' // Get copied
+		got[0] = 'Y' // read cloned
 		handed[3] = 'D'
-		if got, _, _ = st.Get("k"); string(got) != "aBcD" {
-			t.Fatalf("%s: stored %q after writing through the slice f returned: Update copied it (or Get lent it)", st.Name(), got)
+		if got, _, _ = read(st, "k"); string(got) != "aBcD" {
+			t.Fatalf("%s: stored %q after writing through the slice f returned: Update copied it", st.Name(), got)
 		}
 		stats := st.Stats()
 		stats.ModeledTime = 0
@@ -261,15 +287,15 @@ func TestBackendsAgreeSequentiallyProperty(t *testing.T) {
 			case 1:
 				st.Update("k", func(old []byte) []byte { return append(old, op) })
 			case 2:
-				st.Get("k")
+				read(st, "k")
 			}
 		}
 		for _, op := range ops {
 			apply(e, op)
 			apply(s, op)
 		}
-		ev, _, eerr := e.Get("k")
-		sv, _, serr := s.Get("k")
+		ev, _, eerr := read(e, "k")
+		sv, _, serr := read(s, "k")
 		if (eerr == ErrNotFound) != (serr == ErrNotFound) {
 			return false
 		}

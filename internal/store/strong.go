@@ -1,32 +1,19 @@
 package store
 
-import (
-	"encoding/binary"
-	"hash/crc32"
-	"sync"
-)
+import "sync"
 
 // Strong is the MySQL stand-in: a strongly consistent store in which every
 // write is a serializable transaction. A single global commit lock orders
-// all read-modify-write cycles (no lost updates, ever) and each commit
-// appends a checksummed record to an in-memory write-ahead log, modelling
-// the durability work a relational engine performs per transaction.
+// all read-modify-write cycles, so no update is ever lost, and reads take
+// it too, so they always see the last commit.
 type Strong struct {
 	Profile LatencyProfile
 
 	mu   sync.Mutex
 	data map[string]entry
-	wal  []walRecord
+	free freeList
 
 	counter counter
-}
-
-// walRecord is one committed transaction in the write-ahead log.
-type walRecord struct {
-	seq uint64
-	key string
-	crc uint32
-	n   int
 }
 
 // NewStrong creates a strongly consistent store.
@@ -40,25 +27,27 @@ func NewStrong() *Strong {
 // Name implements Store.
 func (s *Strong) Name() string { return "strong" }
 
-// Get implements Store: reads are always current.
-func (s *Strong) Get(key string) ([]byte, uint64, error) {
+// View implements Store: reads are always current.
+func (s *Strong) View(key string, f func(value []byte, version uint64)) error {
 	s.mu.Lock()
 	ent, ok := s.data[key]
-	s.mu.Unlock()
 	if !ok {
-		return nil, 0, ErrNotFound
+		s.mu.Unlock()
+		return ErrNotFound
 	}
+	f(ent.value, ent.version)
+	s.mu.Unlock()
 	s.counter.add(func(st *Stats) {
 		st.Gets++
 		st.BytesRead += uint64(len(ent.value))
 		st.ModeledTime += s.Profile.Cost(len(ent.value))
 	})
-	return append([]byte(nil), ent.value...), ent.version, nil
+	return nil
 }
 
 // Set implements Store as a single-key transaction.
 func (s *Strong) Set(key string, value []byte) error {
-	v := append([]byte(nil), value...)
+	v := s.free.clone(value)
 	s.mu.Lock()
 	s.commitLocked(key, v)
 	s.mu.Unlock()
@@ -70,18 +59,13 @@ func (s *Strong) Set(key string, value []byte) error {
 	return nil
 }
 
-// commitLocked applies a write of v, which the store now owns, and
-// appends the WAL record. Callers hold mu.
+// commitLocked makes v, which the store now owns, the next version of
+// key. The version it replaces can no longer be viewed, so its buffer
+// goes to the free list. Callers hold mu.
 func (s *Strong) commitLocked(key string, v []byte) {
-	ver := s.data[key].version + 1
-	s.data[key] = entry{value: v, version: ver}
-	var seqb [8]byte
-	binary.LittleEndian.PutUint64(seqb[:], ver)
-	crc := crc32.NewIEEE()
-	crc.Write(seqb[:])
-	crc.Write([]byte(key))
-	crc.Write(v)
-	s.wal = append(s.wal, walRecord{seq: ver, key: key, crc: crc.Sum32(), n: len(v)})
+	prev := s.data[key]
+	s.data[key] = entry{value: v, version: prev.version + 1}
+	s.free.put(prev.value)
 }
 
 // Update implements Store as a serializable read-modify-write transaction:
@@ -90,8 +74,8 @@ func (s *Strong) commitLocked(key string, v []byte) {
 func (s *Strong) Update(key string, f func(old []byte) []byte) error {
 	s.mu.Lock()
 	old := s.data[key].value
-	nv := f(append([]byte(nil), old...))
-	s.commitLocked(key, nv)
+	nv := f(s.free.clone(old))
+	s.commitLocked(key, nv) // old goes to the free list here
 	s.mu.Unlock()
 	s.counter.add(func(st *Stats) {
 		st.Updates++
@@ -102,29 +86,6 @@ func (s *Strong) Update(key string, f func(old []byte) []byte) error {
 		st.ModeledTime += s.Profile.Cost(len(old)) + s.Profile.Cost(len(nv))
 	})
 	return nil
-}
-
-// WALLen returns the number of committed transactions (for tests and
-// reports).
-func (s *Strong) WALLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.wal)
-}
-
-// VerifyWAL recomputes nothing (values are not retained per record) but
-// checks the log is strictly ordered per key — the serializability witness.
-func (s *Strong) VerifyWAL() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	last := make(map[string]uint64)
-	for _, r := range s.wal {
-		if r.seq != last[r.key]+1 {
-			return false
-		}
-		last[r.key] = r.seq
-	}
-	return true
 }
 
 // Stats implements Store.

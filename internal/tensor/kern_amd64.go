@@ -15,6 +15,11 @@ func cpuHasAVX2() bool
 //go:noescape
 func axpy4AVX2(d, b *float64, n, w int, a0, a1, a2, a3 float64)
 
+// axpy1AVX2 adds one scaled row of b into d[0:w]: d[j] = d[j] + a·b[j].
+//
+//go:noescape
+func axpy1AVX2(d, b *float64, w int, a float64)
+
 // dotPanelAVX2 assigns the rows×8 block of dst (row stride n) from rows
 // of a (k long, contiguous) and bt, an 8-column panel of bᵀ packed as
 // bt[8p+c]. rows must be a multiple of 4.

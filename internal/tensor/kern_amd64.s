@@ -1,5 +1,6 @@
-// AVX2 inner loops of the three matmul range kernels (matmul.go) and of
-// the direct convolution's forward pass (conv.go).
+// AVX2 inner loops of the three matmul range kernels (matmul.go), of
+// their zero-skipping one-row axpy, and of the direct convolution's
+// forward pass (conv.go).
 //
 // The contract (DESIGN.md §13): a SIMD lane is a distinct output element
 // j; every element still takes its k products one at a time, in
@@ -147,6 +148,59 @@ axpy1:
 	JMP    axpy1
 
 axpydone:
+	VZEROUPPER
+	RET
+
+// func axpy1AVX2(d, b *float64, w int, a float64)
+//
+// d[j] = d[j] + a·b[j] for j in [0, w): 8, then 4, then 1 elements at a
+// time. The operand order is the one go1.24 compiles axpyRows' Go loop
+// di[j] += a*bv to — MULSD a into b, then ADDSD d into the product — so
+// where a NaN product meets a NaN d the product's payload survives on
+// both paths.
+TEXT ·axpy1AVX2(SB), NOSPLIT, $0-32
+	MOVQ d+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ w+16(FP), CX
+	VBROADCASTSD a+24(FP), Y8
+	XORQ BX, BX  // j
+
+one8:
+	LEAQ 8(BX), DX
+	CMPQ DX, CX
+	JGT  one4
+	VMOVUPD (SI)(BX*8), Y0
+	VMOVUPD 32(SI)(BX*8), Y1
+	VMULPD  Y8, Y0, Y0         // t = b·a
+	VMULPD  Y8, Y1, Y1
+	VADDPD  (DI)(BX*8), Y0, Y0 // t + d
+	VADDPD  32(DI)(BX*8), Y1, Y1
+	VMOVUPD Y0, (DI)(BX*8)
+	VMOVUPD Y1, 32(DI)(BX*8)
+	MOVQ    DX, BX
+	JMP     one8
+
+one4:
+	LEAQ 4(BX), DX
+	CMPQ DX, CX
+	JGT  one1
+	VMOVUPD (SI)(BX*8), Y0
+	VMULPD  Y8, Y0, Y0
+	VADDPD  (DI)(BX*8), Y0, Y0
+	VMOVUPD Y0, (DI)(BX*8)
+	MOVQ    DX, BX
+
+one1:
+	CMPQ BX, CX
+	JGE  onedone
+	VMOVSD (SI)(BX*8), X0
+	VMULSD X8, X0, X0
+	VADDSD (DI)(BX*8), X0, X0
+	VMOVSD X0, (DI)(BX*8)
+	INCQ   BX
+	JMP    one1
+
+onedone:
 	VZEROUPPER
 	RET
 

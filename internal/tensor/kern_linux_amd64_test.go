@@ -55,14 +55,17 @@ func (g guardedArena) tail(src []float64) (data, canary []float64) {
 // widths, k through the four-wide groups, m through the four-row panel.
 // An over-read or over-write faults; an under-read pulls a NaN canary
 // into the result and an under-write destroys one; and the result must
-// be the Go loops' bits. The direct convolution's convPanelAVX2 is held
-// to the same (checkConvPanelInBounds).
+// be the Go loops' bits. The direct convolution's convPanelAVX2 and
+// the one-row axpy1AVX2 are held to the same (checkConvPanelInBounds,
+// checkAxpy1InBounds).
 func TestSIMDKernelsStayInBounds(t *testing.T) {
 	if !cpuHasAVX2() {
 		t.Skip("CPU lacks AVX2")
 	}
 	defer func(prev bool) { useAVX2 = prev }(useAVX2)
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	checkConvPanelInBounds(t)
+	checkAxpy1InBounds(t)
 
 	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 72, 73}
 	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 71, 72, 73}
@@ -180,6 +183,43 @@ func checkConvPanelInBounds(t *testing.T) {
 						t.Fatalf("%s: canary %d before dst overwritten with %g", label, i, v)
 					}
 				}
+			}
+		}
+	}
+}
+
+// checkAxpy1InBounds calls axpy1AVX2 directly with d and b each ending
+// flush against a PROT_NONE page, for every width up to 73 — every
+// remainder class of its 8-, 4- and 1-wide steps, several times over.
+// The result must be the Go loop's bits, and the canaries before d must
+// survive; a NaN canary before b that was read would show in the bits.
+func checkAxpy1InBounds(t *testing.T) {
+	const maxW = 73
+	arenaD := newGuardedArena(t, maxW)
+	arenaB := newGuardedArena(t, maxW)
+	rng := rand.New(rand.NewSource(28))
+	for w := 1; w <= maxW; w++ {
+		d0, b := randTensor(rng, 1, w).Data, randTensor(rng, 1, w).Data
+		a := rng.NormFloat64()
+		want := append([]float64(nil), d0...)
+		for j, bv := range b {
+			want[j] += a * bv
+		}
+		dg, canary := arenaD.tail(d0)
+		bg, _ := arenaB.tail(b)
+		label := fmt.Sprintf("axpy1 w=%d", w)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: kernel left its operands: %v", label, r)
+				}
+			}()
+			axpy1AVX2(&dg[0], &bg[0], w, a)
+		}()
+		bitsEqual(t, label, FromSlice(dg, 1, w), FromSlice(want, 1, w))
+		for i, v := range canary {
+			if !math.IsNaN(v) {
+				t.Fatalf("%s: canary %d before d overwritten with %g", label, i, v)
 			}
 		}
 	}

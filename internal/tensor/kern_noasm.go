@@ -11,6 +11,10 @@ func axpy4AVX2(d, b *float64, n, w int, a0, a1, a2, a3 float64) {
 	panic("tensor: axpy4AVX2 without AVX2")
 }
 
+func axpy1AVX2(d, b *float64, w int, a float64) {
+	panic("tensor: axpy1AVX2 without AVX2")
+}
+
 func dotPanelAVX2(dst *float64, n int, a *float64, k int, bt *float64, rows int) {
 	panic("tensor: dotPanelAVX2 without AVX2")
 }

@@ -174,13 +174,18 @@ func matMulRange(dst, a, b []float64, lo, hi, k, n int, acc bool) {
 // axpyRows is the per-p loop of the axpy-form kernels: di += av[q] ·
 // (row q of b) for q ascending, skipping zero av. b starts at the first
 // row's tile column and rows are n apart. It serves the k mod 4 tail
-// and the groups that hold a zero.
+// and the groups that hold a zero — after a ReLU, most groups do — and
+// hands each row that is not skipped to axpy1AVX2 when it can.
 func axpyRows(di, av, b []float64, n int) {
 	for q, a := range av {
 		if a == 0 {
 			continue
 		}
 		bq := b[q*n : q*n+len(di)]
+		if useAVX2 {
+			axpy1AVX2(&di[0], &bq[0], len(di), a)
+			continue
+		}
 		for j, bv := range bq {
 			di[j] += a * bv
 		}

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -14,8 +15,13 @@ const convRows = 1600
 // matmulBenchShapes are (m, k, n) of the m×n result: the cubes, and the
 // conv layer's input-gradient / weight-gradient / forward product — one
 // per kernel, in the orientation that kernel is called with.
+// matMulReLUBenchShapes have an a operand that came out of a ReLU, about
+// half zeros, so almost every group of four p holds one and takes the
+// zero-skipping axpyRows: assim_storm's evaluator scores 16 samples
+// through the second layer of its [512, 128] MLP this way.
 var (
 	matMulBenchShapes       = [][3]int{{64, 64, 64}, {128, 128, 128}, {256, 256, 256}, {convRows, 8, 72}}
+	matMulReLUBenchShapes   = [][3]int{{16, 512, 128}}
 	matMulTransABenchShapes = [][3]int{{128, 128, 128}, {8, convRows, 72}}
 	matMulTransBBenchShapes = [][3]int{{128, 128, 128}, {convRows, 72, 8}}
 )
@@ -24,10 +30,17 @@ var (
 // scratch, the way the executor hot path calls it. operands maps
 // (m, k, n) to the kernel's two operand shapes. The pinned-zero alloc
 // guard in CI watches these benchmarks.
-func benchKernel(bm *testing.B, seed int64, shapes [][3]int, operands func(m, k, n int) (ar, ac, br, bc int), kernel func(dst, a, b *Tensor) *Tensor) {
-	for _, s := range shapes {
+// Shapes in relu get an a operand with its negative entries zeroed and
+// "-relu" after their name.
+func benchKernel(bm *testing.B, seed int64, shapes, relu [][3]int, operands func(m, k, n int) (ar, ac, br, bc int), kernel func(dst, a, b *Tensor) *Tensor) {
+	for i, s := range slices.Concat(shapes, relu) {
 		m, k, n := s[0], s[1], s[2]
-		bm.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(bm *testing.B) {
+		sparse := i >= len(shapes)
+		name := fmt.Sprintf("%dx%dx%d", m, k, n)
+		if sparse {
+			name += "-relu"
+		}
+		bm.Run(name, func(bm *testing.B) {
 			release := ReserveSerial()
 			defer release()
 			rng := rand.New(rand.NewSource(seed))
@@ -35,6 +48,9 @@ func benchKernel(bm *testing.B, seed int64, shapes [][3]int, operands func(m, k,
 			a, b := New(ar, ac), New(br, bc)
 			for i := range a.Data {
 				a.Data[i] = rng.NormFloat64()
+				if sparse && a.Data[i] < 0 {
+					a.Data[i] = 0
+				}
 			}
 			for i := range b.Data {
 				b.Data[i] = rng.NormFloat64()
@@ -52,15 +68,15 @@ func benchKernel(bm *testing.B, seed int64, shapes [][3]int, operands func(m, k,
 }
 
 func BenchmarkMatMulInto(bm *testing.B) {
-	benchKernel(bm, 1, matMulBenchShapes, func(m, k, n int) (int, int, int, int) { return m, k, k, n }, MatMulInto)
+	benchKernel(bm, 1, matMulBenchShapes, matMulReLUBenchShapes, func(m, k, n int) (int, int, int, int) { return m, k, k, n }, MatMulInto)
 }
 
 func BenchmarkMatMulTransAInto(bm *testing.B) {
-	benchKernel(bm, 2, matMulTransABenchShapes, func(m, k, n int) (int, int, int, int) { return k, m, k, n }, MatMulTransAInto)
+	benchKernel(bm, 2, matMulTransABenchShapes, nil, func(m, k, n int) (int, int, int, int) { return k, m, k, n }, MatMulTransAInto)
 }
 
 func BenchmarkMatMulTransBInto(bm *testing.B) {
-	benchKernel(bm, 3, matMulTransBBenchShapes, func(m, k, n int) (int, int, int, int) { return m, k, n, k }, MatMulTransBInto)
+	benchKernel(bm, 3, matMulTransBBenchShapes, nil, func(m, k, n int) (int, int, int, int) { return m, k, n, k }, MatMulTransBInto)
 }
 
 // convBenchGeoms are the lowering benchmarks' geometries (3×3, stride 1,

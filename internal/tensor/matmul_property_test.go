@@ -380,6 +380,82 @@ func testMatMulZeroSkipInsideGroups(t *testing.T) {
 	}
 }
 
+// TestAxpyRowsMatchesGoLoop holds axpyRows — the zero-skipping per-row
+// axpy that ReLU-sparse groups take, through axpy1AVX2 on the avx2
+// path — to its own Go loop and to a naive one, for tile widths through
+// every remainder class of the 8-, 4- and 1-wide steps. Coefficients
+// include 0 and −0.0 (skipped: the ±Inf and NaN in their rows of b must
+// not reach d), ±Inf and NaN; d and b hold NaNs of random payloads, ±Inf
+// and signed zeros. Where two NaNs meet x86 keeps the first operand's
+// payload, and which operand comes first in a Go loop is the compiler's
+// choice: the naive loop here is compiled the other way round, and the
+// race detector's build differs again (see
+// TestConvMatchesLoweredReference). So against the naive loop NaNs
+// compare by class, and against axpyRows' own Go loop — the reference
+// the AVX2 routine mirrors — by payload too, in a plain build.
+func TestAxpyRowsMatchesGoLoop(t *testing.T) { onBothPaths(t, testAxpyRowsMatchesGoLoop) }
+
+func testAxpyRowsMatchesGoLoop(t *testing.T) {
+	payloads := !raceBuild()
+	rng := rand.New(rand.NewSource(17))
+	negZero := math.Copysign(0, -1)
+	special := func() float64 {
+		switch rng.Intn(10) {
+		case 0:
+			return randomNaN(rng)
+		case 1:
+			return math.Inf(2*rng.Intn(2) - 1)
+		case 2:
+			return negZero
+		case 3:
+			return 0
+		}
+		return rng.NormFloat64()
+	}
+	same := func(got, want float64, byClass bool) bool {
+		return math.Float64bits(got) == math.Float64bits(want) || byClass && math.IsNaN(got) && math.IsNaN(want)
+	}
+	for _, w := range []int{1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 31, 72, 73, 256} {
+		for trial := 0; trial < 20; trial++ {
+			const rows, n = 4, 300
+			av := make([]float64, rows)
+			for q := range av {
+				av[q] = special()
+			}
+			b := make([]float64, rows*n)
+			for i := range b {
+				b[i] = special()
+			}
+			d := make([]float64, w)
+			for j := range d {
+				d[j] = special()
+			}
+			naive := append([]float64(nil), d...)
+			for q, a := range av {
+				if a == 0 {
+					continue
+				}
+				for j := range naive {
+					naive[j] += a * b[q*n+j]
+				}
+			}
+			goLoop := append([]float64(nil), d...)
+			func(prev bool) {
+				defer func() { useAVX2 = prev }()
+				useAVX2 = false
+				axpyRows(goLoop, av, b, n)
+			}(useAVX2)
+			axpyRows(d, av, b, n)
+			for j := range d {
+				if !same(d[j], goLoop[j], !payloads) || !same(d[j], naive[j], true) {
+					t.Fatalf("w=%d trial %d av=%v: element %d = %x, Go loop %x, naive loop %x", w, trial, av, j,
+						math.Float64bits(d[j]), math.Float64bits(goLoop[j]), math.Float64bits(naive[j]))
+				}
+			}
+		}
+	}
+}
+
 // TestMatMulSignedZeroOperands draws operands from {−0.0, +0.0, ±1}:
 // sums of signed zeros are where an accumulator that did not start at
 // +0.0, or a reordered add, would flip a sign bit.

@@ -11,7 +11,8 @@ import (
 // than the input it was given, plus a small constant, on the way to
 // saying no. The seed corpora under testdata/fuzz hold a valid blob, a
 // truncated one, a huge-count header and a bad checksum for each
-// target, and a blob in the retired gzip frame for the parameter ones.
+// target, a blob in the retired gzip frame for the parameter ones, and
+// a bad magic for the checkpoint one.
 
 // fuzzAllocSlack covers what a decode allocates beyond the vector its
 // input holds: the vector's rounding up to a heap size class or page
@@ -85,6 +86,37 @@ func FuzzDecodeRaw(f *testing.F) {
 		}
 		if !bytes.Equal(EncodeRaw(params), blob) {
 			t.Fatal("accepted raw blob does not re-encode to itself")
+		}
+	})
+}
+
+// FuzzDecodeCheckpoint takes a VCK1 frame as the parameter store lends
+// it to ps.Group.LatestCheckpoint, which decodes inside the store's
+// View callback. Beyond no panic and bounded allocation, an accepted
+// vector must not alias the input — the store reuses that memory once
+// the callback returns — so the input is scribbled over after the
+// decode, and the vector must still encode back to the original frame.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		lent := bytes.Clone(blob)
+		var (
+			epoch  int
+			params []float64
+			err    error
+		)
+		checkAlloc(t, lent, func() { epoch, params, err = DecodeCheckpoint(lent) })
+		if err != nil {
+			return
+		}
+		for i := range lent {
+			lent[i] = 0xA5
+		}
+		again, err := EncodeCheckpoint(epoch, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, blob) {
+			t.Fatal("accepted checkpoint does not re-encode to its frame once the input is overwritten: the vector aliases the input")
 		}
 	})
 }
