@@ -67,6 +67,11 @@ type serveOptions struct {
 	// ready, when non-nil, receives the server's base URL once it is
 	// accepting requests.
 	ready chan<- string
+	// epochClosed, when non-nil, is called with each epoch that closes,
+	// before the next epoch's work exists. It runs under the scheduler's
+	// lock, so it must neither block nor call into the server. Tests stop
+	// their clients in it, so no further epoch can close.
+	epochClosed func(epoch int)
 }
 
 func main() {
@@ -193,6 +198,9 @@ func serve(opts serveOptions, out io.Writer) (core.RunResult, error) {
 		fmt.Fprintf(out, "observability: %s/metrics (Prometheus), %s/debug/vars (JSON), %s/debug/pprof\n",
 			srv.URL(), srv.URL(), srv.URL())
 	}
+	if opts.epochClosed != nil {
+		srv.D.Server().Scheduler(func(s *boinc.Scheduler) { s.AddSink(epochSink(opts.epochClosed)) })
+	}
 	if opts.ready != nil {
 		opts.ready <- srv.URL()
 	}
@@ -250,6 +258,20 @@ func serve(opts serveOptions, out io.Writer) (core.RunResult, error) {
 				reportNew(out, &seen, res)
 			}
 		}
+	}
+}
+
+// epochSink calls its function with epoch e when the first workunit of
+// epoch e+1 is created, which the job does only once epoch e closed.
+type epochSink func(epoch int)
+
+func (f epochSink) OnSchedEvent(e boinc.SchedEvent) {
+	if e.Kind != boinc.EvCreated {
+		return
+	}
+	var next int
+	if _, err := fmt.Sscanf(e.WUName, "train_e%d_s000", &next); err == nil {
+		f(next - 1)
 	}
 }
 

@@ -111,56 +111,67 @@ func TestServeSigtermCheckpointResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "server.ckpt")
 	opts := tinyOpts()
 	opts.epochs = 4
-	// Long enough epochs that the SIGTERM lands mid-run: serve reports
-	// epochs on a 100 ms tick and this test polls its output every
-	// 50 ms, so the first report can reach the test 150 ms after epoch 1
-	// closed, and four epochs must take longer than that.
-	opts.subtasks = 30
 	opts.checkpoint = ckpt
 	stop := make(chan os.Signal, 1)
 	opts.stop = stop
-	var out lockedWriter
-	url, errc := startServe(t, opts, &out)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
-	defer cancel()
-	clientCtx, stopClients := context.WithCancel(ctx)
-	for _, id := range []string{"c0", "c1"} {
-		cfg := live.ClientConfig{ID: id, ServerURL: url, Slots: 2, Poll: 10 * time.Millisecond}
-		go live.RunClient(clientCtx, cfg)
-	}
-
-	// Interrupt once the first epoch has closed, so the checkpoint has
-	// progress worth resuming.
-	deadline := time.After(60 * time.Second)
-	for !strings.Contains(out.String(), "epoch  1") {
-		select {
-		case <-deadline:
-			t.Fatalf("epoch 1 never closed:\n%s", out.String())
-		case <-time.After(50 * time.Millisecond):
+	var clients sync.WaitGroup
+	defer func() { cancel(); clients.Wait() }()
+	run := func(ctx context.Context, url string, ids ...string) {
+		for _, id := range ids {
+			cfg := live.ClientConfig{ID: id, ServerURL: url, Slots: 2, Poll: 10 * time.Millisecond}
+			clients.Add(1)
+			go func() {
+				defer clients.Done()
+				live.RunClient(ctx, cfg)
+			}()
 		}
 	}
+	// The interrupt comes once epoch 1 has closed, so the checkpoint has
+	// progress worth resuming. The clients stop inside the hook, before
+	// epoch 2's work exists, so no later epoch can close first.
+	clientCtx, stopClients := context.WithCancel(ctx)
+	closed := make(chan int, 1)
+	var once sync.Once
+	opts.epochClosed = func(epoch int) {
+		once.Do(func() {
+			stopClients()
+			closed <- epoch
+		})
+	}
+	var out lockedWriter
+	url, errc := startServe(t, opts, &out)
+	run(clientCtx, url, "c0", "c1")
+	select {
+	case epoch := <-closed:
+		if epoch != 1 {
+			t.Fatalf("first epoch to close = %d, want 1", epoch)
+		}
+	case err := <-errc:
+		t.Fatalf("serve returned before epoch 1 closed (err %v):\n%s", err, out.String())
+	case <-ctx.Done():
+		t.Fatalf("epoch 1 never closed:\n%s", out.String())
+	}
+	clients.Wait()
 	stop <- syscall.SIGTERM
 	if err := <-errc; err != nil {
 		t.Fatalf("interrupted serve: %v", err)
 	}
-	stopClients()
 	if !strings.Contains(out.String(), "interrupted: checkpoint written to") {
 		t.Fatalf("no shutdown checkpoint reported:\n%s", out.String())
 	}
 	epoch, params, err := core.LoadCheckpoint(ckpt)
-	if err != nil || epoch < 1 || len(params) == 0 {
-		t.Fatalf("checkpoint unreadable: epoch %d, %d params, err %v", epoch, len(params), err)
+	if err != nil || epoch != 1 || len(params) == 0 {
+		t.Fatalf("checkpoint: epoch %d (want 1), %d params, err %v", epoch, len(params), err)
 	}
 
 	// Restart with the same checkpoint file: the run resumes at epoch+1
 	// and still stops at the absolute 4-epoch budget.
+	opts.epochClosed = nil
 	var out2 lockedWriter
 	url2, errc2 := startServe(t, opts, &out2)
-	for _, id := range []string{"c2", "c3"} {
-		cfg := live.ClientConfig{ID: id, ServerURL: url2, Slots: 2, Poll: 10 * time.Millisecond}
-		go live.RunClient(ctx, cfg)
-	}
+	run(ctx, url2, "c2", "c3")
 	select {
 	case err := <-errc2:
 		if err != nil {

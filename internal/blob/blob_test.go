@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -399,6 +400,51 @@ func TestParseRange(t *testing.T) {
 				c.h, c.size, start, end, ok, c.start, c.end, c.ok)
 		}
 	}
+}
+
+// FuzzParseRange feeds parseRange the Range header a volunteer sends.
+// Whatever it is, parseRange must not panic, and a range it accepts must
+// lie inside the blob: 0 <= start <= end < size. The one exception is
+// the empty header on an empty blob, which accepts the whole (empty)
+// blob as 0..-1, and ServeHTTP sends zero bytes for it.
+func FuzzParseRange(f *testing.F) {
+	for _, seed := range []struct {
+		h    string
+		size int64
+	}{
+		{"", 0},
+		{"", 100},
+		{"bytes=0-", 100},
+		{"bytes=50-", 100},
+		{"bytes=10-19", 100},
+		{"bytes=10-500", 100},
+		{"bytes=0-10,20-30", 100},
+		{"bytes=-50", 100},
+		{"bytes=-5--3", 100},
+		{"bytes=5-3", 100},
+		{"bytes=99999999999999999999-", 100},
+		{"bytes=0-99999999999999999999", 100},
+		{"bytes=0-9223372036854775807", math.MaxInt64},
+		{"bytes=100-", 100},
+		{"bytes=0-", 0},
+	} {
+		f.Add(seed.h, seed.size)
+	}
+	f.Fuzz(func(t *testing.T, h string, size int64) {
+		if size < 0 {
+			t.Skip("a blob's size is a length")
+		}
+		start, end, ok := parseRange(h, size)
+		switch {
+		case !ok:
+		case h == "" && size == 0:
+			if start != 0 || end != -1 {
+				t.Fatalf("parseRange(%q, 0) = %d..%d, want the empty whole 0..-1", h, start, end)
+			}
+		case start < 0 || start > end || end >= size:
+			t.Fatalf("parseRange(%q, %d) = %d..%d: outside the blob", h, size, start, end)
+		}
+	})
 }
 
 func TestFetchConcurrent(t *testing.T) {

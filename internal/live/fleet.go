@@ -130,13 +130,12 @@ type Fleet struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu             sync.Mutex
-	members        []*member
-	nextID         int
-	preempt        float64
-	rttOverride    map[cloud.Region]float64 // virtual seconds
-	timeoutVirtual float64
-	maxPS          int
+	mu          sync.Mutex
+	members     []*member
+	nextID      int
+	preempt     float64
+	rttOverride map[cloud.Region]float64 // virtual seconds
+	maxPS       int
 	// blobRoot holds the per-member blob cache directories when the data
 	// plane is on; removed on Close.
 	blobRoot string
@@ -225,17 +224,16 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 		"clients", len(cfg.Fleet), "timescale", scale, "metrics", cfg.Server.Metrics != nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Fleet{
-		cfg:            cfg,
-		srv:            srv,
-		scale:          scale,
-		start:          start,
-		ctx:            ctx,
-		cancel:         cancel,
-		preempt:        cfg.Preempt,
-		rttOverride:    make(map[cloud.Region]float64),
-		timeoutVirtual: cfg.TimeoutVirtual,
-		maxPS:          cfg.Server.PServers,
-		blobRoot:       blobRoot,
+		cfg:         cfg,
+		srv:         srv,
+		scale:       scale,
+		start:       start,
+		ctx:         ctx,
+		cancel:      cancel,
+		preempt:     cfg.Preempt,
+		rttOverride: make(map[cloud.Region]float64),
+		maxPS:       cfg.Server.PServers,
+		blobRoot:    blobRoot,
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -273,6 +271,12 @@ func (f *Fleet) VirtualHours() float64 {
 	return time.Since(f.start).Seconds() / f.scale / 3600
 }
 
+// deadline returns the scheduler's default timeout, in wall seconds.
+func (f *Fleet) deadline() (wall float64) {
+	f.srv.D.Server().Scheduler(func(s *boinc.Scheduler) { wall = s.Config().DefaultTimeout })
+	return wall
+}
+
 // controlLocked computes the shaping a member should currently receive.
 func (f *Fleet) controlLocked(m *member) boinc.ClientControl {
 	rtt, ok := f.rttOverride[m.inst.Region]
@@ -292,7 +296,7 @@ func (f *Fleet) controlLocked(m *member) boinc.ClientControl {
 		MinTaskSeconds:     f.cfg.BaseSubtaskSeconds * (cloud.ClientB.ClockGHz / m.inst.ClockGHz) * contention * f.scale,
 		SlowFactor:         m.slow,
 		PreemptProb:        f.preempt,
-		PreemptHoldSeconds: (f.timeoutVirtual + 1) * f.scale,
+		PreemptHoldSeconds: f.deadline() + f.scale, // one virtual second past it
 		RTTSeconds:         rtt * f.scale,
 		Detach:             m.detached,
 		Byzantine:          m.byzantine,
@@ -404,17 +408,25 @@ func (f *Fleet) departLocked(m *member, graceful bool) {
 	f.dropLocked(m)
 }
 
+// activeLocked returns the active member with the given ID, or nil.
+func (f *Fleet) activeLocked(id string) *member {
+	for _, m := range f.members {
+		if m.id == id && !m.departed {
+			return m
+		}
+	}
+	return nil
+}
+
 // departByID retires the named member, if active.
 func (f *Fleet) departByID(id string, graceful bool) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, m := range f.members {
-		if m.id == id && !m.departed {
-			f.departLocked(m, graceful)
-			return true
-		}
+	m := f.activeLocked(id)
+	if m != nil {
+		f.departLocked(m, graceful)
 	}
-	return false
+	return m != nil
 }
 
 // departLIFO retires the n most recently joined active members.
@@ -520,23 +532,12 @@ func (f *Fleet) SlowClient(id string, factor float64) bool {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, m := range f.members {
-		if m.id == id && !m.departed {
-			m.slow = factor
-			f.pushControlLocked(m)
-			return true
-		}
+	m := f.activeLocked(id)
+	if m != nil {
+		m.slow = factor
+		f.pushControlLocked(m)
 	}
-	return false
-}
-
-// SlowClientAt slows the i-th active client (0-based).
-func (f *Fleet) SlowClientAt(i int, factor float64) (string, bool) {
-	ids := f.ActiveClients()
-	if i < 0 || i >= len(ids) {
-		return "", false
-	}
-	return ids[i], f.SlowClient(ids[i], factor)
+	return m != nil
 }
 
 // SetPreemptProb hot-changes the fleet-wide preemption probability.
@@ -556,12 +557,10 @@ func (f *Fleet) SetPreemptProb(p float64) {
 // PreemptModel returns the §IV-E binomial model for the current
 // deployment, in virtual time like the simulator's.
 func (f *Fleet) PreemptModel(p float64) cloud.PreemptModel {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return cloud.PreemptModel{
 		P:               p,
 		TaskExecSeconds: f.cfg.BaseSubtaskSeconds,
-		TimeoutSeconds:  f.timeoutVirtual,
+		TimeoutSeconds:  f.deadline() / f.scale,
 	}
 }
 
@@ -606,104 +605,45 @@ func (f *Fleet) SetPServers(n int) {
 	f.mu.Unlock()
 }
 
-// SetTimeout hot-changes the result deadline (virtual seconds): future
-// (re)issues use the new deadline; already-issued results keep theirs.
-func (f *Fleet) SetTimeout(seconds float64) {
-	if seconds <= 0 {
-		return
-	}
+// Scheduler, ClientSummaries, PolicyName and TimeScale are the ops seam
+// (ops.Scheduled) over the project server's scheduler, which runs on
+// the wall clock, scale wall seconds per virtual second.
+func (f *Fleet) Scheduler(fn func(*boinc.Scheduler))    { f.srv.D.Server().Scheduler(fn) }
+func (f *Fleet) ClientSummaries() []boinc.ClientSummary { return f.srv.D.Server().ClientSummaries() }
+func (f *Fleet) PolicyName() string                     { return f.srv.D.Server().PolicyName() }
+func (f *Fleet) TimeScale() float64                     { return f.scale }
+
+// Retimed re-pushes every client's shaping after the ops core changed
+// the deadline: the preempt hold must outlast it.
+func (f *Fleet) Retimed() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.timeoutVirtual = seconds
-	wall := seconds * f.scale
-	f.srv.D.Server().Scheduler(func(s *boinc.Scheduler) {
-		s.SetDefaultTimeout(wall)
-		s.RetimePending(wall)
-	})
-	f.pushAllLocked() // preempt hold tracks the deadline
-}
-
-// SetReliabilityFloor hot-changes the retry reliability gate.
-func (f *Fleet) SetReliabilityFloor(floor float64) {
-	f.srv.D.Server().Scheduler(func(s *boinc.Scheduler) { s.SetReliabilityFloor(floor) })
-}
-
-// SetPolicy hot-swaps the scheduler's assignment policy.
-func (f *Fleet) SetPolicy(p boinc.Policy) {
-	f.srv.D.Server().Scheduler(func(s *boinc.Scheduler) { s.SetPolicy(p) })
-}
-
-// PolicyName reports the active assignment policy.
-func (f *Fleet) PolicyName() string {
-	return f.srv.D.Server().PolicyName()
-}
-
-// Cordon quarantines (on=true) or releases (on=false) an active client:
-// the scheduler answers its work requests with nothing while in-flight
-// results complete or expire normally.
-func (f *Fleet) Cordon(id string, on bool) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, m := range f.members {
-		if m.id == id && !m.departed {
-			f.srv.D.Server().Scheduler(func(s *boinc.Scheduler) { s.SetCordoned(id, on) })
-			f.cfg.Log.Info("client cordon", "client", id, "on", on)
-			return true
-		}
-	}
-	return false
+	f.pushAllLocked()
 }
 
 // SetByzantine switches an active client's adversarial behavior mid-run
-// ("" or "off" restores honesty). The change reaches the daemon through
+// ("" restores honesty). The change reaches the daemon through
 // ClientControl in its next scheduler reply.
 func (f *Fleet) SetByzantine(id, behavior string) bool {
-	if behavior == "off" {
-		behavior = ""
-	}
-	if behavior != "" && !boinc.ValidByzantine(behavior) {
-		return false
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, m := range f.members {
-		if m.id == id && !m.departed {
-			m.byzantine = behavior
-			f.pushControlLocked(m)
-			f.cfg.Log.Info("client byzantine", "client", id, "behavior", behavior)
-			return true
-		}
+	m := f.activeLocked(id)
+	if m != nil {
+		m.byzantine = behavior
+		f.pushControlLocked(m)
+		f.cfg.Log.Info("client byzantine", "client", id, "behavior", behavior)
 	}
-	return false
+	return m != nil
 }
 
-// KnownClient reports whether a client id ever existed in this fleet,
-// departed or not.
-func (f *Fleet) KnownClient(id string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, m := range f.members {
-		if m.id == id {
-			return true
-		}
-	}
-	return false
-}
-
-// ClientStatus assembles the rich per-client view the ops admin API
-// serves: fleet-side shaping joined with the scheduler's live state.
+// ClientStatus lists every member, departed ones included, with its
+// placement, shaping and pacing (ops.Lister).
 func (f *Fleet) ClientStatus() []ops.ClientStatus {
-	sums := f.srv.D.Server().ClientSummaries()
-	byID := make(map[string]boinc.ClientSummary, len(sums))
-	for _, s := range sums {
-		byID[s.ID] = s
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]ops.ClientStatus, 0, len(f.members))
 	for _, m := range f.members {
-		sum, seen := byID[m.id]
-		cs := ops.ClientStatus{
+		out = append(out, ops.ClientStatus{
 			ID:          m.id,
 			Instance:    m.inst.Name,
 			Region:      string(m.inst.Region),
@@ -713,15 +653,7 @@ func (f *Fleet) ClientStatus() []ops.ClientStatus {
 			SlowFactor:  m.slow,
 			Slots:       f.cfg.TasksPerClient,
 			PaceSeconds: f.controlLocked(m).MinTaskSeconds,
-			Reliability: 1,
-		}
-		if seen {
-			cs.Cordoned = sum.Cordoned
-			cs.Reliability = sum.Reliability
-			cs.InFlight = sum.InFlight
-			cs.CachedFiles = sum.CachedFiles
-		}
-		out = append(out, cs)
+		})
 	}
 	return out
 }

@@ -11,11 +11,13 @@
 package live
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"time"
 
 	"vcdl/internal/blob"
@@ -23,6 +25,7 @@ import (
 	"vcdl/internal/core"
 	"vcdl/internal/data"
 	"vcdl/internal/obs"
+	"vcdl/internal/ops"
 	"vcdl/internal/store"
 )
 
@@ -166,6 +169,102 @@ func (s *Server) Blobs() *blob.Service { return s.D.Server().Blobs() }
 
 // Close stops accepting connections.
 func (s *Server) Close() error { return s.hs.Close() }
+
+// EnableOps mounts the /ops admin API over this server and returns its
+// core. vcdl-server calls it for its standalone deployment; a Fleet
+// mounts its own core on the same path instead, so the two must not
+// both register.
+func (s *Server) EnableOps() *ops.Core {
+	c := ops.NewCore(serverTarget{s.D.Server(), s.D}, s.Metrics())
+	s.D.Server().Handle("/ops/", c.Handler())
+	return c
+}
+
+// serverTarget is the ops target of a standalone project server. Its
+// volunteers are other people's processes, which it can neither spawn
+// nor revive, so it has no Churner or Rejoiner and the core counts
+// those verbs as failures. The embedded *boinc.Server supplies the
+// ops.Scheduled seam; what is left is shaping and drain through the
+// ClientControl channel, and PS resizing.
+type serverTarget struct {
+	*boinc.Server
+	d *core.Distributed
+}
+
+// TimeScale is 1: a standalone server has no virtual clock.
+func (serverTarget) TimeScale() float64 { return 1 }
+
+// ActiveClients lists, by ID, the clients the scheduler has heard from
+// and not written off.
+func (t serverTarget) ActiveClients() []string {
+	var ids []string
+	for _, s := range t.ClientSummaries() {
+		if !s.Gone {
+			ids = append(ids, s.ID)
+		}
+	}
+	return ids
+}
+
+// control changes an active client's shaping; the daemon picks it up
+// with its next scheduler reply.
+func (t serverTarget) control(id string, mutate func(*boinc.ClientControl)) bool {
+	if !slices.Contains(t.ActiveClients(), id) {
+		return false
+	}
+	ctl := t.ClientControlFor(id)
+	mutate(&ctl)
+	t.SetClientControl(id, ctl)
+	return true
+}
+
+func (t serverTarget) SlowClient(id string, factor float64) bool {
+	return t.control(id, func(ctl *boinc.ClientControl) { ctl.SlowFactor = factor })
+}
+
+func (t serverTarget) SetByzantine(id, behavior string) bool {
+	return t.control(id, func(ctl *boinc.ClientControl) { ctl.Byzantine = behavior })
+}
+
+func (t serverTarget) DetachClient(id string) bool {
+	return t.control(id, func(ctl *boinc.ClientControl) { ctl.Detach = true })
+}
+
+// DetachClients drains the last n active clients in ID order (a
+// standalone server has no join order to prefer).
+func (t serverTarget) DetachClients(n int) []string {
+	ids := t.ActiveClients()
+	var gone []string
+	for _, id := range ids[len(ids)-min(n, len(ids)):] {
+		if t.DetachClient(id) {
+			gone = append(gone, id)
+		}
+	}
+	return gone
+}
+
+func (t serverTarget) PServers() int     { return t.d.PServers() }
+func (t serverTarget) SetPServers(n int) { t.d.SetPServers(n) }
+
+// ClientStatus lists every client the scheduler knows with the shaping
+// installed for it. Instance and region stay empty: volunteers are
+// remote processes whose hardware the server never learns.
+func (t serverTarget) ClientStatus() []ops.ClientStatus {
+	sums := t.ClientSummaries()
+	out := make([]ops.ClientStatus, 0, len(sums))
+	for _, s := range sums {
+		ctl := t.ClientControlFor(s.ID)
+		out = append(out, ops.ClientStatus{
+			ID:          s.ID,
+			Active:      !s.Gone,
+			Detached:    ctl.Detach,
+			Byzantine:   ctl.Byzantine,
+			SlowFactor:  cmp.Or(ctl.SlowFactor, 1),
+			PaceSeconds: ctl.MinTaskSeconds,
+		})
+	}
+	return out
+}
 
 // ClientConfig describes one volunteer client daemon.
 type ClientConfig struct {

@@ -10,6 +10,12 @@ import (
 	"vcdl/internal/cloud"
 )
 
+// MaxPServers bounds POST /ops/ps. A resize appends the servers one by
+// one under the pool's lock, so an unbounded n lets a single request
+// allocate without limit. 64 is over ten times the largest pool the
+// paper runs (P5).
+const MaxPServers = 64
+
 // Handler returns the admin API for this core, with every route under
 // /ops/ so it mounts directly on the live server mux:
 //
@@ -24,7 +30,7 @@ import (
 //	POST /ops/clients/{id}/byzantine?behavior=B   adversarial toggle ("off" restores)
 //	POST /ops/join?inst=I&region=R         add a client
 //	POST /ops/policy?name=N[&arg=K]        hot-swap scheduler policy
-//	POST /ops/ps?n=N                       resize the parameter-server pool
+//	POST /ops/ps?n=N                       resize the parameter-server pool (N ≤ MaxPServers)
 //	POST /ops/tune?timeout=S&floor=F&preempt=P   any subset of knobs
 //
 // Mutations are POST-only; every applied action lands in
@@ -62,8 +68,8 @@ func (c *Core) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /ops/ps", func(w http.ResponseWriter, r *http.Request) {
 		n, err := strconv.Atoi(r.FormValue("n"))
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "ps: want n=<positive int>")
+		if err != nil || n < 1 || n > MaxPServers {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("ps: want n=<1..%d>", MaxPServers))
 			return
 		}
 		c.SetPServers(n)
@@ -131,7 +137,7 @@ func (c *Core) handleClientAction(w http.ResponseWriter, r *http.Request) {
 		ok = c.SlowClient(id, factor)
 	case "byzantine":
 		behavior := r.FormValue("behavior")
-		if behavior != "" && behavior != "off" && !boinc.ValidByzantine(behavior) {
+		if _, ok := NormalizeByzantine(behavior); !ok {
 			httpError(w, http.StatusBadRequest,
 				fmt.Sprintf("byzantine: unknown behavior %q (want one of %v, or off)", behavior, boinc.ByzantineBehaviors))
 			return

@@ -4,15 +4,19 @@
 // — the HTTP admin API mounted on the live server mux (/ops/...), the
 // interactive `vcdl-scenario ops` CLI that drives that API over the
 // wire, and scenario events, which the engine routes through the same
-// Core. The Core wraps an engine target (*live.Fleet or *vcsim.Sim)
-// behind capability interfaces, delegates every action to the existing
-// plumbing (boinc.ClientControl, live.Fleet churn, ps.Group.Resize) and
-// counts it in the vcdl_ops_* metric families. Counting is passive
+// Core. The Core wraps an engine target (*vcsim.Sim, *live.Fleet or a
+// standalone live server) behind capability interfaces. The verbs that
+// act on the BOINC scheduler are implemented here, once, over the
+// Scheduled seam; the rest delegate to the engine's own plumbing
+// (boinc.ClientControl, live.Fleet churn, ps.Group.Resize). Every verb
+// is counted in the vcdl_ops_* metric families. Counting is passive
 // under the non-perturbation contract: wrapping a simulator in a Core
 // never changes its golden trace.
 package ops
 
 import (
+	"slices"
+
 	"vcdl/internal/boinc"
 	"vcdl/internal/cloud"
 	"vcdl/internal/obs"
@@ -33,7 +37,6 @@ type Churner interface {
 // Slower is straggler injection.
 type Slower interface {
 	SlowClient(id string, factor float64) bool
-	SlowClientAt(i int, factor float64) (string, bool)
 }
 
 // Shaper is fleet-wide environment shaping: preemption storms, regional
@@ -47,31 +50,42 @@ type Shaper interface {
 	ClearRegionRTT(region cloud.Region)
 }
 
-// Tuner is scheduler tuning: result deadline and retry reliability gate.
-type Tuner interface {
-	SetTimeout(seconds float64)
-	SetReliabilityFloor(floor float64)
-}
-
 // PSResizer is parameter-server pool control.
 type PSResizer interface {
 	PServers() int
 	SetPServers(n int)
 }
 
-// PolicySwapper is scheduler-policy hot swap.
-type PolicySwapper interface {
-	SetPolicy(p boinc.Policy)
+// Scheduled is the seam every scheduler-scoped verb goes through: the
+// engine's BOINC scheduler, reached the way *boinc.Server exposes it,
+// and the clock that scheduler runs on. Cordon, policy swap, deadline,
+// reliability floor and the scheduler half of the listing are
+// implemented once, in Core, over this seam.
+type Scheduled interface {
+	// Scheduler runs f on the scheduler (on every shard of a striped one).
+	Scheduler(f func(*boinc.Scheduler))
+	ClientSummaries() []boinc.ClientSummary
 	PolicyName() string
+	// TimeScale is the scheduler's seconds per virtual second: a live
+	// fleet's wall-clock scale, 1 for the simulator and a standalone
+	// server.
+	TimeScale() float64
 }
 
-// Cordoner quarantines a client (no new work) and releases it again.
-type Cordoner interface {
-	Cordon(id string, on bool) bool
+// Waker lets a client the core just uncordoned ask for work again (a
+// simulated client that is idle requests work only when poked).
+type Waker interface {
+	Wake(id string)
 }
 
-// Byzantiner switches a client's adversarial behavior (see
-// boinc.ByzantineBehaviors; "" or "off" restores honesty).
+// Retimer follows a change of the scheduler's deadline (a live fleet
+// re-pushes the preempt hold, which must outlast the deadline).
+type Retimer interface {
+	Retimed()
+}
+
+// Byzantiner switches a client's adversarial behavior. The core hands
+// it only normalised behaviors (see NormalizeByzantine): "" is honest.
 type Byzantiner interface {
 	SetByzantine(id, behavior string) bool
 }
@@ -93,14 +107,11 @@ type BlobKiller interface {
 	SetBlobKill(n int64) bool
 }
 
-// Lister provides the rich per-client view for the admin API.
+// Lister lists every client the engine ever had, departed ones
+// included, with the fields only the engine knows (placement, shaping,
+// pacing). The core joins in the scheduler's view.
 type Lister interface {
 	ClientStatus() []ClientStatus
-}
-
-// Knower reports whether a client id ever existed, departed or not.
-type Knower interface {
-	KnownClient(id string) bool
 }
 
 // ClientStatus is one client's live state as the ops plane reports it:
@@ -170,6 +181,29 @@ func (c *Core) counted(action string, ok bool) bool {
 	return ok
 }
 
+// apply counts action and runs f on the target's capability T, or
+// counts a failure when the target lacks it.
+func apply[T any](c *Core, action string, f func(T)) {
+	if t, ok := c.target.(T); c.counted(action, ok) {
+		f(t)
+	}
+}
+
+// applyEach runs f on the target's capability T and counts action once
+// per client it returns, or counts one failure when the target lacks T.
+func applyEach[T any](c *Core, action string, f func(T) []string) []string {
+	t, ok := c.target.(T)
+	if !ok {
+		c.fail(action)
+		return nil
+	}
+	ids := f(t)
+	for range ids {
+		c.count(action)
+	}
+	return ids
+}
+
 // ActiveClients lists active client IDs (a pure read; not counted so
 // event helpers that resolve #indexes don't inflate action counts).
 func (c *Core) ActiveClients() []string { return c.target.ActiveClients() }
@@ -187,16 +221,7 @@ func (c *Core) AddClient(inst cloud.InstanceType, region cloud.Region) (id strin
 
 // RemoveClients abruptly kills the n most recently joined clients.
 func (c *Core) RemoveClients(n int) []string {
-	t, ok := c.target.(Churner)
-	if !ok {
-		c.fail("kill")
-		return nil
-	}
-	gone := t.RemoveClients(n)
-	for range gone {
-		c.count("kill")
-	}
-	return gone
+	return applyEach(c, "kill", func(t Churner) []string { return t.RemoveClients(n) })
 }
 
 // RemoveClient abruptly kills one client by ID.
@@ -213,24 +238,20 @@ func (c *Core) SlowClient(id string, factor float64) bool {
 
 // SlowClientAt slows the i-th active client.
 func (c *Core) SlowClientAt(i int, factor float64) (string, bool) {
-	t, ok := c.target.(Slower)
-	if !ok {
+	ids := c.target.ActiveClients()
+	if i < 0 || i >= len(ids) {
 		c.fail("slow")
 		return "", false
 	}
-	id, ok := t.SlowClientAt(i, factor)
-	c.counted("slow", ok)
-	return id, ok
+	if !c.SlowClient(ids[i], factor) {
+		return "", false
+	}
+	return ids[i], true
 }
 
 // SetPreemptProb hot-changes the fleet-wide preemption probability.
 func (c *Core) SetPreemptProb(p float64) {
-	if t, ok := c.target.(Shaper); ok {
-		c.count("preempt")
-		t.SetPreemptProb(p)
-	} else {
-		c.fail("preempt")
-	}
+	apply(c, "preempt", func(t Shaper) { t.SetPreemptProb(p) })
 }
 
 // PreemptModel returns the engine's §IV-E preemption model (pure read).
@@ -251,22 +272,12 @@ func (c *Core) FleetShape() (subtasks, tasksPerClient int) {
 
 // SetRegionRTT overrides a region's round-trip latency.
 func (c *Core) SetRegionRTT(region cloud.Region, rtt float64) {
-	if t, ok := c.target.(Shaper); ok {
-		c.count("outage")
-		t.SetRegionRTT(region, rtt)
-	} else {
-		c.fail("outage")
-	}
+	apply(c, "outage", func(t Shaper) { t.SetRegionRTT(region, rtt) })
 }
 
 // ClearRegionRTT restores a region's static latency.
 func (c *Core) ClearRegionRTT(region cloud.Region) {
-	if t, ok := c.target.(Shaper); ok {
-		c.count("recover")
-		t.ClearRegionRTT(region)
-	} else {
-		c.fail("recover")
-	}
+	apply(c, "recover", func(t Shaper) { t.ClearRegionRTT(region) })
 }
 
 // PServers returns the parameter-server pool size (pure read).
@@ -279,66 +290,87 @@ func (c *Core) PServers() int {
 
 // SetPServers resizes the parameter-server pool.
 func (c *Core) SetPServers(n int) {
-	if t, ok := c.target.(PSResizer); ok {
-		c.count("ps-resize")
-		t.SetPServers(n)
-	} else {
-		c.fail("ps-resize")
-	}
+	apply(c, "ps-resize", func(t PSResizer) { t.SetPServers(n) })
 }
 
-// SetTimeout hot-changes the result deadline (virtual seconds).
+// onScheduler runs f on the target's scheduler and counts action, or
+// counts a failure when the target has no scheduler.
+func (c *Core) onScheduler(action string, f func(*boinc.Scheduler)) {
+	apply(c, action, func(t Scheduled) { t.Scheduler(f) })
+}
+
+// SetTimeout hot-changes the result deadline, in virtual seconds. It is
+// the scheduler's default timeout, the only deadline there is: new
+// workunits and future (re)issues of unfinished ones use it, results
+// already sent keep theirs.
 func (c *Core) SetTimeout(seconds float64) {
-	if t, ok := c.target.(Tuner); ok {
-		c.count("tune-timeout")
-		t.SetTimeout(seconds)
-	} else {
-		c.fail("tune-timeout")
+	t, ok := c.target.(Scheduled)
+	if !c.counted("tune-timeout", ok && seconds > 0) {
+		return
+	}
+	wall := seconds * t.TimeScale()
+	t.Scheduler(func(s *boinc.Scheduler) {
+		s.SetDefaultTimeout(wall)
+		s.RetimePending(wall)
+	})
+	if r, ok := c.target.(Retimer); ok {
+		r.Retimed()
 	}
 }
 
 // SetReliabilityFloor hot-changes the retry reliability gate.
 func (c *Core) SetReliabilityFloor(floor float64) {
-	if t, ok := c.target.(Tuner); ok {
-		c.count("tune-floor")
-		t.SetReliabilityFloor(floor)
-	} else {
-		c.fail("tune-floor")
-	}
+	c.onScheduler("tune-floor", func(s *boinc.Scheduler) { s.SetReliabilityFloor(floor) })
 }
 
-// SetPolicy hot-swaps the scheduler's assignment policy.
+// SetPolicy hot-swaps the scheduler's assignment policy (nil restores
+// the paper policy). Results in flight are unaffected.
 func (c *Core) SetPolicy(p boinc.Policy) {
-	if t, ok := c.target.(PolicySwapper); ok {
-		c.count("policy-swap")
-		t.SetPolicy(p)
-	} else {
-		c.fail("policy-swap")
-	}
+	c.onScheduler("policy-swap", func(s *boinc.Scheduler) { s.SetPolicy(p) })
 }
 
 // PolicyName reports the active assignment policy (pure read).
 func (c *Core) PolicyName() string {
-	if t, ok := c.target.(PolicySwapper); ok {
+	if t, ok := c.target.(Scheduled); ok {
 		return t.PolicyName()
 	}
 	return ""
 }
 
-// Cordon quarantines (on) or releases (off) a client.
+// Cordon quarantines (on) or releases (off) an active client: the
+// scheduler hands it no new work while its results in flight complete
+// or expire. A client not in ActiveClients is refused.
 func (c *Core) Cordon(id string, on bool) bool {
 	action := "cordon"
 	if !on {
 		action = "uncordon"
 	}
-	t, ok := c.target.(Cordoner)
-	return c.counted(action, ok && t.Cordon(id, on))
+	t, ok := c.target.(Scheduled)
+	if !c.counted(action, ok && slices.Contains(c.target.ActiveClients(), id)) {
+		return false
+	}
+	t.Scheduler(func(s *boinc.Scheduler) { s.SetCordoned(id, on) })
+	if w, ok := c.target.(Waker); ok && !on {
+		w.Wake(id)
+	}
+	return true
+}
+
+// NormalizeByzantine is the one check of a Byzantine behavior name: ""
+// and "off" restore honesty (normalised to ""), anything else must be
+// one of boinc.ByzantineBehaviors.
+func NormalizeByzantine(behavior string) (string, bool) {
+	if behavior == "off" {
+		return "", true
+	}
+	return behavior, behavior == "" || boinc.ValidByzantine(behavior)
 }
 
 // SetByzantine switches a client's adversarial behavior.
 func (c *Core) SetByzantine(id, behavior string) bool {
+	b, valid := NormalizeByzantine(behavior)
 	t, ok := c.target.(Byzantiner)
-	return c.counted("byzantine", ok && t.SetByzantine(id, behavior))
+	return c.counted("byzantine", valid && ok && t.SetByzantine(id, b))
 }
 
 // DetachClient gracefully drains one client (real engine only).
@@ -349,16 +381,7 @@ func (c *Core) DetachClient(id string) bool {
 
 // DetachClients gracefully drains the n most recently joined clients.
 func (c *Core) DetachClients(n int) []string {
-	t, ok := c.target.(Detacher)
-	if !ok {
-		c.fail("drain")
-		return nil
-	}
-	gone := t.DetachClients(n)
-	for range gone {
-		c.count("drain")
-	}
-	return gone
+	return applyEach(c, "drain", func(t Detacher) []string { return t.DetachClients(n) })
 }
 
 // RejoinClient revives one departed client (real engine only).
@@ -369,16 +392,7 @@ func (c *Core) RejoinClient(id string) bool {
 
 // RejoinClients revives the n most recently departed clients.
 func (c *Core) RejoinClients(n int) []string {
-	t, ok := c.target.(Rejoiner)
-	if !ok {
-		c.fail("rejoin")
-		return nil
-	}
-	back := t.RejoinClients(n)
-	for range back {
-		c.count("rejoin")
-	}
-	return back
+	return applyEach(c, "rejoin", func(t Rejoiner) []string { return t.RejoinClients(n) })
 }
 
 // SetBlobKill arms/disarms data-plane fault injection (real engine only).
@@ -387,14 +401,12 @@ func (c *Core) SetBlobKill(n int64) bool {
 	return c.counted("blob-kill", ok && t.SetBlobKill(n))
 }
 
-// KnownClient reports whether a client id ever existed (pure read;
-// engines without the capability claim everything is known, so the
-// never-existed check stays conservative).
+// KnownClient reports whether a client id ever existed, departed or not
+// (pure read). A target without a Lister claims everything is known, so
+// the never-existed check stays conservative.
 func (c *Core) KnownClient(id string) bool {
-	if t, ok := c.target.(Knower); ok {
-		return t.KnownClient(id)
-	}
-	return true
+	l, ok := c.target.(Lister)
+	return !ok || slices.ContainsFunc(l.ClientStatus(), func(cs ClientStatus) bool { return cs.ID == id })
 }
 
 // Clients returns the rich per-client listing.
@@ -406,15 +418,31 @@ func (c *Core) Clients() []ClientStatus {
 	return []ClientStatus{}
 }
 
-// clientStatus is the uncounted per-client listing: the target's own
-// when it has a Lister, bare active IDs otherwise (nil when none).
+// clientStatus is the uncounted per-client listing (nil when there are
+// no clients): the target's own rows when it has a Lister, bare active
+// IDs otherwise, joined by ID with the scheduler's view. A client the
+// scheduler has not heard from yet lists at reliability 1.
 func (c *Core) clientStatus() []ClientStatus {
-	if l, ok := c.target.(Lister); ok {
-		return l.ClientStatus()
-	}
 	var out []ClientStatus
-	for _, id := range c.target.ActiveClients() {
-		out = append(out, ClientStatus{ID: id, Active: true, Reliability: 1})
+	if l, ok := c.target.(Lister); ok {
+		out = l.ClientStatus()
+	} else {
+		for _, id := range c.target.ActiveClients() {
+			out = append(out, ClientStatus{ID: id, Active: true})
+		}
+	}
+	seen := map[string]boinc.ClientSummary{}
+	if t, ok := c.target.(Scheduled); ok {
+		for _, s := range t.ClientSummaries() {
+			seen[s.ID] = s
+		}
+	}
+	for i := range out {
+		cs := &out[i]
+		cs.Reliability = 1
+		if s, ok := seen[cs.ID]; ok {
+			cs.Cordoned, cs.Reliability, cs.InFlight, cs.CachedFiles = s.Cordoned, s.Reliability, s.InFlight, s.CachedFiles
+		}
 	}
 	return out
 }

@@ -13,18 +13,18 @@ import (
 	"vcdl/internal/obs"
 )
 
-// fakeTarget implements every capability and records the calls.
+// fakeTarget implements every capability, the scheduler seam over a
+// real boinc.Scheduler, and records the engine-side calls.
 type fakeTarget struct {
 	calls     []string
-	cordoned  map[string]bool
+	sched     *boinc.Scheduler
 	byzantine map[string]string
-	policy    boinc.Policy
 	pservers  int
 }
 
 func newFakeTarget() *fakeTarget {
 	return &fakeTarget{
-		cordoned:  map[string]bool{},
+		sched:     boinc.NewScheduler(boinc.DefaultSchedulerConfig()),
 		byzantine: map[string]string{},
 		pservers:  2,
 	}
@@ -43,10 +43,6 @@ func (f *fakeTarget) SlowClient(id string, factor float64) bool {
 	f.note("slow " + id)
 	return id != "ghost"
 }
-func (f *fakeTarget) SlowClientAt(i int, factor float64) (string, bool) {
-	f.note("slowAt")
-	return "c1", true
-}
 func (f *fakeTarget) SetPreemptProb(p float64) { f.note("preempt") }
 func (f *fakeTarget) PreemptModel(p float64) cloud.PreemptModel {
 	return cloud.PreemptModel{P: p}
@@ -54,19 +50,12 @@ func (f *fakeTarget) PreemptModel(p float64) cloud.PreemptModel {
 func (f *fakeTarget) FleetShape() (int, int)                        { return 10, 2 }
 func (f *fakeTarget) SetRegionRTT(region cloud.Region, rtt float64) { f.note("rtt") }
 func (f *fakeTarget) ClearRegionRTT(region cloud.Region)            { f.note("clear-rtt") }
-func (f *fakeTarget) SetTimeout(seconds float64)                    { f.note("timeout") }
-func (f *fakeTarget) SetReliabilityFloor(floor float64)             { f.note("floor") }
 func (f *fakeTarget) PServers() int                                 { return f.pservers }
 func (f *fakeTarget) SetPServers(n int)                             { f.pservers = n }
-func (f *fakeTarget) SetPolicy(p boinc.Policy)                      { f.policy = p }
-func (f *fakeTarget) PolicyName() string                            { return "paper" }
-func (f *fakeTarget) Cordon(id string, on bool) bool {
-	if id == "ghost" {
-		return false
-	}
-	f.cordoned[id] = on
-	return true
-}
+func (f *fakeTarget) Scheduler(fn func(*boinc.Scheduler))           { fn(f.sched) }
+func (f *fakeTarget) ClientSummaries() []boinc.ClientSummary        { return f.sched.ClientSummaries() }
+func (f *fakeTarget) PolicyName() string                            { return f.sched.Policy().Name() }
+func (f *fakeTarget) TimeScale() float64                            { return 1 }
 func (f *fakeTarget) SetByzantine(id, behavior string) bool {
 	if id == "ghost" {
 		return false
@@ -79,12 +68,11 @@ func (f *fakeTarget) DetachClients(n int) []string { return []string{"c3"} }
 func (f *fakeTarget) RejoinClient(id string) bool  { f.note("rejoin " + id); return id != "ghost" }
 func (f *fakeTarget) RejoinClients(n int) []string { return []string{"c3"} }
 func (f *fakeTarget) SetBlobKill(n int64) bool     { return true }
-func (f *fakeTarget) KnownClient(id string) bool   { return id != "ghost" }
 func (f *fakeTarget) ClientStatus() []ClientStatus {
 	return []ClientStatus{
-		{ID: "c1", Active: true, Reliability: 1},
-		{ID: "c2", Active: true, Reliability: 0.5, Cordoned: f.cordoned["c2"], Byzantine: f.byzantine["c2"]},
-		{ID: "c3", Active: false, Reliability: 0.9},
+		{ID: "c1", Active: true},
+		{ID: "c2", Active: true, Byzantine: f.byzantine["c2"]},
+		{ID: "c3", Active: false},
 	}
 }
 
@@ -139,7 +127,7 @@ func TestCoreMissingCapabilities(t *testing.T) {
 	c := NewCore(bareTarget{}, reg)
 
 	if c.Cordon("x1", true) {
-		t.Error("cordon should fail without Cordoner")
+		t.Error("cordon should fail without Scheduled")
 	}
 	if c.SetByzantine("x1", boinc.ByzantineSpoof) {
 		t.Error("byzantine should fail without Byzantiner")
@@ -152,7 +140,7 @@ func TestCoreMissingCapabilities(t *testing.T) {
 		t.Errorf("PServers = %d, want 0", got)
 	}
 	if !c.KnownClient("never-heard-of-it") {
-		t.Error("KnownClient should be conservative (true) without Knower")
+		t.Error("KnownClient should be conservative (true) without Lister")
 	}
 	clients := c.Clients()
 	if len(clients) != 1 || clients[0].ID != "x1" {
@@ -241,6 +229,8 @@ func TestHandlerEndpoints(t *testing.T) {
 		{"/ops/policy?name=nonsense", http.StatusBadRequest},
 		{"/ops/ps?n=3", http.StatusOK},
 		{"/ops/ps?n=zero", http.StatusBadRequest},
+		// Refused before the pool is touched: pservers stays 3 (below).
+		{"/ops/ps?n=1000000000", http.StatusBadRequest},
 		{"/ops/tune?timeout=600&floor=0.4", http.StatusOK},
 		{"/ops/tune", http.StatusBadRequest},
 		{"/ops/join?inst=clientC", http.StatusOK},

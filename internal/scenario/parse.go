@@ -11,6 +11,7 @@ import (
 	"vcdl/internal/boinc"
 	"vcdl/internal/cloud"
 	"vcdl/internal/core"
+	"vcdl/internal/ops"
 )
 
 // The scenario file format is a small line-oriented language designed to
@@ -570,7 +571,7 @@ func (p *parser) eventLine(n int, fields []string) {
 			return
 		}
 		behavior := strings.ToLower(args[1])
-		if behavior != "off" && !boinc.ValidByzantine(behavior) {
+		if _, ok := ops.NormalizeByzantine(behavior); !ok {
 			p.errorf(n, "unknown byzantine behavior %q (want one of %v, or off)", args[1], boinc.ByzantineBehaviors)
 			return
 		}

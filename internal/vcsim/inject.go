@@ -87,7 +87,9 @@ func (s *Sim) Run() (*Result, error) {
 	return s.r.finish()
 }
 
-// Config returns the run's live configuration (hot changes included).
+// Config returns the run's live configuration (hot changes included,
+// except the deadline: TimeoutSeconds is the initial one, and the ops
+// plane retimes the scheduler's default timeout instead).
 func (s *Sim) Config() Config { return s.r.cfg }
 
 // ActiveClients lists the IDs of clients currently in the pool.
@@ -123,14 +125,10 @@ func (s *Sim) AddClient(inst cloud.InstanceType, region cloud.Region) string {
 func (s *Sim) RemoveClients(n int) []string {
 	var gone []string
 	for i := len(s.r.clients) - 1; i >= 0 && len(gone) < n; i-- {
-		c := s.r.clients[i]
-		if c.departed {
-			continue
+		if c := s.r.clients[i]; !c.departed {
+			s.depart(c)
+			gone = append(gone, c.id)
 		}
-		c.departed = true
-		c.departedAt = s.r.eng.Now()
-		s.r.sched.DropClient(c.id)
-		gone = append(gone, c.id)
 	}
 	return gone
 }
@@ -138,42 +136,40 @@ func (s *Sim) RemoveClients(n int) []string {
 // RemoveClient departs one client by ID; ok reports whether it existed
 // and was still active.
 func (s *Sim) RemoveClient(id string) bool {
-	for _, c := range s.r.clients {
-		if c.id == id && !c.departed {
-			c.departed = true
-			c.departedAt = s.r.eng.Now()
-			s.r.sched.DropClient(c.id)
-			return true
-		}
+	c := s.active(id)
+	if c != nil {
+		s.depart(c)
 	}
-	return false
+	return c != nil
 }
 
-// SlowClient multiplies a client's subtask execution time by factor
-// (straggler injection; factor 1 restores nominal speed). The client is
-// addressed by ID, or by index into the active-client list when id is
-// numeric-like via SlowClientAt.
+func (s *Sim) depart(c *simClient) {
+	c.departed = true
+	c.departedAt = s.r.eng.Now()
+	s.r.sched.DropClient(c.id)
+}
+
+// active returns the active client with the given ID, or nil.
+func (s *Sim) active(id string) *simClient {
+	for _, c := range s.r.clients {
+		if c.id == id && !c.departed {
+			return c
+		}
+	}
+	return nil
+}
+
+// SlowClient multiplies an active client's subtask execution time by
+// factor (straggler injection; factor 1 restores nominal speed).
 func (s *Sim) SlowClient(id string, factor float64) bool {
 	if factor <= 0 {
 		factor = 1
 	}
-	for _, c := range s.r.clients {
-		if c.id == id && !c.departed {
-			c.slow = factor
-			return true
-		}
+	c := s.active(id)
+	if c != nil {
+		c.slow = factor
 	}
-	return false
-}
-
-// SlowClientAt slows the i-th active client (0-based); ok reports
-// whether the index was valid.
-func (s *Sim) SlowClientAt(i int, factor float64) (string, bool) {
-	ids := s.ActiveClients()
-	if i < 0 || i >= len(ids) {
-		return "", false
-	}
-	return ids[i], s.SlowClient(ids[i], factor)
+	return c != nil
 }
 
 // SetPreemptProb hot-changes the per-subtask preemption probability
@@ -190,13 +186,13 @@ func (s *Sim) SetPreemptProb(p float64) {
 
 // PreemptModel returns the paper's §IV-E binomial model instantiated
 // with the run's calibrated execution time, the given storm probability
-// and the current scheduler timeout — the scenario engine uses it to
-// report the predicted training-time increase of a storm.
+// and the scheduler's current default timeout — the scenario engine
+// uses it to report the predicted training-time increase of a storm.
 func (s *Sim) PreemptModel(p float64) cloud.PreemptModel {
 	return cloud.PreemptModel{
 		P:               p,
 		TaskExecSeconds: s.r.cfg.BaseSubtaskSeconds,
-		TimeoutSeconds:  s.r.cfg.TimeoutSeconds,
+		TimeoutSeconds:  s.r.sched.Config().DefaultTimeout,
 	}
 }
 
@@ -230,35 +226,13 @@ func (s *Sim) SetPServers(n int) {
 	}
 }
 
-// SetTimeout hot-changes the BOINC result deadline: workunits generated
-// from now on and future (re)issues of unfinished workunits use the new
-// deadline; already-issued results keep the deadline they were sent with.
-func (s *Sim) SetTimeout(seconds float64) {
-	if seconds <= 0 {
-		return
-	}
-	s.r.cfg.TimeoutSeconds = seconds
-	s.r.sched.SetDefaultTimeout(seconds)
-	s.r.sched.RetimePending(seconds)
-}
-
-// SetReliabilityFloor hot-changes the scheduler's reliability gate for
-// retried workunits.
-func (s *Sim) SetReliabilityFloor(floor float64) {
-	s.r.sched.SetReliabilityFloor(floor)
-}
-
-// SetPolicy hot-swaps the scheduler's assignment policy mid-run (nil
-// restores the default paper policy). In-flight results are unaffected;
-// only future work fetches decide differently.
-func (s *Sim) SetPolicy(p boinc.Policy) {
-	s.r.sched.SetPolicy(p)
-}
-
-// PolicyName reports the name of the scheduler's active policy.
-func (s *Sim) PolicyName() string {
-	return s.r.sched.Policy().Name()
-}
+// Scheduler, ClientSummaries, PolicyName and TimeScale are the ops seam
+// (ops.Scheduled) over the run's scheduler, whose clock is the virtual
+// one.
+func (s *Sim) Scheduler(f func(*boinc.Scheduler))     { f(s.r.sched) }
+func (s *Sim) ClientSummaries() []boinc.ClientSummary { return s.r.sched.ClientSummaries() }
+func (s *Sim) PolicyName() string                     { return s.r.sched.Policy().Name() }
+func (s *Sim) TimeScale() float64                     { return 1 }
 
 // FleetShape reports the run's subtasks-per-epoch and tasks-per-client,
 // the quantities the scenario engine's preemption narrative needs.
@@ -266,83 +240,39 @@ func (s *Sim) FleetShape() (subtasks, tasksPerClient int) {
 	return s.r.cfg.Job.Subtasks, s.r.cfg.TasksPerClient
 }
 
-// Cordon quarantines (on=true) or releases (on=false) an active client:
-// its work requests return nothing while in-flight results complete or
-// expire normally. Releasing a cordoned client immediately lets it ask
-// for work again. ok reports whether the client exists and is active.
-func (s *Sim) Cordon(id string, on bool) bool {
-	for _, c := range s.r.clients {
-		if c.id == id && !c.departed {
-			s.r.sched.SetCordoned(id, on)
-			if !on {
-				// An idle sim client only requests work when poked;
-				// without this the released client would sleep forever.
-				s.r.tryAssign(c)
-			}
-			return true
-		}
+// Wake lets an active client the ops core just uncordoned ask for work:
+// an idle sim client requests work only when poked, so without this it
+// would sleep forever.
+func (s *Sim) Wake(id string) {
+	if c := s.active(id); c != nil {
+		s.r.tryAssign(c)
 	}
-	return false
 }
 
 // SetByzantine switches an active client's adversarial behavior mid-run
-// (behavior "" or "off" restores honesty). ok reports whether the client
-// exists, is active, and the behavior is recognized.
+// ("" restores honesty); ok reports whether the client is active.
 func (s *Sim) SetByzantine(id, behavior string) bool {
-	if behavior == "off" {
-		behavior = ""
+	c := s.active(id)
+	if c != nil {
+		c.byzantine = behavior
 	}
-	if behavior != "" && !boinc.ValidByzantine(behavior) {
-		return false
-	}
-	for _, c := range s.r.clients {
-		if c.id == id && !c.departed {
-			c.byzantine = behavior
-			return true
-		}
-	}
-	return false
+	return c != nil
 }
 
-// ClientStatus assembles the per-client view the ops control plane
-// serves: fleet-side shaping joined with the scheduler's live state.
+// ClientStatus lists every client of the run, departed ones included,
+// with its placement and shaping (ops.Lister).
 func (s *Sim) ClientStatus() []ops.ClientStatus {
-	byID := map[string]boinc.ClientSummary{}
-	for _, sum := range s.r.sched.ClientSummaries() {
-		byID[sum.ID] = sum
-	}
 	out := make([]ops.ClientStatus, 0, len(s.r.clients))
 	for _, c := range s.r.clients {
-		sum, seen := byID[c.id]
-		cs := ops.ClientStatus{
-			ID:          c.id,
-			Instance:    c.inst.Name,
-			Region:      string(c.inst.Region),
-			Active:      !c.departed,
-			Byzantine:   c.byzantine,
-			SlowFactor:  c.slow,
-			Slots:       c.slots,
-			Reliability: 1,
-		}
-		if seen {
-			cs.Cordoned = sum.Cordoned
-			cs.Reliability = sum.Reliability
-			cs.InFlight = sum.InFlight
-			cs.CachedFiles = sum.CachedFiles
-		}
-		out = append(out, cs)
+		out = append(out, ops.ClientStatus{
+			ID:         c.id,
+			Instance:   c.inst.Name,
+			Region:     string(c.inst.Region),
+			Active:     !c.departed,
+			Byzantine:  c.byzantine,
+			SlowFactor: c.slow,
+			Slots:      c.slots,
+		})
 	}
 	return out
-}
-
-// KnownClient reports whether a client id ever existed in this run,
-// departed or not. The scenario engine uses it to fail fast on events
-// that target ids no fleet ever contained.
-func (s *Sim) KnownClient(id string) bool {
-	for _, c := range s.r.clients {
-		if c.id == id {
-			return true
-		}
-	}
-	return false
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vcdl/internal/cloud"
+	"vcdl/internal/ops"
 )
 
 // startQuick builds a started Sim on the quick workload.
@@ -99,7 +100,7 @@ func TestStragglerSlowdownStretchesRun(t *testing.T) {
 	}
 	s := startQuick(t, 1, 3, 2, 2)
 	s.Engine().Schedule(0, func() {
-		if _, ok := s.SlowClientAt(0, 6); !ok {
+		if _, ok := ops.NewCore(s, nil).SlowClientAt(0, 6); !ok {
 			t.Error("SlowClientAt(0) failed")
 		}
 	})
@@ -147,7 +148,7 @@ func TestRegionOutageSlowsTransfers(t *testing.T) {
 
 func TestMidRunPreemptStorm(t *testing.T) {
 	s := startQuick(t, 1, 3, 2, 3)
-	s.Engine().Schedule(0, func() { s.SetTimeout(400) })
+	s.Engine().Schedule(0, func() { ops.NewCore(s, nil).SetTimeout(400) })
 	s.Engine().Schedule(300, func() { s.SetPreemptProb(0.5) })
 	s.Engine().Schedule(3000, func() { s.SetPreemptProb(0) })
 	res, err := s.Run()
@@ -170,7 +171,7 @@ func TestPSFailoverAndSchedulerHotConfig(t *testing.T) {
 	s := startQuick(t, 3, 3, 4, 2)
 	s.Engine().Schedule(100, func() {
 		s.SetPServers(1) // two PS processes fail
-		s.SetReliabilityFloor(0.9)
+		ops.NewCore(s, nil).SetReliabilityFloor(0.9)
 	})
 	s.Engine().Schedule(2000, func() { s.SetPServers(3) })
 	res, err := s.Run()

@@ -76,7 +76,8 @@ type Config struct {
 	// additional PS process slows every PS by this fraction, so server
 	// throughput saturates — the paper observes it "decreases after P5".
 	PSContention float64
-	// TimeoutSeconds is the BOINC result deadline (to in §IV-E).
+	// TimeoutSeconds is the BOINC result deadline (to in §IV-E) the
+	// scheduler starts with, as its default timeout.
 	TimeoutSeconds float64
 	// PreemptProb is the per-subtask-execution probability that the
 	// preemptible instance is reclaimed before uploading (p in §IV-E).
@@ -461,7 +462,6 @@ func (r *run) generateEpoch(epoch int) error {
 			InputFiles: []string{"model.json", pf, fmt.Sprintf("shard_%03d", i)},
 			// Payload encodes epoch and shard compactly.
 			Payload:     []byte(fmt.Sprintf("%d/%d", epoch, i)),
-			Timeout:     r.cfg.TimeoutSeconds,
 			Replication: r.cfg.Replication,
 		})
 	}
