@@ -1,6 +1,7 @@
 // Command benchguard is the allocation-regression gate for the compute
 // hot path. It runs the pinned benchmark set (tensor kernels, wire
-// round-trip, the 100k-backlog scheduler request, the executor subtask,
+// round-trip and the two decodes into caller memory, the 100k-backlog
+// scheduler request, the executor subtask,
 // the evaluator pass, the upload → assimilate path) with -benchmem at
 // fixed iteration counts, then compares allocs/op against the baselines
 // committed in BENCH_kernels.json:
@@ -60,6 +61,7 @@ type target struct {
 var targets = []target{
 	{pkg: "./internal/tensor", bench: "^(BenchmarkMatMulInto|BenchmarkMatMulTransAInto|BenchmarkMatMulTransBInto|BenchmarkIm2ColInto|BenchmarkCol2ImInto|BenchmarkConv)$", benchtime: "20x", pinnedZero: true},
 	{pkg: "./internal/wire", bench: "^(BenchmarkParamsRoundTrip|BenchmarkEncodeCheckpoint)$", benchtime: "50x"},
+	{pkg: "./internal/wire", bench: "^(BenchmarkDecodeParamsInto|BenchmarkDecodeRawInto)$", benchtime: "50x", pinnedZero: true},
 	{pkg: "./internal/boinc", bench: "^BenchmarkRequestWork$/^paper$", benchtime: "300x"},
 	{pkg: ".", bench: "^(BenchmarkExecutorSubtask|BenchmarkEvaluatorAccuracy)$", benchtime: "20x"},
 	{pkg: ".", bench: "^(BenchmarkUploadAssimilate|BenchmarkVCASGDAssimilate)$", benchtime: "50x", gateBytes: true},

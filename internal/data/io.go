@@ -42,7 +42,11 @@ func (d *Dataset) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode deserializes a blob produced by Encode.
+// Decode deserializes a blob produced by Encode. The blob is untrusted:
+// the label count must match the image count before anything is sized by
+// it, and the labels, like the images, are held only as their bytes
+// arrive, so a header that declares more than the stream holds costs at
+// most a fixed multiple of the bytes actually decompressed.
 func Decode(blob []byte) (*Dataset, error) {
 	zr, err := gzip.NewReader(bytes.NewReader(blob))
 	if err != nil {
@@ -61,16 +65,20 @@ func Decode(blob []byte) (*Dataset, error) {
 	if _, err := x.ReadFrom(zr); err != nil {
 		return nil, fmt.Errorf("data: decode images: %w", err)
 	}
-	lb := make([]byte, 4*n)
-	if _, err := io.ReadFull(zr, lb); err != nil {
-		return nil, fmt.Errorf("data: decode labels: %w", err)
-	}
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = int(binary.LittleEndian.Uint32(lb[4*i:]))
-	}
 	if x.Rank() < 1 || x.Dim(0) != n {
-		return nil, fmt.Errorf("data: image count %d does not match %d labels", x.Dim(0), n)
+		return nil, fmt.Errorf("data: image shape %v does not hold %d labels", x.Shape(), n)
+	}
+	const chunk = 4096
+	labels := make([]int, 0, min(n, chunk))
+	lb := make([]byte, 4*min(n, chunk))
+	for len(labels) < n {
+		m := min(n-len(labels), chunk)
+		if _, err := io.ReadFull(zr, lb[:4*m]); err != nil {
+			return nil, fmt.Errorf("data: decode labels: %w", err)
+		}
+		for i := 0; i < m; i++ {
+			labels = append(labels, int(binary.LittleEndian.Uint32(lb[4*i:])))
+		}
 	}
 	return &Dataset{X: &x, Labels: labels}, nil
 }

@@ -23,7 +23,7 @@ func referenceAssimilate(st store.Store, key string, alpha float64, clientParams
 			return wire.EncodeRaw(clientParams)
 		}
 		for i := range ws {
-			ws[i] = alpha*ws[i] + (1-alpha)*clientParams[i]
+			ws[i] = float64(alpha*ws[i]) + float64((1-alpha)*clientParams[i])
 		}
 		return wire.EncodeRaw(ws)
 	})
@@ -126,5 +126,56 @@ func TestAssimilateLeavesClientParamsAlone(t *testing.T) {
 	}
 	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("server copy changed with the caller's vector: %v", got)
+	}
+}
+
+// onBothPaths runs f under each blend path: the portable word loop, then
+// the float view where the host allows one.
+func onBothPaths(t *testing.T, f func(t *testing.T)) {
+	native := nativeWords
+	for _, view := range []bool{false, true} {
+		name := "bytes"
+		if view {
+			name = "view"
+		}
+		t.Run(name, func(t *testing.T) {
+			if view && !native {
+				t.Skip("big-endian host: no float view")
+			}
+			defer func(prev bool) { nativeWords = prev }(nativeWords)
+			nativeWords = view
+			f(t)
+		})
+	}
+}
+
+// TestInPlaceAssimilateOnBothPaths: the two blend loops compile to
+// different code, and which NaN payload survives a sum depends on the
+// operand order each gets, so a pass on one path says nothing about the
+// other.
+func TestInPlaceAssimilateOnBothPaths(t *testing.T) {
+	onBothPaths(t, TestInPlaceAssimilateMatchesReference)
+}
+
+// TestFloatViewNeedsAlignment: the view shares the buffer's memory, and
+// a buffer off an 8-byte boundary falls back to the word loop.
+func TestFloatViewNeedsAlignment(t *testing.T) {
+	if !nativeWords {
+		t.Skip("big-endian host: no float view")
+	}
+	buf := make([]byte, 32)
+	if v := floatView(buf[1:17]); v != nil {
+		t.Fatal("misaligned buffer got a float view")
+	}
+	if v := floatView(buf[8:8]); v != nil {
+		t.Fatal("empty buffer got a float view")
+	}
+	v := floatView(buf[8:24])
+	if len(v) != 2 {
+		t.Fatalf("view has %d words, want 2", len(v))
+	}
+	v[1] = math.Float64frombits(0x0102030405060708)
+	if want := []byte{8, 7, 6, 5, 4, 3, 2, 1}; !bytes.Equal(buf[16:24], want) {
+		t.Fatalf("view does not share the buffer: % x", buf[16:24])
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"vcdl/internal/opt"
 	"vcdl/internal/store"
@@ -83,26 +84,43 @@ func (s *Server) CurrentInto(dst []float64) ([]float64, error) {
 // the update is applied immediately, regardless of subtask order.
 //
 // The blend runs in place on the private copy Store.Update hands its
-// callback, one little-endian word at a time. Reading a word with
-// Float64frombits and writing the result with Float64bits is what
-// DecodeRawInto and EncodeRaw do around the same expression, so the stored
-// bytes — and the lengths the store's Stats count — are what the
-// decode–blend–encode form produced.
+// callback. On a little-endian host that copy's words are already
+// float64s in memory, so the blend reads and writes them through a
+// []float64 view; elsewhere, or on a buffer not 8-byte aligned, it
+// decodes and re-encodes one little-endian word at a time. Either way
+// the stored bytes — and the lengths the store's Stats count — are what
+// DecodeRawInto, the same expression and EncodeRaw produce, NaN payloads
+// included.
 func (s *Server) Assimilate(clientParams []float64, epoch int) error {
 	alpha := s.Alpha.At(epoch)
 	if alpha < 0 || alpha > 1 {
 		return fmt.Errorf("ps: alpha %v out of [0,1] at epoch %d", alpha, epoch)
 	}
+	// Equation 1 is written as ws·α − (−(1−α))·wc, which is ws·α +
+	// (1−α)·wc bit for bit. When both terms are NaN, amd64 and arm64 keep
+	// the payload of the first operand, and the decode–blend–encode
+	// reference keeps the stored term's. An add is commutative, and the
+	// register allocator has put either term first depending on the code
+	// around the loop; a subtraction's operands stay in order. Each
+	// product is rounded by float64(...) so that no GOARCH fuses it into a
+	// multiply-add.
+	negBeta := -(1 - alpha)
 	n := len(clientParams)
 	err := s.Store.Update(s.Key, func(old []byte) []byte {
 		if len(old) < 8 || len(old)-8 != wire.RawSize(n) || binary.LittleEndian.Uint64(old) != uint64(n) {
 			// First write or schema change: adopt the client copy.
 			return wire.EncodeRaw(clientParams)
 		}
+		if ws := floatView(old[8:]); ws != nil {
+			for i, wc := range clientParams {
+				ws[i] = float64(alpha*ws[i]) - float64(negBeta*wc)
+			}
+			return old
+		}
 		for i, wc := range clientParams {
 			word := old[8+8*i : 16+8*i]
 			ws := math.Float64frombits(binary.LittleEndian.Uint64(word))
-			binary.LittleEndian.PutUint64(word, math.Float64bits(alpha*ws+(1-alpha)*wc))
+			binary.LittleEndian.PutUint64(word, math.Float64bits(float64(alpha*ws)-float64(negBeta*wc)))
 		}
 		return old
 	})
@@ -111,6 +129,26 @@ func (s *Server) Assimilate(clientParams []float64, epoch int) error {
 	}
 	s.assimilations.Add(1)
 	return nil
+}
+
+// nativeWords reports whether this host keeps a float64 in memory as its
+// little-endian bits, the layout of a store value's words. Tests turn it
+// off to run the portable loop.
+var nativeWords = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floatView returns words as a []float64 that shares its memory, or nil
+// when the host's byte order or the buffer's alignment rules one out (or
+// words is empty). Every buffer a store makes is heap-allocated from
+// offset 0, so a value's words, 8 bytes in, are aligned.
+func floatView(words []byte) []float64 {
+	if !nativeWords || len(words) == 0 {
+		return nil
+	}
+	p := unsafe.Pointer(unsafe.SliceData(words))
+	if uintptr(p)%8 != 0 {
+		return nil
+	}
+	return unsafe.Slice((*float64)(p), len(words)/8)
 }
 
 // Group is a set of parameter servers sharing one store, with BOINC's

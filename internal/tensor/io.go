@@ -49,7 +49,10 @@ func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadFrom deserializes a tensor written by WriteTo, replacing t's shape and
-// data.
+// data. The stream is untrusted: a shape whose size overflows is refused,
+// and past a first 256 KiB the data buffer grows only as words arrive, so
+// a header that declares more than the stream holds costs at most a fixed
+// multiple of the bytes actually read, plus that first buffer.
 func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 	var n int64
 	var fixed [8]byte
@@ -71,24 +74,37 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 	if err != nil {
 		return n, fmt.Errorf("tensor: reading shape: %w", err)
 	}
+	const maxSize = math.MaxInt / 8 // so that the data's byte count is an int
 	shape := make([]int, rank)
 	size := 1
 	for i := range shape {
-		shape[i] = int(binary.LittleEndian.Uint32(shapeBuf[4*i:]))
+		d := uint64(binary.LittleEndian.Uint32(shapeBuf[4*i:]))
+		if d > maxSize || d != 0 && uint64(size) > maxSize/d {
+			return n, fmt.Errorf("tensor: a %d-dimensional shape overflows at dimension %d", rank, i)
+		}
+		shape[i] = int(d)
 		size *= shape[i]
 	}
-	data := make([]float64, size)
-	buf := make([]byte, 8*4096)
+	// The first buffer holds up to 256 KiB of words, which covers a
+	// training shard without a copy; beyond it the buffer doubles.
+	const chunk, first = 4096, 1 << 15
+	data := make([]float64, 0, min(size, first))
+	buf := make([]byte, 8*min(size, chunk))
 	for off := 0; off < size; {
-		m := size - off
-		if m > 4096 {
-			m = 4096
-		}
+		m := min(size-off, chunk)
 		k, err = io.ReadFull(r, buf[:8*m])
 		n += int64(k)
 		if err != nil {
 			return n, fmt.Errorf("tensor: reading data: %w", err)
 		}
+		if off+m > cap(data) {
+			// Doubling keeps every word's share of the copies, and the
+			// capacity's lead over what was read, bounded.
+			grown := make([]float64, off, min(size, max(2*cap(data), off+m)))
+			copy(grown, data)
+			data = grown
+		}
+		data = data[:off+m]
 		for i := 0; i < m; i++ {
 			data[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 		}

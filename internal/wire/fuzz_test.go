@@ -14,6 +14,9 @@ import (
 // target, a blob in the retired gzip frame for the parameter ones, and
 // a bad magic for the checkpoint one.
 
+// Every target also decodes its input on the portable word loops and
+// requires the same verdict and the same bits as the native path.
+
 // fuzzAllocSlack covers what a decode allocates beyond the vector its
 // input holds: the vector's rounding up to a heap size class or page
 // (under 8 KiB), and an error message.
@@ -33,16 +36,24 @@ func FuzzDecodeParams(f *testing.F) {
 			err    error
 		)
 		checkAlloc(t, blob, func() { params, err = DecodeParams(blob) })
+		var slow []float64
+		var slowErr error
+		portably(func() { slow, slowErr = DecodeParams(blob) })
+		sameVerdict(t, err, slowErr)
 		if err != nil {
 			return
 		}
+		sameBits(t, params, slow)
 		again, err := EncodeParams(params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := DecodeParams(again)
-		if err != nil || len(back) != len(params) {
-			t.Fatalf("accepted vector does not round-trip: %v", err)
+		if !bytes.Equal(again, blob) {
+			t.Fatal("accepted blob does not re-encode to itself")
+		}
+		portably(func() { again, err = EncodeParams(params) })
+		if err != nil || !bytes.Equal(again, blob) {
+			t.Fatalf("accepted blob does not re-encode to itself on the portable path: %v", err)
 		}
 	})
 }
@@ -56,9 +67,14 @@ func FuzzDecodeParamsInto(f *testing.F) {
 		dst := make([]float64, fuzzIntoLen)
 		var err error
 		checkAlloc(t, blob, func() { err = DecodeParamsInto(dst, blob) })
+		slow := make([]float64, fuzzIntoLen)
+		var slowErr error
+		portably(func() { slowErr = DecodeParamsInto(slow, blob) })
+		sameVerdict(t, err, slowErr)
 		if err != nil {
 			return
 		}
+		sameBits(t, dst, slow)
 		want, err := DecodeParams(blob)
 		if err != nil || len(want) != len(dst) {
 			t.Fatalf("strict decoder accepted what DecodeParams does not: %v, %d values", err, len(want))
@@ -81,11 +97,21 @@ func FuzzDecodeRaw(f *testing.F) {
 			err    error
 		)
 		checkAlloc(t, blob, func() { params, err = DecodeRawInto(nil, blob) })
+		var slow []float64
+		var slowErr error
+		portably(func() { slow, slowErr = DecodeRawInto(nil, blob) })
+		sameVerdict(t, err, slowErr)
 		if err != nil {
 			return
 		}
+		sameBits(t, params, slow)
 		if !bytes.Equal(EncodeRaw(params), blob) {
 			t.Fatal("accepted raw blob does not re-encode to itself")
+		}
+		var again []byte
+		portably(func() { again = EncodeRaw(params) })
+		if !bytes.Equal(again, blob) {
+			t.Fatal("accepted raw blob does not re-encode to itself on the portable path")
 		}
 	})
 }
@@ -105,9 +131,14 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			err    error
 		)
 		checkAlloc(t, lent, func() { epoch, params, err = DecodeCheckpoint(lent) })
+		var slow []float64
+		var slowErr error
+		portably(func() { _, slow, slowErr = DecodeCheckpoint(lent) })
+		sameVerdict(t, err, slowErr)
 		if err != nil {
 			return
 		}
+		sameBits(t, params, slow)
 		for i := range lent {
 			lent[i] = 0xA5
 		}
@@ -119,4 +150,33 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			t.Fatal("accepted checkpoint does not re-encode to its frame once the input is overwritten: the vector aliases the input")
 		}
 	})
+}
+
+// portably runs f on the portable word loops, as a big-endian host would.
+func portably(f func()) {
+	defer func(prev bool) { nativeWords = prev }(nativeWords)
+	nativeWords = false
+	f()
+}
+
+// sameVerdict fails t unless the native and the portable decode both
+// accepted the input, or refused it with the same error.
+func sameVerdict(t *testing.T, native, portable error) {
+	t.Helper()
+	if (native == nil) != (portable == nil) || (native != nil && native.Error() != portable.Error()) {
+		t.Fatalf("word paths disagree: native %v, portable %v", native, portable)
+	}
+}
+
+// sameBits fails t unless got and want hold the same words, bit for bit.
+func sameBits(t *testing.T, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d words, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("word %d: %#x, want %#x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
 }

@@ -8,7 +8,10 @@ import (
 // Raw parameter encoding for parameter-store values: a 64-bit count and
 // the words, with no checksum. Store values never leave the process, so
 // a CRC there would guard no boundary, yet Assimilate would pay for it
-// on every in-place blend and every read.
+// on every in-place blend and every read. For the same reason a read
+// makes no finiteness scan: the words are the server's own, and every
+// upload blended into them was scanned at the boundary, by
+// DecodeParamsInto.
 
 // EncodeRaw serializes a flat parameter vector as a store value.
 func EncodeRaw(params []float64) []byte {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"unsafe"
 )
 
 const (
@@ -71,7 +72,7 @@ func DecodeParams(blob []byte) ([]float64, error) {
 		return nil, err
 	}
 	params := make([]float64, n)
-	if _, err := readFrame(params, blob); err != nil {
+	if err := readFrame(params, blob); err != nil {
 		return nil, err
 	}
 	return params, nil
@@ -91,46 +92,83 @@ func DecodeParamsInto(dst []float64, blob []byte) error {
 	if n != len(dst) {
 		return fmt.Errorf("wire: blob declares %d params, want %d", n, len(dst))
 	}
-	finite, err := readFrame(dst, blob)
-	if err != nil {
+	if err := readFrame(dst, blob); err != nil {
 		return err
 	}
-	if !finite {
+	if !allFinite(dst) {
 		return ErrNonFinite
 	}
 	return nil
 }
 
-// readFrame verifies the checksum of a blob paramHeader accepted, copies
-// its len(dst) words into dst, and reports whether every one was finite.
-func readFrame(dst []float64, blob []byte) (finite bool, err error) {
+// readFrame verifies the checksum of a blob paramHeader accepted and
+// copies its len(dst) words into dst.
+func readFrame(dst []float64, blob []byte) error {
 	words := blob[8 : len(blob)-4]
 	if got, want := binary.LittleEndian.Uint32(blob[len(blob)-4:]), crc32.ChecksumIEEE(words); got != want {
-		return false, fmt.Errorf("wire: checksum mismatch: stored %#x, computed %#x", got, want)
+		return fmt.Errorf("wire: checksum mismatch: stored %#x, computed %#x", got, want)
 	}
-	return getWords(dst, words), nil
+	getWords(dst, words)
+	return nil
+}
+
+// nativeWords reports whether this host keeps a float64 in memory as its
+// little-endian bits, so that a vector and its frame words are the same
+// bytes and move by copy. Tests turn it off to run the portable loops.
+var nativeWords = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wordBytes is the memory of v as bytes.
+func wordBytes(v []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
+}
+
+// copyBlock is the most bytes copyWords moves with one copy. From 1 MiB
+// up, amd64's memmove writes around the cache, which would leave a
+// model-sized vector in memory for the checksum, the finiteness scan or
+// the caller that reads it next.
+const copyBlock = 256 << 10
+
+// copyWords copies src into dst, which is at least as long, a block at a
+// time.
+func copyWords(dst, src []byte) {
+	for len(src) > copyBlock {
+		copy(dst, src[:copyBlock])
+		dst, src = dst[copyBlock:], src[copyBlock:]
+	}
+	copy(dst, src)
 }
 
 // putWords writes src into dst as little-endian float64 bits.
 func putWords(dst []byte, src []float64) {
+	if nativeWords {
+		copyWords(dst, wordBytes(src))
+		return
+	}
 	for i, v := range src {
 		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
 	}
 }
 
-// getWords reads len(dst) little-endian float64s from src and reports
-// whether every one was finite.
-func getWords(dst []float64, src []byte) (finite bool) {
-	const expMask = 0x7ff << 52 // all ones in a NaN or an infinity
-	finite = true
-	for i := range dst {
-		bits := binary.LittleEndian.Uint64(src[8*i:])
-		if bits&expMask == expMask {
-			finite = false
-		}
-		dst[i] = math.Float64frombits(bits)
+// getWords reads len(dst) little-endian float64s from src.
+func getWords(dst []float64, src []byte) {
+	if nativeWords {
+		copyWords(wordBytes(dst), src)
+		return
 	}
-	return finite
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
+// allFinite reports whether no value in v is a NaN or an infinity.
+func allFinite(v []float64) bool {
+	const expMask = 0x7ff << 52 // all ones in a NaN or an infinity
+	for _, x := range v {
+		if math.Float64bits(x)&expMask == expMask {
+			return false
+		}
+	}
+	return true
 }
 
 // MaxEncodedSize is the length of EncodeParams' output for n

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sync"
@@ -196,6 +197,57 @@ func TestRoundTripConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestWordPathsAgree: the native copy and the portable word loops write
+// the same frames and read back the same bits, NaN payloads included,
+// and the strict decoder accepts and refuses alike on both.
+func TestWordPathsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	awkward := []uint64{
+		0x7ff8000000000001, 0xfff4deadbeef0000, 0x7ff0000000000000, 0xfff0000000000000,
+		0x0000000000000001, 0x800fffffffffffff, 0x8000000000000000,
+	}
+	for _, n := range []int{0, 1, 7, 4097, 3*copyBlock/8 + 1} {
+		anyBits := make([]float64, n)
+		for i := range anyBits {
+			if rng.Intn(4) == 0 {
+				anyBits[i] = math.Float64frombits(awkward[rng.Intn(len(awkward))])
+			} else {
+				anyBits[i] = math.Float64frombits(rng.Uint64())
+			}
+		}
+		for _, params := range [][]float64{anyBits, benchParams(n)} {
+			frame, err := EncodeParams(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw := EncodeRaw(params)
+			var slowFrame, slowRaw []byte
+			portably(func() { slowFrame, err = EncodeParams(params); slowRaw = EncodeRaw(params) })
+			if err != nil || !bytes.Equal(frame, slowFrame) || !bytes.Equal(raw, slowRaw) {
+				t.Fatalf("n=%d: the portable encoders wrote other bytes (%v)", n, err)
+			}
+			for _, decode := range []func(func()){func(f func()) { f() }, portably} {
+				var got, gotRaw []float64
+				var err, rawErr error
+				decode(func() { got, err = DecodeParams(frame); gotRaw, rawErr = DecodeRawInto(nil, raw) })
+				if err != nil || rawErr != nil {
+					t.Fatalf("n=%d: %v, %v", n, err, rawErr)
+				}
+				sameBits(t, got, params)
+				sameBits(t, gotRaw, params)
+			}
+			native, slow := make([]float64, n), make([]float64, n)
+			nativeErr := DecodeParamsInto(native, frame)
+			var slowErr error
+			portably(func() { slowErr = DecodeParamsInto(slow, frame) })
+			sameVerdict(t, nativeErr, slowErr)
+			if nativeErr == nil {
+				sameBits(t, native, slow)
+			}
+		}
+	}
+}
+
 // benchParams is n N(0, 1) float64s, like a model update's weights.
 func benchParams(n int) []float64 {
 	rng := rand.New(rand.NewSource(42))
@@ -229,6 +281,41 @@ func BenchmarkEncodeCheckpoint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := EncodeCheckpoint(3, params); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// assimStormWords is the model size of the repository benchmark's
+// assim_storm workload, flatten + MLP(192, [512, 128], 10), whose
+// uploads these two decodes dominate: DecodeParamsInto validates each
+// one, and DecodeRawInto reads the blended copy back for scoring.
+const assimStormWords = 165_770
+
+func BenchmarkDecodeParamsInto(b *testing.B) {
+	blob, err := EncodeParams(benchParams(assimStormWords))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]float64, assimStormWords)
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := DecodeParamsInto(dst, blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeRawInto(b *testing.B) {
+	blob := EncodeRaw(benchParams(assimStormWords))
+	dst := make([]float64, assimStormWords)
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeRawInto(dst, blob); err != nil {
 			b.Fatal(err)
 		}
 	}
