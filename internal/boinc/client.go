@@ -92,14 +92,16 @@ func (e *RetryAfterError) Error() string {
 
 // parseRetryAfter reads a Retry-After header as seconds (the server
 // writes decimals; integers per RFC work too). Zero when absent or
-// unparseable.
+// unparseable, and so when NaN or too long for a Duration: converting
+// such a float to an integer gives whatever the hardware makes of it, a
+// negative Duration on amd64.
 func parseRetryAfter(resp *http.Response) time.Duration {
 	v := resp.Header.Get("Retry-After")
 	if v == "" {
 		return 0
 	}
 	secs, err := strconv.ParseFloat(v, 64)
-	if err != nil || secs < 0 {
+	if err != nil || !(secs >= 0) || secs*float64(time.Second) >= 1<<63 {
 		return 0
 	}
 	return time.Duration(secs * float64(time.Second))

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"vcdl/internal/blob"
@@ -117,19 +116,20 @@ type Distributed struct {
 	start       time.Time
 
 	// paramCount is the model's parameter count, fixed at construction:
-	// the only length an upload may decode to. decoded recycles the
-	// vectors validate decodes into (each paramCount long); assimilate
-	// reads the blended copy back over the upload it came from, so one
-	// vector serves a result from decode to score.
+	// the only length an upload may decode to. decoded recycles what
+	// validate hands assimilate: a view of the upload's body, or a
+	// vector of its own where the host allows no view.
 	paramCount int
 	decoded    sync.Pool // of *decodedParams
-	// Test seams, left alone in production: decode is the one place an
-	// upload is decoded; onRelease sees each vector as it goes back
-	// to the pool; onScore sees each blended copy, with its ticket, as the
-	// evaluator takes it off the queue.
-	decode    func(dst []float64, blob []byte) error
+	// Test seams, left alone in production: check is the one place an
+	// upload is validated; onRelease sees each upload's vector as the
+	// handler lets go of it; onScore sees each blended copy, with its
+	// ticket, as the evaluator takes it off the queue; onUnhold sees each
+	// read-back as it goes back to the store.
+	check     func(blob []byte, n int, spare *[]float64) ([]float64, error)
 	onRelease func(params []float64)
 	onScore   func(ticket int, cur []float64)
+	onUnhold  func(cur []float64)
 
 	mu     sync.Mutex
 	shards []*data.Dataset
@@ -225,7 +225,7 @@ func NewDistributedJob(cfg JobConfig, spec ModelSpec, corpus *data.Corpus, pn in
 	net := nn.NewNetwork(cfg.Builder)
 	d := &Distributed{
 		paramCount:  net.ParamCount(),
-		decode:      wire.DecodeParamsInto,
+		check:       wire.ViewParams,
 		group:       ps.NewGroup(pn, st, cfg.Alpha),
 		replication: opts.Replication,
 		start:       time.Now(),
@@ -450,71 +450,80 @@ func (d *Distributed) generateEpoch(epoch int) error {
 	return nil
 }
 
-// decodedParams is one upload's parameter vector, decoded by validate.
-// The upload handler holds it until it calls Release; if the result is
-// canonical, assimilate overwrites it with the blended server copy and
-// the evaluator queue holds it too, until that copy has been scored.
+// decodedParams is one upload's parameter vector as validate checked it:
+// on a little-endian host a view of the pooled body buffer the upload was
+// read into, elsewhere a copy in own. The upload handler holds it until
+// it calls Release, after assimilate has returned, and the body buffer
+// goes back to its pool straight after; nothing reads params after that.
 type decodedParams struct {
-	params  []float64
-	d       *Distributed
-	holders atomic.Int32
+	params []float64
+	own    []float64
+	d      *Distributed
 }
 
-// Release gives up one hold; the last one returns the vector to its
-// job's pool, and nothing may read it afterwards.
+// Release gives the vector up and returns the struct to its job's pool.
 func (p *decodedParams) Release() {
-	if p.holders.Add(-1) > 0 {
-		return
-	}
 	if p.d.onRelease != nil {
 		p.d.onRelease(p.params)
 	}
+	p.params = nil
 	p.d.decoded.Put(p)
 }
 
-// validate is the BOINC validator hook: an upload is acceptable if it
-// decodes — once, here — to a parameter vector of the model's length
-// with a matching checksum and finite values. The decoded vector rides
-// to assimilate on the verdict.
+// validate is the BOINC validator hook: an upload is acceptable if its
+// frame — checked where it lies, once, here — holds a parameter vector of
+// the model's length with a matching checksum and finite values. That
+// vector rides to assimilate on the verdict, copied only where the host
+// allows no view of the body.
 func (d *Distributed) validate(wu *boinc.Workunit, output []byte) (boinc.Decoded, bool) {
 	dp, _ := d.decoded.Get().(*decodedParams)
 	if dp == nil {
-		dp = &decodedParams{params: make([]float64, d.paramCount), d: d}
+		dp = &decodedParams{d: d}
 	}
-	dp.holders.Store(1)
-	return dp, d.decode(dp.params, output) == nil
+	var err error
+	dp.params, err = d.check(output, d.paramCount, &dp.own)
+	return dp, err == nil
 }
 
 // blended is one canonical result between the two halves of its
 // assimilation: in the model, not yet graded. cur is the server copy
-// read back after the blend, held in buf.
+// read back after the blend, held in the store until the evaluator has
+// scored it.
 type blended struct {
 	ticket int
-	cur    []float64
-	buf    *decodedParams
+	cur    ps.Held
+}
+
+// unhold gives a read-back back to the store.
+func (d *Distributed) unhold(cur ps.Held) {
+	if d.onUnhold != nil {
+		d.onUnhold(cur.Params)
+	}
+	cur.Release()
 }
 
 // assimilate is the BOINC assimilator hook, and all of it that the
-// volunteer waits for: blend what validate decoded from output into the
-// server copy (VC-ASGD), read the copy back over it, queue that for the
-// evaluator under the next ticket and return, so the server acks the
-// upload. A full queue holds the handler until the evaluator has caught
-// up. Only the result that fills an epoch — every subtasks-th ticket —
-// stays until it has been scored, because that closes the epoch: the next
-// epoch's parameter file and workunits are then published before the ack,
-// and a client that asks for work straight after it finds some.
+// volunteer waits for: blend what validate checked in output into the
+// server copy (VC-ASGD), hold the copy read back after the blend, queue
+// that for the evaluator under the next ticket and return, so the server
+// acks the upload. Nothing queued refers to output, which the server
+// reuses once the hook returns. A full queue holds the handler until the
+// evaluator has caught up. Only the result that fills an epoch — every
+// subtasks-th ticket — stays until it has been scored, because that
+// closes the epoch: the next epoch's parameter file and workunits are
+// then published before the ack, and a client that asks for work
+// straight after it finds some.
 func (d *Distributed) assimilate(wu *boinc.Workunit, output []byte, dec boinc.Decoded) {
 	var p SubtaskPayload
 	if err := json.Unmarshal(wu.Payload, &p); err != nil {
 		d.finish(fmt.Errorf("core: assimilate payload: %w", err))
 		return
 	}
-	buf := dec.(*decodedParams)
-	cur, err := d.trainer.Blend(buf.params, p.Epoch, buf.params)
+	cur, err := d.trainer.Blend(dec.(*decodedParams).params, p.Epoch)
 	if err != nil {
 		d.finish(err)
 	}
-	if cur == nil { // the store failed, or training had already stopped
+	if cur.Params == nil { // the store failed, or training had already stopped
 		return
 	}
 
@@ -524,12 +533,12 @@ func (d *Distributed) assimilate(wu *boinc.Workunit, output []byte, dec boinc.De
 		d.evalCond.Wait()
 	}
 	if d.closed {
+		d.unhold(cur)
 		return
 	}
 	d.tickets++
 	ticket := d.tickets
-	buf.holders.Add(1)
-	d.evalQueue = append(d.evalQueue, blended{ticket: ticket, cur: cur, buf: buf})
+	d.evalQueue = append(d.evalQueue, blended{ticket: ticket, cur: cur})
 	d.evalDepth.Set(float64(d.tickets - d.scored))
 	if !d.evaluating {
 		d.evaluating = true
@@ -557,16 +566,19 @@ func (d *Distributed) evaluate() {
 		d.evalQueue = d.evalQueue[:n]
 		d.evalMu.Unlock()
 		if d.onScore != nil {
-			d.onScore(next.ticket, next.cur)
+			d.onScore(next.ticket, next.cur.Params)
 		}
-		d.score(next.cur)
-		next.buf.Release()
+		d.score(next.cur.Params)
+		d.unhold(next.cur)
 		d.evalMu.Lock()
 		d.scored = next.ticket
 		d.evalDepth.Set(float64(d.tickets - d.scored))
 		d.evalCond.Broadcast()
 	}
-	clear(d.evalQueue) // what a closed job left unscored is dropped
+	for _, b := range d.evalQueue { // what a closed job left unscored is dropped
+		d.unhold(b.cur)
+	}
+	clear(d.evalQueue)
 	d.evalQueue = d.evalQueue[:0]
 	d.evaluating = false
 	d.evalMu.Unlock()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -61,33 +62,37 @@ func (t *Trainer) Epoch() int { return t.tracker.Epoch() }
 func (t *Trainer) Score(params []float64) float64 { return t.eval.Accuracy(params) }
 
 // Assimilate handles one canonical result trained from epoch's snapshot:
-// Blend, then ScoreAndRecord. All but the recording runs outside mu, so
-// results on different parameter servers overlap. A result that arrives
-// after Stop is dropped.
+// Blend, then ScoreAndRecord on the held read-back, which it releases
+// before it returns, so Params in the result is a copy. All but the
+// recording runs outside mu, so results on different parameter servers
+// overlap. A result that arrives after Stop is dropped.
 func (t *Trainer) Assimilate(update []float64, epoch int) (Assimilated, error) {
-	cur, err := t.Blend(update, epoch, nil)
-	if cur == nil {
+	cur, err := t.Blend(update, epoch)
+	if cur.Params == nil {
 		return Assimilated{}, err
 	}
-	return t.ScoreAndRecord(cur)
+	defer cur.Release()
+	out, err := t.ScoreAndRecord(cur.Params)
+	out.Params = slices.Clone(out.Params)
+	return out, err
 }
 
 // Blend is the first half of Assimilate: update the server copy on the
-// next parameter server and read it back — into dst when dst has the
-// model's length; dst may be update itself, which is spent by then. It
-// returns nil once training has stopped. After Blend the result is in
-// the model; what is left is grading it, which a caller that must not
-// keep the volunteer waiting (Distributed) does later, in Blend order,
-// through ScoreAndRecord.
-func (t *Trainer) Blend(update []float64, epoch int, dst []float64) ([]float64, error) {
+// next parameter server and hold the copy read back after it. The caller
+// scores that, and then releases it; until then the store keeps its
+// bytes as they are. Blend returns the zero Held once training has
+// stopped. After Blend the result is in the model; what is left is
+// grading it, which a caller that must not keep the volunteer waiting
+// (Distributed) does later, in Blend order, through ScoreAndRecord.
+func (t *Trainer) Blend(update []float64, epoch int) (ps.Held, error) {
 	if t.stopped.Load() {
-		return nil, nil
+		return ps.Held{}, nil
 	}
 	srv := t.group.Pick()
 	if err := srv.Assimilate(update, epoch); err != nil {
-		return nil, err
+		return ps.Held{}, err
 	}
-	return srv.CurrentInto(dst)
+	return srv.Hold()
 }
 
 // ScoreAndRecord is the second half: score cur, the copy Blend read

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,18 +22,35 @@ import (
 )
 
 // TestUploadPathBufferLifetimes runs 8 concurrent uploaders over
-// replicated workunits against a job whose released vectors are
-// poisoned with NaN on their way back to the pool. Every upload of an
-// epoch carries the same vector, so on a strong store the model after
-// each epoch is a pure function of the epoch count, whatever order the
-// handlers interleave in: the published parameter files, FinalParams
-// and the stored copy must match a serial recomputation bit for bit. A
-// pooled buffer read after release, or handed to two uploads at once,
-// shows up as NaN or as a foreign epoch's values. It also pins the
-// one-decode rule: the decoder runs once per upload handled, and every
-// decoded vector is released exactly once — canonical, redundant
-// replica or not.
+// replicated workunits, on each store, against a job that poisons every
+// upload's vector with NaN as the handler lets go of it. On a little-endian
+// host that vector is a view of the pooled body buffer, so the poison is
+// the next upload overwriting that buffer. Every upload of an epoch
+// carries the same vector, so on a strong store the model after each
+// epoch is a pure function of the epoch count, whatever order the
+// handlers interleave in: the published parameter files, FinalParams and
+// the stored copy must match a serial recomputation bit for bit. On an
+// eventual store with lagging replicas, which loses updates, every copy
+// the evaluator scores and the stored copy must still be free of the
+// poison. It also pins the lending contract: one validation per upload
+// handled, each upload's vector released exactly once — canonical,
+// redundant replica or not — and each blended copy read back held once
+// and given back to the store exactly once.
 func TestUploadPathBufferLifetimes(t *testing.T) {
+	stores := []struct {
+		name   string
+		st     func() store.Store
+		serial bool
+	}{
+		{"strong", func() store.Store { return store.NewStrong() }, true},
+		{"eventual", func() store.Store { return store.NewEventual(3, 2, 7) }, false},
+	}
+	for _, sc := range stores {
+		t.Run(sc.name, func(t *testing.T) { uploadPathLifetimes(t, sc.st(), sc.serial) })
+	}
+}
+
+func uploadPathLifetimes(t *testing.T, st store.Store, serial bool) {
 	const uploaders, subtasks, epochs = 8, 12, 3
 	corpus := testCorpus(t)
 	spec := MLPSpec(3*8*8, []int{24}, 10)
@@ -44,15 +62,14 @@ func TestUploadPathBufferLifetimes(t *testing.T) {
 	cfg := testJobConfig()
 	cfg.Builder, cfg.Subtasks, cfg.MaxEpochs, cfg.ValSubset = builder, subtasks, epochs, 20
 	cfg.Alpha = opt.EpochFraction{}
-	st := store.NewStrong()
 	d, err := NewDistributedJob(cfg, spec, corpus, 2, st, DistOptions{Replication: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decodes, releases atomic.Int64
-	d.decode = func(dst []float64, blob []byte) error {
-		decodes.Add(1)
-		return wire.DecodeParamsInto(dst, blob)
+	var checks, releases, unholds, poisoned atomic.Int64
+	d.check = func(blob []byte, n int, spare *[]float64) ([]float64, error) {
+		checks.Add(1)
+		return wire.ViewParams(blob, n, spare)
 	}
 	d.onRelease = func(params []float64) {
 		releases.Add(1)
@@ -60,6 +77,12 @@ func TestUploadPathBufferLifetimes(t *testing.T) {
 			params[i] = math.NaN()
 		}
 	}
+	d.onScore = func(_ int, cur []float64) {
+		if hasNaN(cur) {
+			poisoned.Add(1)
+		}
+	}
+	d.onUnhold = func([]float64) { unholds.Add(1) }
 	ts := httptest.NewServer(d.Server())
 	defer ts.Close()
 
@@ -119,16 +142,29 @@ func TestUploadPathBufferLifetimes(t *testing.T) {
 		t.Fatal("job did not finish")
 	}
 	wg.Wait()
+	evaluatorIdle(t, d)
 	res, err := d.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if u := uploads.Load(); decodes.Load() != u || releases.Load() != u {
-		t.Fatalf("%d uploads handled, %d decodes, %d releases: want one of each per upload", u, decodes.Load(), releases.Load())
+	if u := uploads.Load(); checks.Load() != u || releases.Load() != u {
+		t.Fatalf("%d uploads handled, %d validations, %d releases: want one of each per upload", u, checks.Load(), releases.Load())
+	}
+	if held := int64(d.group.TotalAssimilations()); unholds.Load() != held {
+		t.Fatalf("%d blends held a read-back, %d were given back", held, unholds.Load())
+	}
+	if n := poisoned.Load(); n != 0 {
+		t.Fatalf("the evaluator scored %d copies that an overwritten body buffer reached", n)
 	}
 	if sst := d.Server().SchedStats(); sst.Invalid != 0 || sst.Completions != subtasks*epochs || int64(sst.Completions) >= uploads.Load() {
 		t.Fatalf("stats %+v with %d uploads: want no invalid result, %d completions and some redundant replicas", sst, uploads.Load(), subtasks*epochs)
+	}
+	if final, err := d.group.Current(); err != nil || hasNaN(final) || hasNaN(res.FinalParams) {
+		t.Fatalf("an overwritten body buffer reached the stored copy (err %v)", err)
+	}
+	if !serial {
+		return
 	}
 
 	// Serial reference: start from the published epoch-1 file and blend
@@ -175,9 +211,68 @@ func TestUploadPathBufferLifetimes(t *testing.T) {
 	}
 }
 
+// TestOverwrittenBodyLeavesModelAndQueueAlone: once an upload has been
+// acked, writing over the buffer its body was read into — which the
+// server's next upload does — changes neither the stored copy nor the
+// read-back waiting in the evaluator's queue.
+func TestOverwrittenBodyLeavesModelAndQueueAlone(t *testing.T) {
+	d, _ := distTestJob(t, 5, 1)
+	u := uploader{t, d, "c1"}
+	taken, release := holdEvaluator(d, 5)
+	defer close(release)
+	var body []float64
+	d.onRelease = func(params []float64) { body = params }
+	u.uploadNext()
+	<-taken // the evaluator is busy with ticket 1; ticket 2 will wait
+	u.uploadNext()
+	stored, err := d.group.Current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.evalMu.Lock()
+	queued := d.evalQueue[0].cur.Params
+	d.evalMu.Unlock()
+	if !slices.Equal(queued, stored) {
+		t.Fatal("the queued read-back is not the stored copy")
+	}
+	want := slices.Clone(queued)
+	for i := range body {
+		body[i] = math.NaN()
+	}
+	if got, err := d.group.Current(); err != nil || !slices.Equal(got, stored) {
+		t.Fatalf("writing over the acked upload's body changed the stored copy (err %v)", err)
+	}
+	if !slices.Equal(queued, want) {
+		t.Fatal("writing over the acked upload's body changed the queued read-back")
+	}
+}
+
+// evaluatorIdle waits until d's evaluator has stopped: a finished job's
+// evaluator may still be giving back the copy it scored last.
+func evaluatorIdle(t *testing.T, d *Distributed) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		d.evalMu.Lock()
+		busy := d.evaluating
+		d.evalMu.Unlock()
+		if !busy {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the evaluator is still running")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func hasNaN(v []float64) bool {
+	return slices.ContainsFunc(v, math.IsNaN)
+}
+
 // TestValidateRejectsAndReleases: each way an upload can be wrong is an
-// invalid verdict, and the vector that came with the verdict goes back
-// to the pool through Release like any other.
+// invalid verdict, and what came with the verdict goes back to the pool
+// through Release like any other.
 func TestValidateRejectsAndReleases(t *testing.T) {
 	d, _, _ := distTestSetup(t, 1)
 	encode := func(p []float64) []byte {

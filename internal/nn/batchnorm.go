@@ -49,9 +49,6 @@ func NewBatchNorm(f int) *BatchNorm {
 	return bn
 }
 
-// Name implements Layer.
-func (bn *BatchNorm) Name() string { return "batchnorm" }
-
 // Init implements Layer: gamma=1, beta=0, running stats reset.
 func (bn *BatchNorm) Init(*rand.Rand) {
 	bn.Gamma.Fill(1)

@@ -34,9 +34,6 @@ func NewConv2D(inC, outC, k, stride, pad int) *Conv2D {
 	}
 }
 
-// Name implements Layer.
-func (c *Conv2D) Name() string { return "conv2d" }
-
 // Init implements Layer using He-normal initialization with fan-in
 // InC*K*K.
 func (c *Conv2D) Init(rng *rand.Rand) {

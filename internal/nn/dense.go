@@ -32,9 +32,6 @@ func NewDense(in, out int) *Dense {
 	}
 }
 
-// Name implements Layer.
-func (d *Dense) Name() string { return "dense" }
-
 // Init implements Layer using He-normal initialization.
 func (d *Dense) Init(rng *rand.Rand) {
 	d.W.HeNormal(d.In, rng)

@@ -19,8 +19,6 @@ import (
 // need between the two calls and are not safe for concurrent use; each
 // training client owns a private clone of the network.
 type Layer interface {
-	// Name identifies the layer kind for debugging and serialization.
-	Name() string
 	// Forward computes the layer output. training toggles behaviour that
 	// differs between training and inference (e.g. batch-norm statistics).
 	Forward(x *tensor.Tensor, training bool) *tensor.Tensor
@@ -45,9 +43,6 @@ type ReLU struct {
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
-
-// Name implements Layer.
-func (r *ReLU) Name() string { return "relu" }
 
 // ensureMask sizes the activation mask for n elements and returns it.
 func (r *ReLU) ensureMask(n int) []bool {
@@ -116,9 +111,6 @@ type Flatten struct {
 
 // NewFlatten returns a Flatten layer.
 func NewFlatten() *Flatten { return &Flatten{} }
-
-// Name implements Layer.
-func (f *Flatten) Name() string { return "flatten" }
 
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {

@@ -24,9 +24,6 @@ type MaxPool2D struct {
 // NewMaxPool2D creates a max-pooling layer with window and stride k.
 func NewMaxPool2D(k int) *MaxPool2D { return &MaxPool2D{K: k} }
 
-// Name implements Layer.
-func (p *MaxPool2D) Name() string { return "maxpool2d" }
-
 // Forward implements Layer.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	if x.Rank() != 4 {
@@ -113,9 +110,6 @@ type GlobalAvgPool2D struct {
 
 // NewGlobalAvgPool2D creates a global average pooling layer.
 func NewGlobalAvgPool2D() *GlobalAvgPool2D { return &GlobalAvgPool2D{} }
-
-// Name implements Layer.
-func (p *GlobalAvgPool2D) Name() string { return "gap2d" }
 
 // Forward implements Layer.
 func (p *GlobalAvgPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {

@@ -30,9 +30,6 @@ func NewResidualProj(proj []Layer, body ...Layer) *Residual {
 	return &Residual{Body: body, Proj: proj}
 }
 
-// Name implements Layer.
-func (r *Residual) Name() string { return "residual" }
-
 // Init implements Layer.
 func (r *Residual) Init(rng *rand.Rand) {
 	for _, l := range r.Body {

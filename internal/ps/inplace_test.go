@@ -6,24 +6,28 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"vcdl/internal/opt"
 	"vcdl/internal/store"
 	"vcdl/internal/wire"
 )
 
-// referenceAssimilate is Equation 1 as it was written before the blend
-// moved in place: decode the stored copy, blend into a new vector,
-// encode it again. Assimilate must leave the same bytes and the same
-// store.Stats behind.
+// referenceAssimilate is Equation 1 written the plain way: decode the
+// stored copy into a vector of its own, blend the client copy in with the
+// subtraction Assimilate uses, in the same operand order, and encode the
+// result. The expression, not the register allocator, fixes which NaN
+// payload each side keeps, so the two agree bit for bit. Assimilate must
+// leave the same bytes and the same store.Stats behind.
 func referenceAssimilate(st store.Store, key string, alpha float64, clientParams []float64) error {
+	negBeta := -(1 - alpha)
 	return st.Update(key, func(old []byte) []byte {
 		ws, err := wire.DecodeRawInto(nil, old)
 		if err != nil || len(ws) != len(clientParams) {
 			return wire.EncodeRaw(clientParams)
 		}
 		for i := range ws {
-			ws[i] = float64(alpha*ws[i]) + float64((1-alpha)*clientParams[i])
+			ws[i] = float64(alpha*ws[i]) - float64(negBeta*clientParams[i])
 		}
 		return wire.EncodeRaw(ws)
 	})
@@ -63,10 +67,11 @@ func randomVector(rng *rand.Rand, n int) []float64 {
 
 // TestInPlaceAssimilateMatchesReference drives two identically seeded
 // stores through the same sequence of first writes, blends and length
-// changes, one through Assimilate and one through the reference, and
-// compares value bytes and every Stats field after each step. The
-// eventual stores have lagging replicas, so a difference in how many
-// reads either side makes would also show as diverging replica routing.
+// changes, one through Assimilate's out-of-place blend and one through
+// the reference, and compares value bytes and every Stats field after
+// each step. The eventual stores have lagging replicas, so a difference
+// in how many reads either side makes would also show as diverging
+// replica routing. (The name predates the blend moving out of place.)
 func TestInPlaceAssimilateMatchesReference(t *testing.T) {
 	schedules := []opt.Schedule{
 		opt.Constant{V: 0}, opt.Constant{V: 0.7}, opt.Constant{V: 0.95},
@@ -149,10 +154,9 @@ func onBothPaths(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// TestInPlaceAssimilateOnBothPaths: the two blend loops compile to
-// different code, and which NaN payload survives a sum depends on the
-// operand order each gets, so a pass on one path says nothing about the
-// other.
+// TestInPlaceAssimilateOnBothPaths: the two blend loops — over float
+// views and over little-endian words — compile to different code, so a
+// pass on one path says nothing about the other.
 func TestInPlaceAssimilateOnBothPaths(t *testing.T) {
 	onBothPaths(t, TestInPlaceAssimilateMatchesReference)
 }
@@ -178,4 +182,71 @@ func TestFloatViewNeedsAlignment(t *testing.T) {
 	if want := []byte{8, 7, 6, 5, 4, 3, 2, 1}; !bytes.Equal(buf[16:24], want) {
 		t.Fatalf("view does not share the buffer: % x", buf[16:24])
 	}
+}
+
+// TestHoldReadsWhatCurrentReads: Hold reads the copy Current reads, with
+// the same store Stats, on each blend path and each store, and both fail
+// on an empty store. On the view path Params is the stored words
+// themselves; on either, it stays as it was read through more blends
+// than the replicas lag by, until Release.
+func TestHoldReadsWhatCurrentReads(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
+		for _, st := range []store.Store{store.NewStrong(), store.NewEventual(1, 3, 1)} {
+			srv := NewServer(0, st, opt.Constant{V: 0.7})
+			if _, err := srv.Current(); err == nil {
+				t.Fatalf("%s: Current on an empty store must fail", st.Name())
+			}
+			if _, err := srv.Hold(); err == nil {
+				t.Fatalf("%s: Hold on an empty store must fail", st.Name())
+			}
+			rng := rand.New(rand.NewSource(3))
+			for range 3 {
+				if err := srv.Assimilate(randomVector(rng, 50), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := srv.Current()
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := st.Stats()
+			h, err := srv.Hold()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := st.Stats(); got.Gets != before.Gets+1 || got.BytesRead != before.BytesRead+uint64(8+8*len(want)) {
+				t.Fatalf("%s: Hold counted %+v after %+v, want one read of the copy", st.Name(), got, before)
+			}
+			if !sameWords(h.Params, want) {
+				t.Fatalf("%s: Hold read a different copy from Current", st.Name())
+			}
+			var shares bool
+			st.View(srv.Key, func(v []byte, _ uint64) { shares = &v[8] == (*byte)(unsafe.Pointer(&h.Params[0])) })
+			if shares != nativeWords {
+				t.Fatalf("%s: held copy shares the stored words: %v, want %v", st.Name(), shares, nativeWords)
+			}
+			for range 5 {
+				if err := srv.Assimilate(randomVector(rng, 50), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !sameWords(h.Params, want) {
+				t.Fatalf("%s: the held copy changed under later blends", st.Name())
+			}
+			h.Release()
+		}
+	})
+}
+
+// sameWords reports whether a and b hold the same words, bit for bit.
+func sameWords(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

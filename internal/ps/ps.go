@@ -59,19 +59,13 @@ func (s *Server) Publish(params []float64) error {
 }
 
 // Current returns the server parameter copy as seen through the store
-// (possibly stale for eventual-consistency backends).
-func (s *Server) Current() ([]float64, error) { return s.CurrentInto(nil) }
-
-// CurrentInto is Current into caller-owned memory: it fills and returns
-// dst when dst has the model's length, and a new vector otherwise, so a
-// caller that reads after every assimilation can recycle one vector. It
-// decodes straight from the bytes the store lends, so the stored copy is
-// read once and copied nowhere else.
-func (s *Server) CurrentInto(dst []float64) ([]float64, error) {
+// (possibly stale for eventual-consistency backends), decoded from the
+// bytes the store lends into a vector of its own.
+func (s *Server) Current() ([]float64, error) {
 	var out []float64
 	var derr error
 	err := s.Store.View(s.Key, func(blob []byte, _ uint64) {
-		out, derr = wire.DecodeRawInto(dst, blob)
+		out, derr = wire.DecodeRawInto(nil, blob)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ps: read server params: %w", err)
@@ -79,18 +73,52 @@ func (s *Server) CurrentInto(dst []float64) ([]float64, error) {
 	return out, derr
 }
 
+// Held is the server parameter copy as one read saw it. Where the host
+// allows, Params is a view of the stored words, lent by the store until
+// Release; elsewhere it is a decoded copy and Release does nothing.
+type Held struct {
+	Params []float64
+	held   store.Held
+}
+
+// Release gives the copy back to the store; call it exactly once, and
+// read Params no more. Releasing the zero Held does nothing.
+func (h Held) Release() { h.held.Release() }
+
+// Hold reads the server parameter copy as Current does — the same
+// replica draw, the same store Stats — without copying it: on a
+// little-endian host Params is a view of the version the read saw, which
+// the store keeps as it is, and out of its free list, until Release. A
+// big-endian host, or a buffer not 8-byte aligned, gets a decoded copy.
+func (s *Server) Hold() (Held, error) {
+	h, err := s.Store.Hold(s.Key)
+	if err != nil {
+		return Held{}, fmt.Errorf("ps: read server params: %w", err)
+	}
+	blob := h.Value()
+	if _, ok := rawCount(blob); ok {
+		if ws := floatView(blob[8:]); ws != nil {
+			return Held{Params: ws, held: h}, nil
+		}
+	}
+	defer h.Release()
+	params, err := wire.DecodeRawInto(nil, blob)
+	return Held{Params: params}, err
+}
+
 // Assimilate applies Equation 1 for a client parameter copy delivered
 // during epoch e. It is a single read-modify-write on the shared store:
 // the update is applied immediately, regardless of subtask order.
 //
-// The blend runs in place on the private copy Store.Update hands its
-// callback. On a little-endian host that copy's words are already
-// float64s in memory, so the blend reads and writes them through a
-// []float64 view; elsewhere, or on a buffer not 8-byte aligned, it
-// decodes and re-encodes one little-endian word at a time. Either way
+// The blend runs out of place, through Store.Rewrite: it reads the old
+// value the store holds for it and writes each blended word once, into
+// the recycled buffer that becomes the new value. On a little-endian host
+// both are read and written through []float64 views; elsewhere, or on a
+// buffer not 8-byte aligned, one little-endian word at a time. Either way
 // the stored bytes — and the lengths the store's Stats count — are what
 // DecodeRawInto, the same expression and EncodeRaw produce, NaN payloads
-// included.
+// included. The blend runs outside the store's lock on an eventual store,
+// so two servers that read the same version lose one update, as before.
 func (s *Server) Assimilate(clientParams []float64, epoch int) error {
 	alpha := s.Alpha.At(epoch)
 	if alpha < 0 || alpha > 1 {
@@ -106,29 +134,40 @@ func (s *Server) Assimilate(clientParams []float64, epoch int) error {
 	// multiply-add.
 	negBeta := -(1 - alpha)
 	n := len(clientParams)
-	err := s.Store.Update(s.Key, func(old []byte) []byte {
-		if len(old) < 8 || len(old)-8 != wire.RawSize(n) || binary.LittleEndian.Uint64(old) != uint64(n) {
+	err := s.Store.Rewrite(s.Key, func(old, dst []byte) []byte {
+		if m, ok := rawCount(old); !ok || m != n {
 			// First write or schema change: adopt the client copy.
 			return wire.EncodeRaw(clientParams)
 		}
-		if ws := floatView(old[8:]); ws != nil {
-			for i, wc := range clientParams {
-				ws[i] = float64(alpha*ws[i]) - float64(negBeta*wc)
+		copy(dst[:8], old[:8])
+		if ws, out := floatView(old[8:]), floatView(dst[8:]); ws != nil && out != nil {
+			ws, wc := ws[:len(out)], clientParams[:len(out)]
+			for i := range out {
+				out[i] = float64(alpha*ws[i]) - float64(negBeta*wc[i])
 			}
-			return old
+			return dst
 		}
 		for i, wc := range clientParams {
-			word := old[8+8*i : 16+8*i]
-			ws := math.Float64frombits(binary.LittleEndian.Uint64(word))
-			binary.LittleEndian.PutUint64(word, math.Float64bits(float64(alpha*ws)-float64(negBeta*wc)))
+			ws := math.Float64frombits(binary.LittleEndian.Uint64(old[8+8*i:]))
+			binary.LittleEndian.PutUint64(dst[8+8*i:], math.Float64bits(float64(alpha*ws)-float64(negBeta*wc)))
 		}
-		return old
+		return dst
 	})
 	if err != nil {
 		return fmt.Errorf("ps: assimilate: %w", err)
 	}
 	s.assimilations.Add(1)
 	return nil
+}
+
+// rawCount returns the parameter count of a well-formed store value:
+// a count word that matches the words after it.
+func rawCount(blob []byte) (int, bool) {
+	if len(blob) < 8 || (len(blob)-8)%8 != 0 {
+		return 0, false
+	}
+	n := (len(blob) - 8) / 8
+	return n, binary.LittleEndian.Uint64(blob) == uint64(n)
 }
 
 // nativeWords reports whether this host keeps a float64 in memory as its

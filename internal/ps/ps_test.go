@@ -2,7 +2,6 @@ package ps
 
 import (
 	"math"
-	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -27,36 +26,6 @@ func TestPublishAndCurrent(t *testing.T) {
 	}
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("Current = %v", got)
-	}
-}
-
-// TestCurrentIntoRecyclesAFittingVector: a vector of the model's length
-// is filled and handed back; any other length gets a new vector and is
-// left alone.
-func TestCurrentIntoRecyclesAFittingVector(t *testing.T) {
-	s := newTestServer(0.95)
-	want := []float64{1, -0.0, math.Pi}
-	if err := s.Publish(want); err != nil {
-		t.Fatal(err)
-	}
-	fits := []float64{7, 7, 7}
-	got, err := s.CurrentInto(fits)
-	if err != nil || &got[0] != &fits[0] || !slices.Equal(got, want) {
-		t.Fatalf("CurrentInto(fitting) = %v (err %v, recycled %v), want %v in the caller's vector", got, err, &got[0] == &fits[0], want)
-	}
-	for _, dst := range [][]float64{nil, {7, 7}, {7, 7, 7, 7}} {
-		got, err := s.CurrentInto(dst)
-		if err != nil || !slices.Equal(got, want) {
-			t.Fatalf("CurrentInto(len %d) = %v (err %v), want %v", len(dst), got, err, want)
-		}
-		for _, v := range dst {
-			if v != 7 {
-				t.Fatalf("CurrentInto wrote into a vector of the wrong length: %v", dst)
-			}
-		}
-	}
-	if _, err := NewServer(1, store.NewStrong(), opt.Constant{V: 0.5}).CurrentInto(fits); err == nil {
-		t.Fatal("CurrentInto on an empty store must fail")
 	}
 }
 

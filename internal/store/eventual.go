@@ -9,7 +9,7 @@ import (
 // primary and ReplicaCount asynchronously updated replicas. A read is
 // served by a randomly chosen replica; replica i trails the primary by
 // i·ReplicaLagOps/ReplicaCount committed writes, so reads may observe
-// stale versions. Update performs an optimistic, lock-free
+// stale versions. Rewrite and Update perform an optimistic, lock-free
 // read-modify-write: under concurrency, two updates may read the same base
 // version and the second write silently discards the first (a lost
 // update), which is exactly the behaviour the paper accepts in exchange
@@ -20,7 +20,7 @@ type Eventual struct {
 	ReplicaLagOps int
 
 	mu      sync.RWMutex
-	history map[string][]entry // most recent last; trimmed to max lag+1
+	history map[string][]*version // most recent last; trimmed to max lag+1
 	rng     *rand.Rand
 	rngMu   sync.Mutex
 	free    freeList
@@ -42,7 +42,7 @@ func NewEventual(replicas, lagOps int, seed int64) *Eventual {
 		Profile:       EventualProfile,
 		ReplicaCount:  replicas,
 		ReplicaLagOps: lagOps,
-		history:       make(map[string][]entry),
+		history:       make(map[string][]*version),
 		rng:           rand.New(rand.NewSource(seed)),
 	}
 }
@@ -55,9 +55,9 @@ func (e *Eventual) replicaLag(i int) int {
 	return i * e.ReplicaLagOps / e.ReplicaCount
 }
 
-// View implements Store: it reads from a random replica, which may serve
+// Hold implements Store: it reads from a random replica, which may serve
 // a version up to its lag behind the primary.
-func (e *Eventual) View(key string, f func(value []byte, version uint64)) error {
+func (e *Eventual) Hold(key string) (Held, error) {
 	e.rngMu.Lock()
 	lag := e.replicaLag(e.rng.Intn(e.ReplicaCount))
 	e.rngMu.Unlock()
@@ -66,24 +66,32 @@ func (e *Eventual) View(key string, f func(value []byte, version uint64)) error 
 	hist := e.history[key]
 	if len(hist) == 0 {
 		e.mu.RUnlock()
-		return ErrNotFound
+		return Held{}, ErrNotFound
 	}
-	idx := len(hist) - 1 - lag
-	if idx < 0 {
-		idx = 0
-	}
-	ent := hist[idx]
+	idx := max(len(hist)-1-lag, 0)
+	v := hist[idx]
+	v.refs.Add(1) // under the read lock, so no commit can drop v first
 	stale := idx != len(hist)-1
-	f(ent.value, ent.version)
 	e.mu.RUnlock()
 	e.counter.add(func(s *Stats) {
 		s.Gets++
 		if stale {
 			s.StaleReads++
 		}
-		s.BytesRead += uint64(len(ent.value))
-		s.ModeledTime += e.Profile.Cost(len(ent.value))
+		s.BytesRead += uint64(len(v.value))
+		s.ModeledTime += e.Profile.Cost(len(v.value))
 	})
+	return Held{v}, nil
+}
+
+// View implements Store as a Hold for the length of f.
+func (e *Eventual) View(key string, f func(value []byte, version uint64)) error {
+	h, err := e.Hold(key)
+	if err != nil {
+		return err
+	}
+	f(h.v.value, h.v.num)
+	h.Release()
 	return nil
 }
 
@@ -98,22 +106,24 @@ func (e *Eventual) Set(key string, value []byte) error {
 // is non-nil it is the version the caller's read observed; a mismatch
 // with the current head means a concurrent commit slipped in between and
 // is being clobbered — a lost update. A version the history drops is
-// served by no replica any more, so its buffer goes to the free list.
-func (e *Eventual) commit(key string, v []byte, base *uint64) {
+// served by no replica any more, so the store lets go of it.
+func (e *Eventual) commit(key string, v *version, base *uint64) {
 	var lost bool
 	e.mu.Lock()
 	hist := e.history[key]
 	var cur uint64
 	if len(hist) > 0 {
-		cur = hist[len(hist)-1].version
+		cur = hist[len(hist)-1].num
 	}
 	if base != nil && cur != *base {
 		lost = true
 	}
-	hist = append(hist, entry{value: v, version: cur + 1})
+	v.num = cur + 1
+	size := len(v.value) // v may be dropped and recycled once mu is let go
+	hist = append(hist, v)
 	if drop := len(hist) - (e.ReplicaLagOps + 1); drop > 0 {
 		for _, gone := range hist[:drop] {
-			e.free.put(gone.value)
+			gone.unref()
 		}
 		n := copy(hist, hist[drop:])
 		clear(hist[n:])
@@ -123,28 +133,33 @@ func (e *Eventual) commit(key string, v []byte, base *uint64) {
 	e.mu.Unlock()
 	e.counter.add(func(s *Stats) {
 		s.Sets++
-		s.BytesWritten += uint64(len(v))
+		s.BytesWritten += uint64(size)
 		if lost {
 			s.LostUpdates++
 		}
-		s.ModeledTime += e.Profile.Cost(len(v))
+		s.ModeledTime += e.Profile.Cost(size)
 	})
 }
 
-// Update implements Store with optimistic, lossy read-modify-write: a
-// View that copies the value out, f outside any lock, then a commit.
-func (e *Eventual) Update(key string, f func(old []byte) []byte) error {
-	var old []byte
-	var base uint64
-	err := e.View(key, func(v []byte, ver uint64) {
-		old, base = e.free.clone(v), ver
-	})
+// Rewrite implements Store with optimistic, lossy read-modify-write: a
+// Hold, f outside any lock, then a commit.
+func (e *Eventual) Rewrite(key string, f func(old, dst []byte) []byte) error {
+	h, err := e.Hold(key)
 	if err != nil && err != ErrNotFound {
 		return err
 	}
-	e.commit(key, f(old), &base)
+	v := e.free.take(len(h.Value()))
+	v.value = f(h.Value(), v.value)
+	base := h.Version()
+	h.Release()
+	e.commit(key, v, &base)
 	e.counter.add(func(s *Stats) { s.Updates++ })
 	return nil
+}
+
+// Update implements Store on Rewrite.
+func (e *Eventual) Update(key string, f func(old []byte) []byte) error {
+	return e.Rewrite(key, privateCopy(f))
 }
 
 // Stats implements Store.

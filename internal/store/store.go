@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -38,21 +39,34 @@ type Store interface {
 	Name() string
 	// View calls f with the current value of key (possibly stale for
 	// eventual stores) and its version. The value is the store's own
-	// committed bytes, lent for the length of the call with the store's
-	// lock held against writers: f must not modify them, keep them or
-	// any slice of them, or call back into the store. A caller that
-	// needs the bytes later copies them inside f.
+	// committed bytes, lent for the length of the call: f must not
+	// modify them, keep them or any slice of them. A caller that needs
+	// the bytes later copies them inside f, or holds them with Hold.
 	View(key string, f func(value []byte, version uint64)) error
+	// Hold is View with a lend that outlives the call: it reads the
+	// version View would read — the same replica draw, the same Stats —
+	// and keeps it, byte for byte, until the returned Held is released,
+	// however many commits pass it meanwhile. A held buffer is never
+	// recycled: it goes to the free list only once it is released and no
+	// read can reach it any more.
+	Hold(key string) (Held, error)
 	// Set unconditionally writes value (last write wins).
 	Set(key string, value []byte) error
-	// Update performs a read-modify-write cycle using the backend's
-	// native concurrency semantics: serializable for Strong (no lost
-	// updates), optimistic and lossy for Eventual. old is a private copy
-	// (nil for a missing key): f may modify it in place and return it.
-	// The store adopts whatever f returns as the stored value, without
-	// copying it, so f must hand over a slice nothing else will read or
-	// write: once that version is superseded (and, for Eventual, no
-	// replica serves it any more) its memory is reused for a later copy.
+	// Rewrite performs a read-modify-write cycle out of place, using the
+	// backend's native concurrency semantics: serializable for Strong
+	// (no lost updates), optimistic and lossy for Eventual. old is the
+	// value a read would see (nil for a missing key), held for the call;
+	// f must not modify it. dst is a recycled buffer of len(old) bytes
+	// that no reader can reach, with garbage contents. f returns the new
+	// value: dst, once it has written all of it, or any other slice. The
+	// store adopts what f returns without copying it, so f must hand
+	// over a slice nothing else will read or write — never old: once
+	// that version is superseded (and, for Eventual, no replica serves
+	// it and nobody holds it) its memory is reused for a later value.
+	Rewrite(key string, f func(old, dst []byte) []byte) error
+	// Update is Rewrite with the old value handed over as a private copy:
+	// f may modify old in place and return it, and the same adoption
+	// rule holds for what it returns.
 	Update(key string, f func(old []byte) []byte) error
 	// Stats returns operation counters accumulated so far.
 	Stats() Stats
@@ -94,60 +108,128 @@ var (
 	StrongProfile = LatencyProfile{PerOp: 145 * time.Millisecond, PerByte: 24 * time.Nanosecond}
 )
 
-// entry is a versioned value.
-type entry struct {
-	value   []byte
-	version uint64
+// version is one committed value of a key. refs counts the store's own
+// reference, kept while a read can still reach the version, plus one per
+// outstanding Hold; whoever drops the last one hands the version to the
+// free list, so a buffer is recycled only once nobody can read it.
+type version struct {
+	value []byte
+	num   uint64
+	refs  atomic.Int32
+	free  *freeList
 }
 
-// maxFree bounds the free list: an eventual store with no replica lag
-// and one parameter server per core never has more than a couple of
-// versions in flight, and a bound keeps an idle store from holding more.
+// unref drops one reference to v.
+func (v *version) unref() {
+	switch n := v.refs.Add(-1); {
+	case n == 0:
+		v.free.put(v)
+	case n < 0:
+		panic("store: version released more often than it was held")
+	}
+}
+
+// Held is a version of a key lent by Hold beyond the call that read it.
+// Its bytes stay as they were committed, and its buffer stays off the
+// free list, until Release. The zero Held holds nothing.
+type Held struct{ v *version }
+
+// Value returns the held bytes (nil for the zero Held). The caller must
+// not modify them, nor read them after Release.
+func (h Held) Value() []byte {
+	if h.v == nil {
+		return nil
+	}
+	return h.v.value
+}
+
+// Version returns the held version's number (0 for the zero Held).
+func (h Held) Version() uint64 {
+	if h.v == nil {
+		return 0
+	}
+	return h.v.num
+}
+
+// Release gives the hold up; call it exactly once per Hold. Releasing
+// the zero Held does nothing.
+func (h Held) Release() {
+	if h.v != nil {
+		h.v.unref()
+	}
+}
+
+// maxFree bounds the free list. A parameter server keeps a few versions
+// in flight — the committed one, one destination per concurrent
+// assimilation, and the read-backs its evaluator still holds — and a
+// bound keeps an idle store from holding more.
 const maxFree = 4
 
-// freeList recycles the buffers of versions no reader can reach any
-// more, for the private copies the store makes. View lends committed
-// bytes only for the length of a callback that runs with writers locked
-// out, and a version leaves the store under the writers' lock, so once
-// it has left nobody holds its memory.
+// freeList recycles the versions no reader can reach any more, for the
+// values the store writes next.
 type freeList struct {
 	mu   sync.Mutex
-	bufs [][]byte
+	vers []*version
 }
 
-// put offers b for reuse; it is dropped when the list is full.
-func (l *freeList) put(b []byte) {
-	if cap(b) == 0 {
+// put offers v, which nobody references any more, for reuse; it is
+// dropped when the list is full.
+func (l *freeList) put(v *version) {
+	if cap(v.value) == 0 {
 		return
 	}
 	l.mu.Lock()
-	if len(l.bufs) < maxFree {
-		l.bufs = append(l.bufs, b)
+	if len(l.vers) < maxFree {
+		l.vers = append(l.vers, v)
 	}
 	l.mu.Unlock()
 }
 
-// clone returns a private copy of v, in a recycled buffer when one is
-// large enough. Like append([]byte(nil), v...), it returns nil for an
-// empty v.
-func (l *freeList) clone(v []byte) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	var buf []byte
-	l.mu.Lock()
-	for i := len(l.bufs) - 1; i >= 0; i-- {
-		if cap(l.bufs[i]) >= len(v) {
-			buf = l.bufs[i][:0]
-			last := len(l.bufs) - 1
-			l.bufs[i] = l.bufs[last]
-			l.bufs[last] = nil
-			l.bufs = l.bufs[:last]
-			break
+// take returns a version of its own for the caller to fill and commit,
+// holding n bytes of garbage: a recycled buffer when one is large
+// enough, a new one otherwise, and nil when n is 0.
+func (l *freeList) take(n int) *version {
+	var v *version
+	if n > 0 {
+		l.mu.Lock()
+		for i := len(l.vers) - 1; i >= 0; i-- {
+			if cap(l.vers[i].value) >= n {
+				v = l.vers[i]
+				last := len(l.vers) - 1
+				l.vers[i] = l.vers[last]
+				l.vers[last] = nil
+				l.vers = l.vers[:last]
+				break
+			}
 		}
+		l.mu.Unlock()
 	}
-	l.mu.Unlock()
-	return append(buf, v...)
+	switch {
+	case v != nil:
+		v.value = v.value[:n]
+	case n > 0:
+		v = &version{value: make([]byte, n), free: l}
+	default:
+		v = &version{free: l}
+	}
+	v.refs.Store(1)
+	return v
+}
+
+// clone returns a version holding a copy of b.
+func (l *freeList) clone(b []byte) *version {
+	v := l.take(len(b))
+	copy(v.value, b)
+	return v
+}
+
+// privateCopy adapts an in-place Update callback to Rewrite: f works
+// on a copy of old made in dst.
+func privateCopy(f func(old []byte) []byte) func(old, dst []byte) []byte {
+	return func(old, dst []byte) []byte {
+		copy(dst, old)
+		return f(dst)
+	}
 }
 
 // counter is a small mutex-protected Stats accumulator shared by backends.

@@ -10,7 +10,7 @@ type Strong struct {
 	Profile LatencyProfile
 
 	mu   sync.Mutex
-	data map[string]entry
+	data map[string]*version
 	free freeList
 
 	counter counter
@@ -20,72 +20,99 @@ type Strong struct {
 func NewStrong() *Strong {
 	return &Strong{
 		Profile: StrongProfile,
-		data:    make(map[string]entry),
+		data:    make(map[string]*version),
 	}
 }
 
 // Name implements Store.
 func (s *Strong) Name() string { return "strong" }
 
-// View implements Store: reads are always current.
-func (s *Strong) View(key string, f func(value []byte, version uint64)) error {
+// Hold implements Store: reads are always current.
+func (s *Strong) Hold(key string) (Held, error) {
 	s.mu.Lock()
-	ent, ok := s.data[key]
+	v, ok := s.data[key]
 	if !ok {
 		s.mu.Unlock()
-		return ErrNotFound
+		return Held{}, ErrNotFound
 	}
-	f(ent.value, ent.version)
+	v.refs.Add(1) // under the lock, so no commit can drop v first
 	s.mu.Unlock()
 	s.counter.add(func(st *Stats) {
 		st.Gets++
-		st.BytesRead += uint64(len(ent.value))
-		st.ModeledTime += s.Profile.Cost(len(ent.value))
+		st.BytesRead += uint64(len(v.value))
+		st.ModeledTime += s.Profile.Cost(len(v.value))
 	})
+	return Held{v}, nil
+}
+
+// View implements Store as a Hold for the length of f.
+func (s *Strong) View(key string, f func(value []byte, version uint64)) error {
+	h, err := s.Hold(key)
+	if err != nil {
+		return err
+	}
+	f(h.v.value, h.v.num)
+	h.Release()
 	return nil
 }
 
 // Set implements Store as a single-key transaction.
 func (s *Strong) Set(key string, value []byte) error {
 	v := s.free.clone(value)
+	n := len(v.value)
 	s.mu.Lock()
 	s.commitLocked(key, v)
 	s.mu.Unlock()
 	s.counter.add(func(st *Stats) {
 		st.Sets++
-		st.BytesWritten += uint64(len(v))
-		st.ModeledTime += s.Profile.Cost(len(v))
+		st.BytesWritten += uint64(n)
+		st.ModeledTime += s.Profile.Cost(n)
 	})
 	return nil
 }
 
 // commitLocked makes v, which the store now owns, the next version of
-// key. The version it replaces can no longer be viewed, so its buffer
-// goes to the free list. Callers hold mu.
-func (s *Strong) commitLocked(key string, v []byte) {
-	prev := s.data[key]
-	s.data[key] = entry{value: v, version: prev.version + 1}
-	s.free.put(prev.value)
+// key. The version it replaces can no longer be read, so the store lets
+// go of it. Callers hold mu.
+func (s *Strong) commitLocked(key string, v *version) {
+	if prev := s.data[key]; prev != nil {
+		v.num = prev.num + 1
+		prev.unref()
+	} else {
+		v.num = 1
+	}
+	s.data[key] = v
 }
 
-// Update implements Store as a serializable read-modify-write transaction:
-// the global lock is held across the whole cycle, so concurrent updates
-// apply in a serial order and no update is lost.
-func (s *Strong) Update(key string, f func(old []byte) []byte) error {
+// Rewrite implements Store as a serializable read-modify-write
+// transaction: the global lock is held across the whole cycle, so
+// concurrent updates apply in a serial order and no update is lost.
+func (s *Strong) Rewrite(key string, f func(old, dst []byte) []byte) error {
 	s.mu.Lock()
-	old := s.data[key].value
-	nv := f(s.free.clone(old))
-	s.commitLocked(key, nv) // old goes to the free list here
+	var old []byte
+	if prev := s.data[key]; prev != nil {
+		old = prev.value
+	}
+	read := len(old)
+	v := s.free.take(read)
+	v.value = f(old, v.value)
+	written := len(v.value)
+	s.commitLocked(key, v)
 	s.mu.Unlock()
 	s.counter.add(func(st *Stats) {
 		st.Updates++
 		st.Sets++
 		st.Gets++
-		st.BytesRead += uint64(len(old))
-		st.BytesWritten += uint64(len(nv))
-		st.ModeledTime += s.Profile.Cost(len(old)) + s.Profile.Cost(len(nv))
+		st.BytesRead += uint64(read)
+		st.BytesWritten += uint64(written)
+		st.ModeledTime += s.Profile.Cost(read) + s.Profile.Cost(written)
 	})
 	return nil
+}
+
+// Update implements Store on Rewrite.
+func (s *Strong) Update(key string, f func(old []byte) []byte) error {
+	return s.Rewrite(key, privateCopy(f))
 }
 
 // Stats implements Store.

@@ -62,6 +62,8 @@ func FuzzDecodeParams(f *testing.F) {
 // the seed corpus is built for it.
 const fuzzIntoLen = 64
 
+// FuzzDecodeParamsInto also runs ViewParams, the same strict decode
+// without the copy, on every input.
 func FuzzDecodeParamsInto(f *testing.F) {
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		dst := make([]float64, fuzzIntoLen)
@@ -71,10 +73,26 @@ func FuzzDecodeParamsInto(f *testing.F) {
 		var slowErr error
 		portably(func() { slowErr = DecodeParamsInto(slow, blob) })
 		sameVerdict(t, err, slowErr)
+		// ViewParams gives the same verdict and bits, viewed in place
+		// or, on the portable path, decoded into its spare vector.
+		var (
+			view, spareView []float64
+			spare           []float64
+			viewErr         error
+		)
+		checkAlloc(t, blob, func() { view, viewErr = ViewParams(blob, fuzzIntoLen, &spare) })
+		sameVerdict(t, err, viewErr)
+		portably(func() { spareView, viewErr = ViewParams(blob, fuzzIntoLen, &spare) })
+		sameVerdict(t, err, viewErr)
 		if err != nil {
 			return
 		}
 		sameBits(t, dst, slow)
+		sameBits(t, view, dst)
+		sameBits(t, spareView, dst)
+		if &spareView[0] != &spare[0] {
+			t.Fatal("portable ViewParams did not decode into its spare vector")
+		}
 		want, err := DecodeParams(blob)
 		if err != nil || len(want) != len(dst) {
 			t.Fatalf("strict decoder accepted what DecodeParams does not: %v, %d values", err, len(want))

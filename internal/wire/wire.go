@@ -71,10 +71,12 @@ func DecodeParams(blob []byte) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	params := make([]float64, n)
-	if err := readFrame(params, blob); err != nil {
+	words, err := frameWords(blob)
+	if err != nil {
 		return nil, err
 	}
+	params := make([]float64, n)
+	getWords(params, words)
 	return params, nil
 }
 
@@ -85,31 +87,68 @@ func DecodeParams(blob []byte) ([]float64, error) {
 // and checksum checks it returns ErrNonFinite if any value is NaN or
 // ±Inf. On error dst holds garbage.
 func DecodeParamsInto(dst []float64, blob []byte) error {
-	n, err := paramHeader(blob)
+	words, err := strictWords(blob, len(dst))
 	if err != nil {
 		return err
 	}
-	if n != len(dst) {
-		return fmt.Errorf("wire: blob declares %d params, want %d", n, len(dst))
-	}
-	if err := readFrame(dst, blob); err != nil {
-		return err
-	}
+	getWords(dst, words)
 	if !allFinite(dst) {
 		return ErrNonFinite
 	}
 	return nil
 }
 
-// readFrame verifies the checksum of a blob paramHeader accepted and
-// copies its len(dst) words into dst.
-func readFrame(dst []float64, blob []byte) error {
+// ViewParams makes DecodeParamsInto's checks on blob, which must declare
+// n params, and copies its words only where it must. On a little-endian
+// host, with the words 8-byte aligned — as they are in any buffer
+// allocated for the blob, 8 bytes in — it returns them as a []float64
+// that shares blob's memory: valid as long as blob is, and changing with
+// it. Anywhere else it decodes them with DecodeParamsInto into *spare,
+// allocated at length n first if it has another length, so a caller can
+// keep that vector for its next blob. On error the vector returned is
+// nil.
+func ViewParams(blob []byte, n int, spare *[]float64) ([]float64, error) {
+	if len(blob) < 8 || floatView(blob[8:]) == nil {
+		if len(*spare) != n {
+			*spare = make([]float64, n)
+		}
+		if err := DecodeParamsInto(*spare, blob); err != nil {
+			return nil, err
+		}
+		return *spare, nil
+	}
+	words, err := strictWords(blob, n)
+	if err != nil {
+		return nil, err
+	}
+	v := floatView(words)
+	if !allFinite(v) {
+		return nil, ErrNonFinite
+	}
+	return v, nil
+}
+
+// strictWords checks blob's header, that it declares n params and its
+// checksum, and returns its words.
+func strictWords(blob []byte, n int) ([]byte, error) {
+	m, err := paramHeader(blob)
+	if err != nil {
+		return nil, err
+	}
+	if m != n {
+		return nil, fmt.Errorf("wire: blob declares %d params, want %d", m, n)
+	}
+	return frameWords(blob)
+}
+
+// frameWords verifies the checksum of a blob paramHeader accepted and
+// returns its words.
+func frameWords(blob []byte) ([]byte, error) {
 	words := blob[8 : len(blob)-4]
 	if got, want := binary.LittleEndian.Uint32(blob[len(blob)-4:]), crc32.ChecksumIEEE(words); got != want {
-		return fmt.Errorf("wire: checksum mismatch: stored %#x, computed %#x", got, want)
+		return nil, fmt.Errorf("wire: checksum mismatch: stored %#x, computed %#x", got, want)
 	}
-	getWords(dst, words)
-	return nil
+	return words, nil
 }
 
 // nativeWords reports whether this host keeps a float64 in memory as its
@@ -120,6 +159,20 @@ var nativeWords = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 // wordBytes is the memory of v as bytes.
 func wordBytes(v []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
+}
+
+// floatView returns words as a []float64 that shares their memory, or
+// nil where the host's byte order or the words' alignment rules that out
+// (or words is empty).
+func floatView(words []byte) []float64 {
+	if !nativeWords || len(words) == 0 {
+		return nil
+	}
+	p := unsafe.Pointer(unsafe.SliceData(words))
+	if uintptr(p)%8 != 0 {
+		return nil
+	}
+	return unsafe.Slice((*float64)(p), len(words)/8)
 }
 
 // copyBlock is the most bytes copyWords moves with one copy. From 1 MiB

@@ -287,9 +287,10 @@ func BenchmarkEncodeCheckpoint(b *testing.B) {
 }
 
 // assimStormWords is the model size of the repository benchmark's
-// assim_storm workload, flatten + MLP(192, [512, 128], 10), whose
-// uploads these two decodes dominate: DecodeParamsInto validates each
-// one, and DecodeRawInto reads the blended copy back for scoring.
+// assim_storm workload, flatten + MLP(192, [512, 128], 10). ViewParams
+// validates each of its uploads; DecodeParamsInto is that check with the
+// copy, as a big-endian host runs it, and DecodeRawInto is a copying read
+// of the stored value.
 const assimStormWords = 165_770
 
 func BenchmarkDecodeParamsInto(b *testing.B) {
@@ -303,6 +304,22 @@ func BenchmarkDecodeParamsInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := DecodeParamsInto(dst, blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkViewParams(b *testing.B) {
+	blob, err := EncodeParams(benchParams(assimStormWords))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var spare []float64
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ViewParams(blob, assimStormWords, &spare); err != nil {
 			b.Fatal(err)
 		}
 	}
