@@ -604,11 +604,10 @@ func (r *runner) schedpolicy() error {
 		rows = append(rows, row)
 	}
 	fmt.Fprint(r.out, metrics.Table(header, rows))
-	fmt.Fprintln(r.out, "expected shape: paper == locality-first here (with sticky caching on their")
-	fmt.Fprintln(r.out, "assignment preference is identical) and fifo == deadline-aware (this grid's")
-	fmt.Fprintln(r.out, "deadlines are uniform, so EDF degenerates to FIFO) — coinciding rows are the")
-	fmt.Fprintln(r.out, "ablation's finding, not noise; random pays extra download traffic scattering")
-	fmt.Fprintln(r.out, "shards; reliability-weighted steers storm retries toward reliable hosts.")
+	fmt.Fprintln(r.out, "expected shape: fifo issues work in queue order; paper first hands a client")
+	fmt.Fprintln(r.out, "the shards it already caches (sticky files); random hands each request a")
+	fmt.Fprintln(r.out, "seeded uniform draw of the eligible work, scattering shards; reliability-")
+	fmt.Fprintln(r.out, "weighted steers storm retries toward reliable hosts.")
 	return r.writeRawCSV("schedpolicy", csv.String())
 }
 

@@ -5,9 +5,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"vcdl/internal/boinc"
 	"vcdl/internal/exp"
 	"vcdl/internal/metrics"
 )
@@ -87,7 +89,7 @@ func TestBadPolicyFlagRejected(t *testing.T) {
 // TestSelectedPolicies resolves the -policy flag forms.
 func TestSelectedPolicies(t *testing.T) {
 	r := &runner{policies: "all"}
-	if names, err := r.selectedPolicies(); err != nil || len(names) < 6 {
+	if names, err := r.selectedPolicies(); err != nil || !slices.Equal(names, boinc.PolicyNames()) {
 		t.Fatalf("all = %v, %v", names, err)
 	}
 	r.policies = "paper, fifo"

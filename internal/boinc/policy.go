@@ -43,25 +43,17 @@ type Candidate struct {
 	// Errors is how many results for this workunit have timed out or
 	// failed so far; > 0 marks a retry.
 	Errors int
-	// Timeout is the result deadline in seconds from assignment; the
-	// issued result's absolute deadline is view.Now + Timeout.
-	Timeout float64
 }
 
 // ClientInfo is the read-only scheduler state of the requesting client.
 type ClientInfo struct {
-	ID string
 	// Reliability is the client's exponentially-averaged success score
 	// in [0,1] ("assign subtasks to more reliable clients", §III-B).
 	Reliability float64
-	// InFlight counts the client's outstanding results.
-	InFlight int
 }
 
 // PolicyView is the read-only snapshot a policy decides over.
 type PolicyView struct {
-	// Now is the virtual time of the request in seconds.
-	Now float64
 	// Seed is the run seed (SchedulerConfig.Seed); seeded policies mix
 	// it with Request for per-call determinism.
 	Seed int64
@@ -135,20 +127,18 @@ func PolicyNames() []string {
 // of Score and ClassScore is set, and which one is the term's whole
 // declaration of what it needs from the scheduler.
 type Term struct {
-	// Name labels the term in diagnostics.
-	Name string
 	// Weight scales the term's contribution to a candidate's score.
 	Weight float64
 	// Score rates one candidate; higher is more preferred. A policy with
 	// such a term is handed every eligible candidate on every request.
 	Score func(view PolicyView, client ClientInfo, c Candidate) float64
-	// ClassScore rates a candidate from its CacheScore and Timeout alone
-	// — all its signature can see. Candidates whose workunits share an
-	// input-file list and a timeout then share a score, so when every
-	// term of a policy is class-scored the scheduler rates each such
-	// class once and never materialises the view: view.Candidates is nil
-	// here, and a request costs O(classes), not O(pending).
-	ClassScore func(view PolicyView, client ClientInfo, cacheScore int, timeout float64) float64
+	// ClassScore rates a candidate from its CacheScore alone — all its
+	// signature can see. Candidates whose workunits share an input-file
+	// list then share a score, so when every term of a policy is
+	// class-scored the scheduler rates each such class once and never
+	// materialises the view: view.Candidates is nil here, and a request
+	// costs O(classes), not O(pending).
+	ClassScore func(view PolicyView, client ClientInfo, cacheScore int) float64
 }
 
 // Scored is the composable policy combinator: a candidate's total score
@@ -185,7 +175,7 @@ func (p *Scored) total(view PolicyView, client ClientInfo, c Candidate) float64 
 		if t.Score != nil {
 			total += t.Weight * t.Score(view, client, c)
 		} else {
-			total += t.Weight * t.ClassScore(view, client, c.CacheScore, c.Timeout)
+			total += t.Weight * t.ClassScore(view, client, c.CacheScore)
 		}
 	}
 	return total
@@ -268,9 +258,8 @@ func selectTopK(cands []Candidate, k int, score func(Candidate) float64) []int64
 // affinity is on, then FIFO.
 func paperPolicy() *Scored {
 	return &Scored{Label: "paper", Terms: []Term{{
-		Name:   "sticky-cache",
 		Weight: 1,
-		ClassScore: func(view PolicyView, _ ClientInfo, cacheScore int, _ float64) float64 {
+		ClassScore: func(view PolicyView, _ ClientInfo, cacheScore int) float64 {
 			if !view.Sticky {
 				return 0
 			}
@@ -335,36 +324,14 @@ func init() {
 		// No terms: every score is 0 and queue order decides.
 		return &Scored{Label: "fifo"}
 	})
-	noArgs("locality-first", func() Policy {
-		// Sticky-cache greedy even when the config disables the paper
-		// policy's affinity preference: locality is the whole policy.
-		return &Scored{Label: "locality-first", Terms: []Term{{
-			Name:   "cache",
-			Weight: 1,
-			ClassScore: func(_ PolicyView, _ ClientInfo, cacheScore int, _ float64) float64 {
-				return float64(cacheScore)
-			},
-		}}}
-	})
 	noArgs("reliability-weighted", func() Policy {
 		// Steer retried (risky) workunits toward clients above the
 		// reliability floor and away from those below it; fresh work
 		// stays FIFO.
 		return &Scored{Label: "reliability-weighted", Terms: []Term{{
-			Name:   "retry-reliability",
 			Weight: 1,
 			Score: func(view PolicyView, client ClientInfo, c Candidate) float64 {
 				return float64(c.Errors) * (client.Reliability - view.ReliabilityFloor)
-			},
-		}}}
-	})
-	noArgs("deadline-aware", func() Policy {
-		// EDF over workunit timeouts: tightest deadline first.
-		return &Scored{Label: "deadline-aware", Terms: []Term{{
-			Name:   "edf",
-			Weight: 1,
-			ClassScore: func(_ PolicyView, _ ClientInfo, _ int, timeout float64) float64 {
-				return -timeout
 			},
 		}}}
 	})

@@ -10,10 +10,10 @@ import (
 // registered policy, plus the default paper policy at 1k and 10k so the
 // flat line is visible. Each iteration is one client work fetch; failed
 // completions recycle the issued workunits so the backlog stays at
-// steady state. Class-scored policies (paper, fifo, locality-first,
-// deadline-aware) select through the queue's bucket index and cost
-// O(distinct input lists × timeouts), whatever the backlog; random and
-// reliability-weighted are handed the full view and stay O(backlog).
+// steady state. Class-scored policies (paper, fifo) select through the
+// queue's bucket index and cost O(distinct input lists), whatever the
+// backlog; random and reliability-weighted are handed the full view and
+// stay O(backlog).
 // Run with -benchmem; the CI guard (cmd/benchguard) pins paper's
 // allocs/op against BENCH_kernels.json.
 func BenchmarkRequestWork(b *testing.B) {
@@ -49,7 +49,6 @@ func benchRequestWork(b *testing.B, name string, backlog int) {
 		s.AddWorkunit(Workunit{
 			Name:       fmt.Sprintf("wu%06d", i),
 			InputFiles: []string{fmt.Sprintf("shard_%03d", i%200), "model.json"},
-			Timeout:    float64(300 + i%600),
 		})
 	}
 	// Warm some sticky caches so CacheScore differentiates.

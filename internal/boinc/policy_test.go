@@ -53,7 +53,6 @@ func conformSequence(t *testing.T, name string) []string {
 		s.AddWorkunit(Workunit{
 			Name:       fmt.Sprintf("wu%02d", i),
 			InputFiles: []string{fmt.Sprintf("shard%d", i%5)},
-			Timeout:    float64(50 + 10*(i%4)),
 		})
 	}
 	s.NoteCached("c1", "shard2")
@@ -122,8 +121,8 @@ func conformReplication(t *testing.T, name string) {
 
 func conformFloor(t *testing.T, name string) {
 	s := newPolicyScheduler(t, name, 0.9)
-	s.AddWorkunit(Workunit{Name: "wu-a", Timeout: 10})
-	s.AddWorkunit(Workunit{Name: "wu-b", Timeout: 10})
+	s.AddWorkunit(Workunit{Name: "wu-a"})
+	s.AddWorkunit(Workunit{Name: "wu-b"})
 	// "bad" fails both workunits, sinking its score below the floor and
 	// turning every pending workunit into a retry.
 	for _, a := range s.RequestWork("bad", 0, 2) {
@@ -147,7 +146,7 @@ func conformFloor(t *testing.T, name string) {
 
 func conformGone(t *testing.T, name string) {
 	s := newPolicyScheduler(t, name, 0.9)
-	s.AddWorkunit(Workunit{Name: "wu", Timeout: 10})
+	s.AddWorkunit(Workunit{Name: "wu"})
 	for i := 0; i < 6; i++ {
 		asn := s.RequestWork("bad", 0, 1)
 		if len(asn) == 0 {
@@ -203,7 +202,7 @@ func (q *shadowQueue) OnSchedEvent(e SchedEvent) {
 // request: every eligible workunit at its first queued copy, then — for
 // Scored policies — a full stable sort by (score descending, position),
 // the pre-policy-API algorithm; other policies decide over the same view.
-func (q *shadowQueue) selection(clientID string, now float64, max int) []int64 {
+func (q *shadowQueue) selection(clientID string, max int) []int64 {
 	s := q.s
 	c := s.peek(clientID)
 	var cands []Candidate
@@ -217,15 +216,14 @@ func (q *shadowQueue) selection(clientID string, now float64, max int) []int64 {
 			continue
 		}
 		seen[id] = true
-		cands = append(cands, Candidate{WUID: id, Pos: pos, CacheScore: cacheScore(c, wu.InputFiles),
-			Errors: wu.errors, Timeout: wu.Timeout})
+		cands = append(cands, Candidate{WUID: id, Pos: pos, CacheScore: cacheScore(c, wu.InputFiles), Errors: wu.errors})
 	}
 	if c.cordoned || len(cands) == 0 {
 		return nil
 	}
-	view := PolicyView{Now: now, Seed: s.cfg.Seed, Request: s.requests + 1, Sticky: s.cfg.StickyAffinity,
+	view := PolicyView{Seed: s.cfg.Seed, Request: s.requests + 1, Sticky: s.cfg.StickyAffinity,
 		ReliabilityFloor: s.cfg.ReliabilityFloor, Candidates: cands}
-	client := ClientInfo{ID: c.id, Reliability: c.reliability, InFlight: c.inFlight}
+	client := ClientInfo{Reliability: c.reliability}
 	var picks []int64
 	if p, ok := s.policy.(*Scored); ok {
 		sort.SliceStable(cands, func(i, j int) bool {
@@ -252,8 +250,8 @@ func naiveDone(s *Scheduler) bool {
 
 // TestPaperPolicyMatchesReference drives a long randomised operation
 // stream under every registered policy — replication and quorum retries,
-// invalid and timed-out results, error-budget exhaustion, RetimePending,
-// policy hot swaps, dropped and cordoned clients — and checks every
+// invalid and timed-out results, error-budget exhaustion, deadline
+// changes, policy hot swaps, dropped and cordoned clients — and checks every
 // RequestWork pick for pick against the shadow queue, along with the
 // queue depth and Done after every step.
 func TestPaperPolicyMatchesReference(t *testing.T) {
@@ -281,10 +279,13 @@ func runDifferential(t *testing.T, name, other string, seed int64) SchedStats {
 	add := func() {
 		nextWU++
 		repl := 1 + rng.Intn(3)
+		files := []string{"model", fmt.Sprintf("shard%d", rng.Intn(12))}
+		// Each new workunit changes the deadline, so results in flight
+		// carry a mix of them.
+		s.SetDefaultTimeout(float64(40 * (1 + rng.Intn(3))))
 		s.AddWorkunit(Workunit{
 			Name:        fmt.Sprintf("wu%d", nextWU),
-			InputFiles:  []string{"model", fmt.Sprintf("shard%d", rng.Intn(12))},
-			Timeout:     float64(40 * (1 + rng.Intn(3))),
+			InputFiles:  files,
 			MaxErrors:   1 + rng.Intn(6),
 			Replication: repl,
 			Quorum:      1 + rng.Intn(repl),
@@ -309,7 +310,7 @@ func runDifferential(t *testing.T, name, other string, seed int64) SchedStats {
 			// A zero-slot request does what the real one does first —
 			// register the client, mark it present — and nothing else.
 			s.RequestWork(client, now, 0)
-			want := shadow.selection(client, now, max)
+			want := shadow.selection(client, max)
 			var got []int64
 			for _, a := range s.RequestWork(client, now, max) {
 				got = append(got, a.WUID)
@@ -334,7 +335,7 @@ func runDifferential(t *testing.T, name, other string, seed int64) SchedStats {
 		case op < 92:
 			add()
 		case op < 94:
-			s.RetimePending(float64(30 * (1 + rng.Intn(3))))
+			s.SetDefaultTimeout(float64(30 * (1 + rng.Intn(3))))
 		case op < 96:
 			swapped = !swapped
 			next := name
@@ -411,7 +412,7 @@ func TestSchedulerEnforcesInvariants(t *testing.T) {
 
 func TestPolicyRegistry(t *testing.T) {
 	names := PolicyNames()
-	want := []string{"deadline-aware", "fifo", "locality-first", "paper", "random", "reliability-weighted"}
+	want := []string{"fifo", "paper", "random", "reliability-weighted"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("PolicyNames() = %v, want %v", names, want)
 	}
@@ -449,22 +450,13 @@ func TestPolicyBehaviours(t *testing.T) {
 		}
 	})
 	t.Run("locality-beats-fifo", func(t *testing.T) {
-		s := newPolicyScheduler(t, "locality-first", 0)
+		s := newPolicyScheduler(t, "paper", 0)
 		s.NoteCached("c1", "shardA")
 		s.AddWorkunit(Workunit{Name: "b", InputFiles: []string{"shardB"}})
 		s.AddWorkunit(Workunit{Name: "a", InputFiles: []string{"shardA"}})
 		asn := s.RequestWork("c1", 0, 1)
 		if len(asn) != 1 || asn[0].Name != "a" {
-			t.Fatalf("locality-first ignored the cached shard: %+v", asn)
-		}
-	})
-	t.Run("deadline-aware-edf", func(t *testing.T) {
-		s := newPolicyScheduler(t, "deadline-aware", 0)
-		s.AddWorkunit(Workunit{Name: "lax", Timeout: 900})
-		s.AddWorkunit(Workunit{Name: "tight", Timeout: 60})
-		asn := s.RequestWork("c1", 0, 1)
-		if len(asn) != 1 || asn[0].Name != "tight" {
-			t.Fatalf("deadline-aware did not pick the tightest deadline: %+v", asn)
+			t.Fatalf("paper ignored the cached shard: %+v", asn)
 		}
 	})
 	t.Run("reliability-weighted-retry-placement", func(t *testing.T) {
@@ -473,7 +465,7 @@ func TestPolicyBehaviours(t *testing.T) {
 		// failure (reliability 0.9) below and a fresh client above.
 		s := newPolicyScheduler(t, "reliability-weighted", 0.95)
 		// One retried workunit (errors > 0), one fresh one behind it.
-		s.AddWorkunit(Workunit{Name: "retry", Timeout: 10})
+		s.AddWorkunit(Workunit{Name: "retry"})
 		asn := s.RequestWork("flaky", 0, 1)
 		s.CompleteResult(asn[0].ResultID, false, 0) // errors=1, reliability sinks
 		s.AddWorkunit(Workunit{Name: "fresh"})
@@ -486,7 +478,7 @@ func TestPolicyBehaviours(t *testing.T) {
 		}
 		// A reliable client prefers the retried workunit.
 		s2 := newPolicyScheduler(t, "reliability-weighted", 0.95)
-		s2.AddWorkunit(Workunit{Name: "retry", Timeout: 10})
+		s2.AddWorkunit(Workunit{Name: "retry"})
 		asn = s2.RequestWork("flaky", 0, 1)
 		s2.CompleteResult(asn[0].ResultID, false, 0)
 		s2.AddWorkunit(Workunit{Name: "fresh"})
@@ -523,27 +515,93 @@ func TestPolicyBehaviours(t *testing.T) {
 		}
 	})
 	t.Run("scored-combinator-weights", func(t *testing.T) {
-		// Heavily weighted EDF term must override the cache term.
+		// Heavily weighted retry term must override the cache term.
 		p := &Scored{Label: "combo", Terms: []Term{
-			{Name: "cache", Weight: 1, Score: func(_ PolicyView, _ ClientInfo, c Candidate) float64 {
+			{Weight: 1, Score: func(_ PolicyView, _ ClientInfo, c Candidate) float64 {
 				return float64(c.CacheScore)
 			}},
-			{Name: "edf", Weight: 100, Score: func(_ PolicyView, _ ClientInfo, c Candidate) float64 {
-				return -c.Timeout / 1000
+			{Weight: 100, Score: func(_ PolicyView, _ ClientInfo, c Candidate) float64 {
+				return float64(c.Errors)
 			}},
 		}}
 		cfg := DefaultSchedulerConfig()
 		s := NewScheduler(cfg)
-		s.SetPolicy(p)
 		s.NoteCached("c1", "shardA")
-		s.AddWorkunit(Workunit{Name: "cached-lax", InputFiles: []string{"shardA"}, Timeout: 900})
-		s.AddWorkunit(Workunit{Name: "cold-tight", InputFiles: []string{"shardB"}, Timeout: 60})
-		asn := s.RequestWork("c1", 0, 1)
-		if len(asn) != 1 || asn[0].Name != "cold-tight" {
+		s.AddWorkunit(Workunit{Name: "cold-retry", InputFiles: []string{"shardB"}})
+		failed := s.RequestWork("flaky", 0, 1)
+		s.AddWorkunit(Workunit{Name: "cached-fresh", InputFiles: []string{"shardA"}})
+		s.CompleteResult(failed[0].ResultID, false, 1) // requeued behind cached-fresh
+		s.SetPolicy(p)
+		asn := s.RequestWork("c1", 2, 1)
+		if len(asn) != 1 || asn[0].Name != "cold-retry" {
 			t.Fatalf("weighted terms not combined: %+v", asn)
 		}
 		if p.Name() != "combo" {
 			t.Fatalf("Name() = %q", p.Name())
 		}
 	})
+}
+
+// TestBuiltinPoliciesDiffer holds every registered policy to its name:
+// for each pair there is a fixture, built only from what a deployment
+// can set, on which the two pick differently. A policy that makes
+// another's decisions on every fixture fails here.
+func TestBuiltinPoliciesDiffer(t *testing.T) {
+	wuids := func(asn []Assignment) []int64 {
+		var ids []int64
+		for _, a := range asn {
+			ids = append(ids, a.WUID)
+		}
+		return ids
+	}
+	fixtures := []struct {
+		name string
+		run  func(s *Scheduler) []int64
+	}{
+		// The requesting client caches the younger workunit's shard.
+		{"cached-shard", func(s *Scheduler) []int64 {
+			s.NoteCached("c1", "shardA")
+			s.AddWorkunit(Workunit{Name: "b", InputFiles: []string{"shardB"}})
+			s.AddWorkunit(Workunit{Name: "a", InputFiles: []string{"shardA"}})
+			return wuids(s.RequestWork("c1", 0, 1))
+		}},
+		// A timed-out workunit queues behind fresh work and a reliable
+		// client asks.
+		{"timed-out-retry", func(s *Scheduler) []int64 {
+			s.AddWorkunit(Workunit{Name: "retry"})
+			s.RequestWork("flaky", 0, 1)
+			s.AddWorkunit(Workunit{Name: "fresh"})
+			s.ExpireTimeouts(101)
+			return wuids(s.RequestWork("steady", 101, 1))
+		}},
+		// Eight fresh, uncached workunits, all asked for at once.
+		{"fresh-backlog", func(s *Scheduler) []int64 {
+			for i := 0; i < 8; i++ {
+				s.AddWorkunit(Workunit{Name: fmt.Sprintf("wu%d", i), InputFiles: []string{fmt.Sprintf("shard%d", i)}})
+			}
+			return wuids(s.RequestWork("c1", 0, 8))
+		}},
+	}
+	names := PolicyNames()
+	picks := map[string][][]int64{}
+	for _, name := range names {
+		for _, f := range fixtures {
+			picks[name] = append(picks[name], f.run(newPolicyScheduler(t, name, 0.5)))
+		}
+	}
+	for i, a := range names {
+		for _, b := range names[i+1:] {
+			differ := false
+			for k, f := range fixtures {
+				if !slices.Equal(picks[a][k], picks[b][k]) {
+					differ = true
+					t.Logf("%s and %s differ on %s: %v vs %v", a, b, f.name, picks[a][k], picks[b][k])
+					break
+				}
+			}
+			if !differ {
+				t.Errorf("%s and %s pick alike on every fixture: %v", a, b, picks[a])
+			}
+		}
+	}
 }

@@ -1,9 +1,6 @@
 package boinc
 
-import (
-	"math"
-	"slices"
-)
+import "slices"
 
 // pendq is the scheduler's pending queue: every queued copy of a
 // workunit, in enqueue order, indexed three ways so that no scheduler
@@ -17,7 +14,7 @@ import (
 //   - Each workunit links its queued copies (Workunit.qhead, qent.copy),
 //     so taking the first queued copy or dropping every copy costs
 //     O(copies).
-//   - Copies are bucketed by their workunit's (InputFiles, Timeout). A
+//   - Copies are bucketed by their workunit's input-file list. A
 //     client's CacheScore is the same for every member of a bucket, so a
 //     class-scored policy scores each bucket once and merges the bucket
 //     FIFOs instead of scoring every copy.
@@ -39,11 +36,9 @@ type qent struct {
 	copy       int // the workunit's next queued copy
 }
 
-// bucket is the FIFO of queued copies sharing one (input files, timeout)
-// key.
+// bucket is the FIFO of queued copies sharing one input-file list.
 type bucket struct {
 	files      []string // shared with the first workunit that opened it
-	timeout    float64
 	hash       uint64
 	head, tail int
 	slot       int     // index in pendq.buckets
@@ -65,11 +60,11 @@ func hashFiles(files []string) uint64 {
 	return h
 }
 
-// bucketFor finds or opens the bucket for a workunit's current key.
+// bucketFor finds or opens the bucket for a workunit's input files.
 func (q *pendq) bucketFor(wu *Workunit) *bucket {
-	h := wu.filesHash ^ math.Float64bits(wu.Timeout)*0x9e3779b97f4a7c15
+	h := wu.filesHash
 	for b := q.byKey[h]; b != nil; b = b.chain {
-		if b.timeout == wu.Timeout && slices.Equal(b.files, wu.InputFiles) {
+		if slices.Equal(b.files, wu.InputFiles) {
 			return b
 		}
 	}
@@ -79,7 +74,7 @@ func (q *pendq) bucketFor(wu *Workunit) *bucket {
 	} else {
 		b = new(bucket)
 	}
-	*b = bucket{files: wu.InputFiles, timeout: wu.Timeout, hash: h,
+	*b = bucket{files: wu.InputFiles, hash: h,
 		head: -1, tail: -1, slot: len(q.buckets), chain: q.byKey[h]}
 	q.byKey[h] = b
 	q.buckets = append(q.buckets, b)
@@ -178,10 +173,8 @@ func (q *pendq) compact() {
 	}
 }
 
-// rebuild re-pushes every live copy in order: tombstones vanish, slots
-// are renumbered, and each copy is bucketed by its workunit's current
-// key — which is also how RetimePending re-keys the queue after changing
-// timeouts.
+// rebuild re-pushes every live copy in order: tombstones vanish and
+// slots are renumbered.
 func (q *pendq) rebuild() {
 	all := q.ents
 	for _, b := range q.buckets {

@@ -37,15 +37,11 @@ func checkPendq(t *testing.T, q *pendq, model []*Workunit) {
 	}
 	// Per-workunit copy chains and per-bucket FIFOs, rebuilt from the
 	// model and compared link by link.
-	type key struct {
-		files   string
-		timeout float64
-	}
 	wantCopies := map[*Workunit][]int{}
-	wantBucket := map[key][]int{}
+	wantBucket := map[string][]int{}
 	for i, wu := range model {
 		wantCopies[wu] = append(wantCopies[wu], slots[i])
-		k := key{fmt.Sprint(wu.InputFiles), wu.Timeout}
+		k := fmt.Sprint(wu.InputFiles)
 		wantBucket[k] = append(wantBucket[k], slots[i])
 	}
 	for wu, want := range wantCopies {
@@ -73,7 +69,7 @@ func checkPendq(t *testing.T, q *pendq, model []*Workunit) {
 		if b.slot != i {
 			t.Fatalf("bucket %v believes it is at %d, is at %d", b.files, b.slot, i)
 		}
-		want := wantBucket[key{fmt.Sprint(b.files), b.timeout}]
+		want := wantBucket[fmt.Sprint(b.files)]
 		var got []int
 		prev := -1
 		for at := b.head; at >= 0; prev, at = at, q.ents[at].next {
@@ -83,13 +79,13 @@ func checkPendq(t *testing.T, q *pendq, model []*Workunit) {
 			got = append(got, at)
 		}
 		if !slices.Equal(got, want) || b.tail != prev {
-			t.Fatalf("bucket %v/%v: FIFO %v tail %d, want %v", b.files, b.timeout, got, b.tail, want)
+			t.Fatalf("bucket %v: FIFO %v tail %d, want %v", b.files, got, b.tail, want)
 		}
 	}
 }
 
 // TestPendqMatchesSliceModel drives the queue alone — push, take the
-// first copy, drop every copy, re-key, with compaction between
+// first copy, drop every copy, rebuild, with compaction between
 // operations as the scheduler runs it — against a plain slice.
 func TestPendqMatchesSliceModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -98,8 +94,7 @@ func TestPendqMatchesSliceModel(t *testing.T) {
 		wus := make([]*Workunit, 60)
 		for i := range wus {
 			files := []string{"model", fmt.Sprintf("shard%d", rng.Intn(7))}
-			wus[i] = &Workunit{Name: fmt.Sprintf("wu%d", i), InputFiles: files, Timeout: float64(10 * (1 + rng.Intn(2))),
-				qhead: -1, filesHash: hashFiles(files)}
+			wus[i] = &Workunit{Name: fmt.Sprintf("wu%d", i), InputFiles: files, qhead: -1, filesHash: hashFiles(files)}
 		}
 		var model []*Workunit
 		for step := 0; step < 6000; step++ {
@@ -120,9 +115,6 @@ func TestPendqMatchesSliceModel(t *testing.T) {
 				q.dropAll(wu)
 				model = slices.DeleteFunc(model, func(m *Workunit) bool { return m == wu })
 			default:
-				for _, w := range wus {
-					w.Timeout = float64(10 * (1 + rng.Intn(2)))
-				}
 				q.rebuild()
 			}
 			q.compact()
@@ -169,8 +161,9 @@ func TestRequestWorkScanIsSublinear(t *testing.T) {
 
 // TestExpireTimeoutsMatchesReferenceScan checks the deadline heap against
 // the scan it replaced — every result ever issued, overdue ones in ID
-// order — on a randomised mix of deadlines (ties included), completions
-// and sweeps, and NextDeadline against the scan's minimum after every step.
+// order — on a randomised mix of deadlines (ties included; the timeout
+// changes before every request), completions and sweeps, and
+// NextDeadline against the scan's minimum after every step.
 func TestExpireTimeoutsMatchesReferenceScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cfg := DefaultSchedulerConfig()
@@ -178,7 +171,7 @@ func TestExpireTimeoutsMatchesReferenceScan(t *testing.T) {
 	cfg.ReliabilityFloor = 0
 	s := NewScheduler(cfg)
 	for i := 0; i < 300; i++ {
-		s.AddWorkunit(Workunit{Name: "wu", Timeout: float64(5 * (1 + rng.Intn(6)))})
+		s.AddWorkunit(Workunit{Name: "wu"})
 	}
 	now := 0.0
 	var open []int64
@@ -186,6 +179,7 @@ func TestExpireTimeoutsMatchesReferenceScan(t *testing.T) {
 	for step := 0; step < 5000; step++ {
 		switch op := rng.Intn(10); {
 		case op < 4:
+			s.SetDefaultTimeout(float64(5 * (1 + rng.Intn(6))))
 			for _, a := range s.RequestWork(fmt.Sprintf("c%d", rng.Intn(5)), now, 1+rng.Intn(3)) {
 				open = append(open, a.ResultID)
 			}

@@ -10,7 +10,9 @@ import (
 // preference itself is a Policy (see policy.go); the fields here are
 // invariants the scheduler enforces around whatever the policy picks.
 type SchedulerConfig struct {
-	// DefaultTimeout applies to workunits that don't set one (seconds).
+	// DefaultTimeout is the result deadline in seconds from issue: every
+	// result, a reissue included, is due DefaultTimeout after it is sent
+	// ("reissues a result when its timeout expires", §III-B).
 	DefaultTimeout float64
 	// DefaultMaxErrors is the per-workunit error budget.
 	DefaultMaxErrors int
@@ -213,29 +215,14 @@ func (s *Scheduler) SetPolicy(p Policy) {
 // Policy returns the active assignment policy.
 func (s *Scheduler) Policy() Policy { return s.policy }
 
-// SetDefaultTimeout hot-changes the deadline applied to workunits added
-// from now on (already-issued results keep the deadline they were sent
-// with, like a real BOINC project reconfiguration).
+// SetDefaultTimeout hot-changes the result deadline: every result
+// issued from now on, a reissue included, uses it, while results already
+// sent keep the deadline they were sent with, like a real BOINC project
+// reconfiguration. Non-positive values are ignored.
 func (s *Scheduler) SetDefaultTimeout(seconds float64) {
 	if seconds > 0 {
 		s.cfg.DefaultTimeout = seconds
 	}
-}
-
-// RetimePending applies a new timeout to every workunit that has not yet
-// reached a terminal state, so future (re)issues of outstanding work use
-// the new deadline. Already-issued results keep the deadline they were
-// sent with.
-func (s *Scheduler) RetimePending(seconds float64) {
-	if seconds <= 0 {
-		return
-	}
-	for _, wu := range s.wus {
-		if !wu.terminal() {
-			wu.Timeout = seconds
-		}
-	}
-	s.q.rebuild() // Timeout is part of the bucket key
 }
 
 // SetReliabilityFloor hot-changes the reliability gate for retried
@@ -258,9 +245,6 @@ func (s *Scheduler) Config() SchedulerConfig { return s.cfg }
 func (s *Scheduler) AddWorkunit(wu Workunit) int64 {
 	s.nextWU += s.idStep
 	wu.ID = s.nextWU
-	if wu.Timeout <= 0 {
-		wu.Timeout = s.cfg.DefaultTimeout
-	}
 	if wu.MaxErrors <= 0 {
 		wu.MaxErrors = s.cfg.DefaultMaxErrors
 	}
@@ -406,7 +390,6 @@ func (s *Scheduler) candidates(c *clientState, limit int) []Candidate {
 			Pos:        at,
 			CacheScore: cacheScore(c, wu.InputFiles),
 			Errors:     wu.errors,
-			Timeout:    wu.Timeout,
 		})
 	}
 	s.candBuf = cands
@@ -460,7 +443,7 @@ func (s *Scheduler) selectIndexed(p *Scored, view PolicyView, c *clientState, cl
 	h := s.mergeBuf[:0]
 	for _, b := range s.q.buckets {
 		if at := s.nextAdmissible(b.head, c, &g); at >= 0 {
-			class := Candidate{CacheScore: cacheScore(c, b.files), Timeout: b.timeout}
+			class := Candidate{CacheScore: cacheScore(c, b.files)}
 			h = append(h, cursor{score: p.total(view, client, class), at: at})
 		}
 	}
@@ -504,13 +487,12 @@ func (s *Scheduler) RequestWork(clientID string, now float64, max int) []Assignm
 	s.lastNow = now
 	s.requests++
 	view := PolicyView{
-		Now:              now,
 		Seed:             s.cfg.Seed,
 		Request:          s.requests,
 		Sticky:           s.cfg.StickyAffinity,
 		ReliabilityFloor: s.cfg.ReliabilityFloor,
 	}
-	client := ClientInfo{ID: c.id, Reliability: c.reliability, InFlight: c.inFlight}
+	client := ClientInfo{Reliability: c.reliability}
 	var picks []int64
 	if p, ok := s.policy.(*Scored); ok && p.classScored() {
 		picks = s.selectIndexed(p, view, c, client, max)
@@ -552,7 +534,7 @@ func (s *Scheduler) RequestWork(clientID string, now float64, max int) []Assignm
 			WUID:     wu.ID,
 			ClientID: clientID,
 			SentAt:   now,
-			Deadline: now + wu.Timeout,
+			Deadline: now + s.cfg.DefaultTimeout,
 			Status:   ResInProgress,
 		}
 		s.results[res.ID] = res

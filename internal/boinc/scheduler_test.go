@@ -2,6 +2,7 @@ package boinc
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -106,7 +107,8 @@ func TestDoubleCompleteRejected(t *testing.T) {
 
 func TestTimeoutReissue(t *testing.T) {
 	s := newTestScheduler()
-	s.AddWorkunit(Workunit{Name: "t", Timeout: 50})
+	s.SetDefaultTimeout(50)
+	s.AddWorkunit(Workunit{Name: "t"})
 	asn := s.RequestWork("flaky", 0, 1)
 	if exp := s.ExpireTimeouts(49); len(exp) != 0 {
 		t.Fatalf("premature expiry: %v", exp)
@@ -175,7 +177,7 @@ func TestRetriesGatedOnReliability(t *testing.T) {
 	cfg := DefaultSchedulerConfig()
 	cfg.ReliabilityFloor = 0.9
 	s := NewScheduler(cfg)
-	s.AddWorkunit(Workunit{Name: "wu", Timeout: 10})
+	s.AddWorkunit(Workunit{Name: "wu"})
 	// Build up a reliable client.
 	s.AddWorkunit(Workunit{Name: "warmup"})
 	// "bad" fails the first workunit many times to sink its score.
@@ -204,28 +206,6 @@ func TestRetriesGatedOnReliability(t *testing.T) {
 	}
 }
 
-func TestRetimePending(t *testing.T) {
-	s := newTestScheduler()
-	s.AddWorkunit(Workunit{Name: "a", Timeout: 1200})
-	s.AddWorkunit(Workunit{Name: "b", Timeout: 1200})
-	// "a" is issued and completes before the retime; "b" stays queued.
-	asn := s.RequestWork("c1", 0, 1)
-	if len(asn) != 1 || asn[0].Deadline != 1200 {
-		t.Fatalf("assignment = %+v", asn)
-	}
-	s.CompleteResult(asn[0].ResultID, true, 10)
-	s.RetimePending(300)
-	// The queued workunit's next issue uses the new deadline.
-	asn = s.RequestWork("c1", 100, 1)
-	if len(asn) != 1 || asn[0].Deadline != 400 {
-		t.Fatalf("retimed assignment deadline = %+v, want 400", asn)
-	}
-	// The completed workunit is untouched.
-	if wu := s.Workunit(1); wu.Timeout != 1200 {
-		t.Fatalf("done workunit retimed: %v", wu.Timeout)
-	}
-}
-
 // TestReliabilityQueryDoesNotCreateClients pins the satellite fix: a
 // read-only lookup must not register a client as a side effect (phantom
 // clients would count toward the hasReliableClient retry gate).
@@ -243,7 +223,7 @@ func TestReliabilityQueryDoesNotCreateClients(t *testing.T) {
 	cfg := DefaultSchedulerConfig()
 	cfg.ReliabilityFloor = 0.9
 	s = NewScheduler(cfg)
-	s.AddWorkunit(Workunit{Name: "wu", Timeout: 10})
+	s.AddWorkunit(Workunit{Name: "wu"})
 	s.Reliability("phantom") // must NOT register a reliable client
 	for i := 0; i < 2; i++ {
 		if asn := s.RequestWork("bad", 0, 1); len(asn) == 1 {
@@ -252,6 +232,43 @@ func TestReliabilityQueryDoesNotCreateClients(t *testing.T) {
 	}
 	if asn := s.RequestWork("bad", 1, 1); len(asn) == 0 {
 		t.Fatal("phantom client from a reliability query gated the retry")
+	}
+}
+
+// TestSetDefaultTimeoutAppliesToLaterIssues pins the one deadline rule:
+// a result is due DefaultTimeout after it is sent, so a change leaves
+// results already sent alone and reaches every later issue alike — of
+// work queued before the change, of a reissue, and of new work.
+func TestSetDefaultTimeoutAppliesToLaterIssues(t *testing.T) {
+	s := newTestScheduler() // default timeout 100
+	sent := s.AddWorkunit(Workunit{Name: "sent"})
+	queued := s.AddWorkunit(Workunit{Name: "queued"})
+	a := s.RequestWork("c1", 0, 1)
+	if len(a) != 1 || a[0].WUID != sent || a[0].Deadline != 100 {
+		t.Fatalf("first assignment = %+v", a)
+	}
+	s.SetDefaultTimeout(300)
+	if got := s.Result(a[0].ResultID).Deadline; got != 100 {
+		t.Errorf("result already sent moved its deadline to %v", got)
+	}
+	if b := s.RequestWork("c2", 10, 1); len(b) != 1 || b[0].WUID != queued || b[0].Deadline != 310 {
+		t.Errorf("work queued before the change: assignment = %+v, want deadline 310", b)
+	}
+	if exp := s.ExpireTimeouts(101); !slices.Equal(exp, []int64{a[0].ResultID}) {
+		t.Fatalf("expired %v at 101, want the first result alone", exp)
+	}
+	if r := s.RequestWork("c3", 120, 1); len(r) != 1 || r[0].WUID != sent || r[0].Deadline != 420 {
+		t.Errorf("reissue = %+v, want deadline 420", r)
+	}
+	s.AddWorkunit(Workunit{Name: "new"})
+	if n := s.RequestWork("c3", 130, 1); len(n) != 1 || n[0].Deadline != 430 {
+		t.Errorf("new work = %+v, want deadline 430", n)
+	}
+	// Non-positive values are ignored.
+	s.SetDefaultTimeout(-5)
+	s.SetDefaultTimeout(0)
+	if got := s.Config().DefaultTimeout; got != 300 {
+		t.Errorf("non-positive SetDefaultTimeout changed the default to %v", got)
 	}
 }
 
@@ -265,80 +282,11 @@ func TestSetReliabilityFloorClamps(t *testing.T) {
 	}
 }
 
-func TestRetimePendingSkipsTerminalWorkunits(t *testing.T) {
-	cfg := DefaultSchedulerConfig()
-	cfg.DefaultTimeout = 1200
-	cfg.DefaultMaxErrors = 1
-	cfg.ReliabilityFloor = 0
-	s := NewScheduler(cfg)
-	done := s.AddWorkunit(Workunit{Name: "done"})
-	a := s.RequestWork("c1", 0, 1)
-	s.CompleteResult(a[0].ResultID, true, 1) // "done" reaches WUDone
-	failed := s.AddWorkunit(Workunit{Name: "failed"})
-	for i := 0; i < 2; i++ { // two clients exhaust "failed"'s budget of 1
-		asn := s.RequestWork(fmt.Sprintf("f%d", i), float64(i), 1)
-		if len(asn) != 1 || asn[0].WUID != failed {
-			t.Fatalf("setup: round %d assignment = %+v", i, asn)
-		}
-		s.CompleteResult(asn[0].ResultID, false, float64(i))
-	}
-	if st := s.Workunit(failed).Status(); st != WUFailed {
-		t.Fatalf("setup: failed workunit is %v", st)
-	}
-	inflight := s.AddWorkunit(Workunit{Name: "inflight"})
-	queued := s.AddWorkunit(Workunit{Name: "queued"})
-	b := s.RequestWork("c1", 2, 1) // "inflight" goes out, "queued" stays
-	if len(b) != 1 || b[0].WUID != inflight {
-		t.Fatalf("setup: in-flight assignment = %+v", b)
-	}
-
-	s.RetimePending(300)
-	if got := s.Workunit(done).Timeout; got != 1200 {
-		t.Errorf("WUDone timeout retimed: %v", got)
-	}
-	if got := s.Workunit(failed).Timeout; got != 1200 {
-		t.Errorf("WUFailed timeout retimed: %v", got)
-	}
-	if got := s.Workunit(queued).Timeout; got != 300 {
-		t.Errorf("queued timeout = %v, want 300", got)
-	}
-	if got := s.Workunit(inflight).Timeout; got != 300 {
-		t.Errorf("in-flight timeout = %v, want 300 (future reissues use it)", got)
-	}
-	// The already-issued result keeps the deadline it was sent with.
-	if got := s.Result(b[0].ResultID).Deadline; got != 2+1200 {
-		t.Errorf("issued deadline moved to %v", got)
-	}
-	// A non-positive retime is ignored.
-	s.RetimePending(0)
-	if got := s.Workunit(queued).Timeout; got != 300 {
-		t.Errorf("RetimePending(0) changed timeout to %v", got)
-	}
-}
-
-func TestSetDefaultTimeoutOnlyAffectsLaterWorkunits(t *testing.T) {
-	s := newTestScheduler() // default timeout 100
-	before := s.AddWorkunit(Workunit{Name: "before"})
-	s.SetDefaultTimeout(900)
-	after := s.AddWorkunit(Workunit{Name: "after"})
-	if got := s.Workunit(before).Timeout; got != 100 {
-		t.Errorf("pre-existing workunit timeout = %v, want 100", got)
-	}
-	if got := s.Workunit(after).Timeout; got != 900 {
-		t.Errorf("new workunit timeout = %v, want 900", got)
-	}
-	// Non-positive values are ignored.
-	s.SetDefaultTimeout(-5)
-	if got := s.Config().DefaultTimeout; got != 900 {
-		t.Errorf("SetDefaultTimeout(-5) changed default to %v", got)
-	}
-}
-
 func TestDroppedClientDoesNotGateRetries(t *testing.T) {
 	cfg := DefaultSchedulerConfig()
 	cfg.ReliabilityFloor = 0.9
 	s := NewScheduler(cfg)
-	s.AddWorkunit(Workunit{Name: "wu", Timeout: 10})
+	s.AddWorkunit(Workunit{Name: "wu"})
 	// "bad" sinks its own reliability failing the workunit.
 	for i := 0; i < 6; i++ {
 		asn := s.RequestWork("bad", 0, 1)
@@ -414,9 +362,12 @@ func TestNextDeadline(t *testing.T) {
 	if _, ok := s.NextDeadline(); ok {
 		t.Fatal("empty scheduler has no deadline")
 	}
-	s.AddWorkunit(Workunit{Name: "a", Timeout: 30})
-	s.AddWorkunit(Workunit{Name: "b", Timeout: 20})
-	s.RequestWork("c1", 0, 2)
+	s.AddWorkunit(Workunit{Name: "a"})
+	s.AddWorkunit(Workunit{Name: "b"})
+	s.SetDefaultTimeout(30)
+	s.RequestWork("c1", 0, 1)
+	s.SetDefaultTimeout(20)
+	s.RequestWork("c1", 0, 1)
 	d, ok := s.NextDeadline()
 	if !ok || d != 20 {
 		t.Fatalf("NextDeadline = %v,%v want 20,true", d, ok)

@@ -70,9 +70,6 @@ type Workunit struct {
 	BlobFiles map[string]string
 	// Payload is opaque application data shipped with the assignment.
 	Payload []byte
-	// Timeout is the per-result completion deadline in seconds; results
-	// not returned in time are reissued to another client (§III-B).
-	Timeout float64
 	// MaxErrors is the error/timeout budget before the workunit is
 	// declared failed. Zero means the scheduler default.
 	MaxErrors int
@@ -103,7 +100,7 @@ type Workunit struct {
 	// only for a failed workunit: its copies leave the queue but, as
 	// they always have, stay in the count until the workunit is done.
 	queued, qhead int
-	// filesHash is hashFiles(InputFiles), the fixed part of the bucket key.
+	// filesHash is hashFiles(InputFiles), the hash of the bucket key.
 	filesHash uint64
 	// round is the request counter that last offered this workunit to a
 	// policy; only picks stamped with the current round may issue.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -30,7 +29,8 @@ type Trainer struct {
 // Assimilated is what one result did to the job.
 type Assimilated struct {
 	// Accuracy is the validation accuracy recorded for the result and
-	// Params the server copy it was measured on (nil from Record).
+	// Params the server copy it was measured on (ScoreAndRecord only:
+	// nil from Assimilate, which releases that copy, and from Record).
 	Accuracy float64
 	Params   []float64
 	// Epoch summarizes the epoch this result closed, if Closed.
@@ -63,7 +63,7 @@ func (t *Trainer) Score(params []float64) float64 { return t.eval.Accuracy(param
 
 // Assimilate handles one canonical result trained from epoch's snapshot:
 // Blend, then ScoreAndRecord on the held read-back, which it releases
-// before it returns, so Params in the result is a copy. All but the
+// before it returns, so Params in the result is nil. All but the
 // recording runs outside mu, so results on different parameter servers
 // overlap. A result that arrives after Stop is dropped.
 func (t *Trainer) Assimilate(update []float64, epoch int) (Assimilated, error) {
@@ -73,7 +73,7 @@ func (t *Trainer) Assimilate(update []float64, epoch int) (Assimilated, error) {
 	}
 	defer cur.Release()
 	out, err := t.ScoreAndRecord(cur.Params)
-	out.Params = slices.Clone(out.Params)
+	out.Params = nil
 	return out, err
 }
 

@@ -44,8 +44,8 @@ func TestTrainerConcurrentResults(t *testing.T) {
 					t.Error(err)
 					continue
 				}
-				if out.Params == nil {
-					t.Error("a result before stop was dropped")
+				if out.Params != nil {
+					t.Error("Assimilate returned the read-back it released")
 				}
 				if out.Closed {
 					mu.Lock()

@@ -130,7 +130,7 @@ func Rule(r baseline.UpdateRule) Option {
 
 // WithPolicy selects the scheduler's assignment policy by registry name
 // (boinc.PolicyNames lists the built-ins: paper, fifo, random,
-// reliability-weighted, locality-first, deadline-aware). Unknown names
+// reliability-weighted). Unknown names
 // and bad arguments fail at construction. Like StoreBackend, the policy
 // is instantiated per Config lowering so sweep workers never share
 // policy state.

@@ -6,8 +6,8 @@ import (
 )
 
 func TestMixString(t *testing.T) {
-	s := RunStats{AssignMix: map[string]int{"fifo": 3, "paper": 12, "deadline-aware": 1}}
-	if got := s.MixString(); got != "deadline-aware:1|fifo:3|paper:12" {
+	s := RunStats{AssignMix: map[string]int{"fifo": 3, "paper": 12, "random": 1}}
+	if got := s.MixString(); got != "fifo:3|paper:12|random:1" {
 		t.Fatalf("MixString = %q", got)
 	}
 	if got := (RunStats{}).MixString(); got != "" {

@@ -300,19 +300,16 @@ func (c *Core) onScheduler(action string, f func(*boinc.Scheduler)) {
 }
 
 // SetTimeout hot-changes the result deadline, in virtual seconds. It is
-// the scheduler's default timeout, the only deadline there is: new
-// workunits and future (re)issues of unfinished ones use it, results
-// already sent keep theirs.
+// the scheduler's default timeout, the only deadline there is: every
+// later issue, a reissue included, uses it, results already sent keep
+// theirs.
 func (c *Core) SetTimeout(seconds float64) {
 	t, ok := c.target.(Scheduled)
 	if !c.counted("tune-timeout", ok && seconds > 0) {
 		return
 	}
 	wall := seconds * t.TimeScale()
-	t.Scheduler(func(s *boinc.Scheduler) {
-		s.SetDefaultTimeout(wall)
-		s.RetimePending(wall)
-	})
+	t.Scheduler(func(s *boinc.Scheduler) { s.SetDefaultTimeout(wall) })
 	if r, ok := c.target.(Retimer); ok {
 		r.Retimed()
 	}

@@ -63,7 +63,7 @@ import (
 //	  at 30m  ps-recover 1
 //	  at 15m  set timeout 10m       # scheduler hot reconfiguration
 //	  at 15m  set floor 0.8
-//	  at 20m  policy deadline-aware # hot-swap the scheduling policy
+//	  at 20m  policy random         # hot-swap the scheduling policy
 //	  at 10m  cordon client-01-client-8x2.5    # quarantine: no new work
 //	  at 30m  uncordon client-01-client-8x2.5  # release the quarantine
 //	  at 12m  byzantine client-00-client-8x2.2 spoof  # turn adversarial

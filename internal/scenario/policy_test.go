@@ -7,7 +7,7 @@ import (
 
 const policyScenario = `
 scenario policy-hotswap
-description FIFO start, deadline-aware mid-run.
+description FIFO start, reliability-weighted mid-run.
 
 fleet:
   clients 2
@@ -16,7 +16,7 @@ fleet:
   policy fifo
 
 events:
-  at 2m policy deadline-aware
+  at 2m policy reliability-weighted
   at 4m policy random 7
 
 assert:
@@ -44,7 +44,7 @@ func TestPolicyDirectiveParsesAndBuilds(t *testing.T) {
 	if len(sc.Events) != 2 {
 		t.Fatalf("events = %d, want 2", len(sc.Events))
 	}
-	if desc := sc.Events[0].Desc(); desc != "at 2m policy deadline-aware" {
+	if desc := sc.Events[0].Desc(); desc != "at 2m policy reliability-weighted" {
 		t.Fatalf("event desc = %q", desc)
 	}
 	if desc := sc.Events[1].Desc(); desc != "at 4m policy random 7" {
@@ -58,7 +58,7 @@ func TestPolicyDirectiveRejectsUnknownNames(t *testing.T) {
 		!strings.Contains(err.Error(), "unknown policy") {
 		t.Fatalf("fleet error = %v", err)
 	}
-	bad = strings.ReplaceAll(policyScenario, "policy deadline-aware", "policy warp-speed")
+	bad = strings.ReplaceAll(policyScenario, "policy reliability-weighted", "policy warp-speed")
 	if _, err := Parse(strings.NewReader(bad), "policy.txt"); err == nil ||
 		!strings.Contains(err.Error(), "unknown policy") {
 		t.Fatalf("event error = %v", err)
@@ -83,7 +83,7 @@ func TestPolicyHotSwapRuns(t *testing.T) {
 		t.Fatalf("assertions failed:\n%s", rep.Summary())
 	}
 	trace := strings.Join(rep.Trace, "\n")
-	for _, want := range []string{"scheduler policy fifo -> deadline-aware", "scheduler policy deadline-aware -> random"} {
+	for _, want := range []string{"scheduler policy fifo -> reliability-weighted", "scheduler policy reliability-weighted -> random"} {
 		if !strings.Contains(trace, want) {
 			t.Errorf("trace missing %q:\n%s", want, trace)
 		}
