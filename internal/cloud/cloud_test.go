@@ -158,31 +158,6 @@ func TestSampleIncreaseConcentratesOnMean(t *testing.T) {
 	}
 }
 
-func TestPreemptionProcessRate(t *testing.T) {
-	p := NewPreemptionProcess(7)
-	it := InstanceType{InterruptProb: 0.10}
-	hits := 0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		if p.Strikes(it) {
-			hits++
-		}
-	}
-	rate := float64(hits) / n
-	if math.Abs(rate-0.10) > 0.01 {
-		t.Fatalf("strike rate %v, want ≈0.10", rate)
-	}
-}
-
-func TestPreemptionProcessZeroProb(t *testing.T) {
-	p := NewPreemptionProcess(7)
-	for i := 0; i < 100; i++ {
-		if p.Strikes(ServerInstance) {
-			t.Fatal("server (p=0) must never be preempted")
-		}
-	}
-}
-
 func TestTransferTime(t *testing.T) {
 	nw := Network{BaseLatency: 0.040, JitterStd: 0, Efficiency: 0.5}
 	// 1 GB at 2 Gbps nominal → 1 Gbps effective = 125 MB/s → 8 s + latency.

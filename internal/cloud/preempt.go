@@ -58,21 +58,3 @@ func (m PreemptModel) SampleIncreaseSeconds(ns, nc, ntc int, rng *rand.Rand) flo
 	}
 	return inc
 }
-
-// PreemptionProcess drives instance terminations inside the simulator: at
-// each subtask start the process decides (seeded, per-instance) whether the
-// instance is reclaimed during that execution.
-type PreemptionProcess struct {
-	rng *rand.Rand
-}
-
-// NewPreemptionProcess returns a seeded preemption source.
-func NewPreemptionProcess(seed int64) *PreemptionProcess {
-	return &PreemptionProcess{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Strikes reports whether an instance of the given type is reclaimed while
-// executing one subtask.
-func (p *PreemptionProcess) Strikes(it InstanceType) bool {
-	return p.rng.Float64() < it.InterruptProb
-}

@@ -96,6 +96,31 @@ func LaunchBatch(b Backend, ts []Subtask) []Future {
 	return futs
 }
 
+// Pool is the optional worker-pool extension of Backend, for backends
+// that compute on goroutines of their own: it runs jobs other than
+// subtasks on those workers, and the simulator scores each canonical
+// result there instead of on its event loop. Go and Size are
+// event-loop-thread-only; the jobs run on the workers.
+type Pool interface {
+	// Go queues job ahead of any queued subtask and returns a channel
+	// that is closed once job has run. Like Launch it blocks while the
+	// queue is full (a few jobs per worker). Jobs are not subtasks: no
+	// BackendStats counter sees them.
+	Go(job func()) <-chan struct{}
+	// Size is the number of workers.
+	Size() int
+}
+
+// PoolOf returns the worker pool b computes on — its own, or under the
+// memo layer its base's — or nil when b computes inline.
+func PoolOf(b Backend) Pool {
+	if c, ok := b.(*cachedBackend); ok {
+		b = c.inner
+	}
+	p, _ := b.(Pool)
+	return p
+}
+
 // BackendStats is the compute telemetry a run's Result carries. All
 // fields are updated on the event-loop thread, so for a fixed config and
 // backend they are deterministic; across *different* backends (or worker
@@ -341,7 +366,11 @@ type parallelBackend struct {
 	exec    *Executor
 	workers int
 	queue   chan *poolFuture
-	wg      sync.WaitGroup
+	// jobs carries Pool jobs, which workers take before any subtask. It
+	// has the queue's depth; vcsim keeps at most two per worker
+	// outstanding, so its Go never blocks.
+	jobs chan poolJob
+	wg   sync.WaitGroup
 	// releaseSerial drops the pool's kernel-serialization reservation
 	// at Close.
 	releaseSerial func()
@@ -366,6 +395,7 @@ func newParallelBackend(cfg JobConfig, workers int) *parallelBackend {
 		exec:          NewExecutor(cfg),
 		workers:       workers,
 		queue:         make(chan *poolFuture, workers*poolQueueBound),
+		jobs:          make(chan poolJob, workers*poolQueueBound),
 		releaseSerial: tensor.ReserveSerial(),
 	}
 	for i := 0; i < workers; i++ {
@@ -375,15 +405,58 @@ func newParallelBackend(cfg JobConfig, workers int) *parallelBackend {
 	return b
 }
 
+// worker takes a queued job before a queued subtask: the event loop
+// waits on a job no later than on the subtasks queued ahead of it. Once
+// the subtask queue is closed it runs what jobs are left and exits.
 func (b *parallelBackend) worker() {
 	defer b.wg.Done()
-	for f := range b.queue {
-		f.params, f.stats = b.exec.Run(f.t.Params, f.t.Data, f.t.Seed)
-		f.t = Subtask{} // drop the params/shard references promptly
-		b.computed.Add(1)
-		close(f.done)
+	queue := b.queue
+	for {
+		select {
+		case j := <-b.jobs:
+			j.run()
+			continue
+		default:
+		}
+		if queue == nil {
+			return
+		}
+		select {
+		case j := <-b.jobs:
+			j.run()
+		case f, ok := <-queue:
+			if !ok {
+				queue = nil
+				continue
+			}
+			f.params, f.stats = b.exec.Run(f.t.Params, f.t.Data, f.t.Seed)
+			f.t = Subtask{} // drop the params/shard references promptly
+			b.computed.Add(1)
+			close(f.done)
+		}
 	}
 }
+
+// poolJob is one queued Pool job; run closes done once f returns.
+type poolJob struct {
+	f    func()
+	done chan struct{}
+}
+
+func (j poolJob) run() {
+	j.f()
+	close(j.done)
+}
+
+// Go implements Pool.
+func (b *parallelBackend) Go(job func()) <-chan struct{} {
+	j := poolJob{f: job, done: make(chan struct{})}
+	b.jobs <- j
+	return j.done
+}
+
+// Size implements Pool.
+func (b *parallelBackend) Size() int { return b.workers }
 
 // poolFuture is one queued launch. The worker's close(done) publishes
 // params/stats to the event-loop thread's Wait.
@@ -433,9 +506,10 @@ func (b *parallelBackend) Stats() BackendStats {
 }
 
 // Close stops the pool: the queue is closed, workers drain what is
-// already enqueued (futures nobody awaited, e.g. for departed clients,
-// still compute — the pool is work-conserving like its predecessor) and
-// exit, and the kernel-serialization reservation is released.
+// already enqueued, jobs included (futures nobody awaited, e.g. for
+// departed clients, still compute — the pool is work-conserving like its
+// predecessor) and exit, and the kernel-serialization reservation is
+// released.
 func (b *parallelBackend) Close() {
 	if b.closed {
 		return

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"vcdl/internal/data"
@@ -69,6 +70,9 @@ func TestBackendSpecParsing(t *testing.T) {
 			if s := b.Stats(); s.Backend != v.name || (s.Workers == 2) != v.pooled {
 				t.Errorf("NewBackend(%q).Stats() = %+v, want backend %q, pooled %v", spec, s, v.name, v.pooled)
 			}
+			if p := PoolOf(b); (p != nil) != v.pooled || p != nil && p.Size() != 2 {
+				t.Errorf("PoolOf(NewBackend(%q)) = %v, want a pool of 2: %v", spec, p, v.pooled)
+			}
 			b.Close()
 		}
 	}
@@ -84,6 +88,36 @@ func TestBackendSpecParsing(t *testing.T) {
 		if _, err := NewBackend(spec, cfg, 0); err == nil {
 			t.Errorf("NewBackend(%q) accepted an invalid spec", spec)
 		}
+	}
+}
+
+// TestPoolJobs checks the worker pool's job path: jobs run, no compute
+// counter sees them, and Close runs the jobs still queued before it
+// returns.
+func TestPoolJobs(t *testing.T) {
+	cfg, _, _ := backendFixture(t)
+	b, err := NewBackend("cached", cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := PoolOf(b)
+	var ran atomic.Int32
+	var dones []<-chan struct{}
+	for i := 0; i < 5; i++ {
+		dones = append(dones, pool.Go(func() { ran.Add(1) }))
+	}
+	for _, d := range dones {
+		<-d
+	}
+	if s := b.Stats(); s.Launched != 0 || s.Computed != 0 || s.CacheHits != 0 || s.CacheMisses != 0 || s.MaxInFlight != 0 {
+		t.Errorf("jobs reached the compute counters: %+v", s)
+	}
+	for i := 0; i < 3; i++ {
+		pool.Go(func() { ran.Add(1) })
+	}
+	b.Close()
+	if got := ran.Load(); got != 8 {
+		t.Errorf("%d of 8 jobs ran by Close", got)
 	}
 }
 

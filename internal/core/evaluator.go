@@ -15,11 +15,11 @@ import (
 // live server does not rely on that: Distributed scores on one goroutine,
 // in the order its queue fixed.
 type Evaluator struct {
-	mu     sync.Mutex
-	net    *nn.Network
-	ds     *data.Dataset
-	batch  int
-	subset int
+	mu      sync.Mutex
+	net     *nn.Network
+	builder func() []nn.Layer
+	ds      *data.Dataset
+	batch   int
 }
 
 // NewEvaluator creates an evaluator over ds. subset > 0 evaluates only the
@@ -33,7 +33,14 @@ func NewEvaluator(builder func() []nn.Layer, ds *data.Dataset, subset, batch int
 	if subset > 0 && subset < ds.N() {
 		use = ds.Subset(0, subset)
 	}
-	return &Evaluator{net: nn.NewNetwork(builder), ds: use, batch: batch}
+	return &Evaluator{net: nn.NewNetwork(builder), builder: builder, ds: use, batch: batch}
+}
+
+// clone returns an evaluator over the same samples with a network of its
+// own. The two score concurrently and return the same bits: a network's
+// state lies wholly in the parameters it is handed.
+func (e *Evaluator) clone() *Evaluator {
+	return &Evaluator{net: nn.NewNetwork(e.builder), builder: e.builder, ds: e.ds, batch: e.batch}
 }
 
 // N returns the number of samples the evaluator scores.

@@ -29,8 +29,9 @@ type Trainer struct {
 // Assimilated is what one result did to the job.
 type Assimilated struct {
 	// Accuracy is the validation accuracy recorded for the result and
-	// Params the server copy it was measured on (ScoreAndRecord only:
-	// nil from Assimilate, which releases that copy, and from Record).
+	// Params the server copy it was measured on (ScoreAndRecord and
+	// RecordScore only: nil from Assimilate, which releases that copy,
+	// and from Record).
 	Accuracy float64
 	Params   []float64
 	// Epoch summarizes the epoch this result closed, if Closed.
@@ -60,6 +61,10 @@ func (t *Trainer) Epoch() int { return t.tracker.Epoch() }
 
 // Score returns the validation accuracy of params.
 func (t *Trainer) Score(params []float64) float64 { return t.eval.Accuracy(params) }
+
+// Scorer returns an evaluator of its own over the samples Score uses:
+// its Accuracy is Score's, bit for bit, and runs concurrently with it.
+func (t *Trainer) Scorer() *Evaluator { return t.eval.clone() }
 
 // Assimilate handles one canonical result trained from epoch's snapshot:
 // Blend, then ScoreAndRecord on the held read-back, which it releases
@@ -98,7 +103,14 @@ func (t *Trainer) Blend(update []float64, epoch int) (ps.Held, error) {
 // ScoreAndRecord is the second half: score cur, the copy Blend read
 // back, and record the score. Params in the result is cur itself.
 func (t *Trainer) ScoreAndRecord(cur []float64) (Assimilated, error) {
-	out := t.Record(t.Score(cur), nil)
+	return t.RecordScore(t.Score(cur), cur)
+}
+
+// RecordScore is ScoreAndRecord for a score taken elsewhere: acc is
+// Score(cur), which vcsim takes through Scorer on its compute backend's
+// worker pool.
+func (t *Trainer) RecordScore(acc float64, cur []float64) (Assimilated, error) {
+	out := t.Record(acc, nil)
 	out.Params = cur
 	var err error
 	if out.Stop {

@@ -9,13 +9,24 @@ import "vcdl/internal/ps"
 //
 // Callbacks fire synchronously inside the single-threaded event loop, so
 // implementations must not block and must not call back into the
-// simulation. Within one run events arrive in virtual-time order from a
-// single goroutine, but an observer shared by several specs of an
-// exp.Sweep is called concurrently from all worker goroutines and must
-// be safe for that. An observer never influences the run: with or
-// without one, the same seed produces the same Result — that
-// determinism contract is what makes parallel sweeps (internal/exp)
-// safe to observe.
+// simulation. Within one run events arrive from a single goroutine, and
+// each kind arrives in virtual-time order. Across kinds the order is
+// virtual time too, with one exception: when the backend has a worker
+// pool (parallel, cached), a result is scored there and its OnAssimilate
+// fires once the loop records that score — at the latest when its epoch
+// closes or the run ends — so it can follow an OnPreempt or OnTimeout
+// of a later instant. Its Hours and Queue are still those of the
+// assimilation, and it always precedes the OnEpoch of the epoch it
+// fills. No in-tree observer depends on the order across kinds: the
+// metrics bridge's clock gauge may step back mid-run but ends at the
+// run's hours (OnFinish sets it), the scenario narrator reads epochs and
+// timeouts only, and the benchmark stamps assimilations only.
+//
+// An observer shared by several specs of an exp.Sweep is called
+// concurrently from all worker goroutines and must be safe for that. An
+// observer never influences the run: with or without one, the same seed
+// produces the same Result — that determinism contract is what makes
+// parallel sweeps (internal/exp) safe to observe.
 type Observer interface {
 	// OnAssimilate fires after each canonical result is folded into the
 	// server parameter copy.

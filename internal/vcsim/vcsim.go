@@ -301,7 +301,6 @@ type run struct {
 	testEv  *core.Evaluator
 	shards  []*data.Dataset
 	clients []*simClient
-	preempt *cloud.PreemptionProcess
 
 	// rule-based (ablation) server state; nil when using the ps.Group.
 	rule         baseline.UpdateRule
@@ -328,6 +327,18 @@ type run struct {
 	// scratch, see flushLaunches).
 	launchTasks []core.Subtask
 	launchSlots []*futSlot
+
+	// pool is the backend's worker pool, which scores canonical results
+	// off the event loop; nil when the backend computes inline.
+	pool core.Pool
+	// scoring holds the results blended on that path and not yet
+	// recorded, oldest first; blends counts them all, the way the live
+	// server numbers its tickets.
+	scoring []*score
+	blends  int
+	// scorers are the evaluators of that path, one per score that may
+	// be outstanding, so scores on different workers run at once.
+	scorers []*core.Evaluator
 }
 
 func newRun(cfg Config, st store.Store, backend core.Backend) *run {
@@ -366,10 +377,10 @@ func newRun(cfg Config, st store.Store, backend core.Backend) *run {
 		sched:       sched,
 		st:          st,
 		backend:     backend,
+		pool:        core.PoolOf(backend),
 		shards:      cfg.Job.SplitShards(cfg.Corpus),
 		epochParams: make(map[int][]float64),
 		rule:        cfg.Rule,
-		preempt:     cloud.NewPreemptionProcess(cfg.Seed + 7),
 		res:         &Result{Name: name},
 		obs:         observer,
 		rttOverride: make(map[cloud.Region]float64),
@@ -713,8 +724,10 @@ func (r *run) assimService() float64 {
 	if _, ok := r.st.(*store.Strong); ok {
 		storeCost = 2 * store.StrongProfile.Cost(r.paramBytes).Seconds()
 	}
-	contention := 1 + r.cfg.PSContention*float64(r.assim.Slots()-1)
-	return r.cfg.AssimSeconds*contention + storeCost
+	// Each product is rounded by float64(...) so that no GOARCH fuses it
+	// into a multiply-add: this sum sets virtual event times.
+	contention := 1 + float64(r.cfg.PSContention*float64(r.assim.Slots()-1))
+	return float64(r.cfg.AssimSeconds*contention) + storeCost
 }
 
 // autoscale implements §III-D's dynamic parameter-server pool: grow when
@@ -748,6 +761,10 @@ func (r *run) assimilate(epoch int, updated []float64) {
 	if r.finished {
 		return
 	}
+	if r.rule == nil && r.pool != nil {
+		r.assimilatePooled(epoch, updated)
+		return
+	}
 	var out core.Assimilated
 	switch {
 	case r.rule == nil:
@@ -775,6 +792,97 @@ func (r *run) assimilate(epoch int, updated []float64) {
 	if r.obs != nil {
 		r.obs.OnAssimilate(AssimEvent{Epoch: epoch, Hours: r.eng.NowHours(), Accuracy: out.Accuracy, Queue: r.assim.QueueLen()})
 	}
+	r.closeEpoch(out)
+}
+
+// scoresPerWorker bounds the results blended and not yet recorded: one
+// scoring and one queued per worker keeps the pool fed while the loop
+// blends, and each of them holds a parameter vector. At one per worker
+// a worker idled while the loop waited for the oldest score.
+const scoresPerWorker = 2
+
+// score is one canonical result blended on the event loop and scored on
+// the backend's pool. Hours and Queue are its AssimEvent's, read when it
+// was blended.
+type score struct {
+	held  ps.Held
+	epoch int
+	hours float64
+	queue int
+	acc   float64
+	done  <-chan struct{}
+}
+
+// assimilatePooled is assimilate when the backend computes on a worker
+// pool (DESIGN.md §15, "Scoring in sim"). The loop blends in arrival
+// order and hands the held read-back to the pool to score while it goes
+// on; recording and the observers stay on the loop, in blend order. The
+// blend that fills an epoch waits for every score up to its own, so the
+// epoch closes at the same event as when scoring was inline. At most
+// scoresPerWorker held read-backs per worker are blended and unrecorded;
+// the next blend waits for the oldest.
+func (r *run) assimilatePooled(epoch int, updated []float64) {
+	for len(r.scoring) > 0 && scored(r.scoring[0]) {
+		r.recordOldest()
+	}
+	bound := scoresPerWorker * r.pool.Size()
+	if len(r.scoring) == bound {
+		r.recordOldest()
+	}
+	held, err := r.trainer.Blend(updated, epoch)
+	if err != nil {
+		panic("vcsim: assimilate: " + err.Error())
+	}
+	// Blend k scores on evaluator k mod bound. The last blend to use it,
+	// k−bound, is recorded: at most bound−1 younger ones are outstanding.
+	if len(r.scorers) < bound {
+		r.scorers = append(r.scorers, r.trainer.Scorer())
+	}
+	ev := r.scorers[r.blends%bound]
+	s := &score{held: held, epoch: epoch, hours: r.eng.NowHours(), queue: r.assim.QueueLen()}
+	s.done = r.pool.Go(func() { s.acc = ev.Accuracy(held.Params) })
+	r.scoring = append(r.scoring, s)
+	if r.blends++; r.blends%r.cfg.Job.Subtasks != 0 {
+		return
+	}
+	var out core.Assimilated
+	for len(r.scoring) > 0 {
+		out = r.recordOldest()
+	}
+	r.closeEpoch(out)
+}
+
+// scored reports whether s's score has been taken.
+func scored(s *score) bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// recordOldest waits for the oldest outstanding score, records it,
+// releases its read-back and reports it to the observers.
+func (r *run) recordOldest() core.Assimilated {
+	s := r.scoring[0]
+	r.scoring[0] = nil
+	r.scoring = r.scoring[1:]
+	<-s.done
+	out, err := r.trainer.RecordScore(s.acc, s.held.Params)
+	s.held.Release()
+	if err != nil {
+		panic("vcsim: assimilate: " + err.Error())
+	}
+	if r.obs != nil {
+		r.obs.OnAssimilate(AssimEvent{Epoch: s.epoch, Hours: s.hours, Accuracy: out.Accuracy, Queue: s.queue})
+	}
+	return out
+}
+
+// closeEpoch is assimilate's tail once a result is recorded: if it
+// closed an epoch, book the epoch and stop or publish the next one.
+func (r *run) closeEpoch(out core.Assimilated) {
 	if !out.Closed {
 		return
 	}
@@ -830,8 +938,13 @@ func (r *run) sweep() {
 
 // finish assembles the Result.
 func (r *run) finish() (*Result, error) {
-	// Drain stray compute workers (futures whose completion never fired,
-	// e.g. departed clients) before reading the telemetry.
+	// Record what was blended and not yet recorded (a run whose event
+	// queue drained mid-epoch), then drain stray compute workers
+	// (futures whose completion never fired, e.g. departed clients)
+	// before reading the telemetry.
+	for len(r.scoring) > 0 {
+		r.recordOldest()
+	}
 	r.backend.Close()
 	r.res.Compute = r.backend.Stats()
 	r.res.Hours = r.eng.NowHours()
@@ -859,8 +972,8 @@ func (r *run) finish() (*Result, error) {
 		if activeH < 0 {
 			activeH = 0
 		}
-		r.res.CostStandardUSD += c.inst.HourlyUSD * activeH
-		r.res.CostPreemptibleUSD += c.inst.PreemptibleUSD * activeH
+		r.res.CostStandardUSD += float64(c.inst.HourlyUSD * activeH)
+		r.res.CostPreemptibleUSD += float64(c.inst.PreemptibleUSD * activeH)
 	}
 	if r.obs != nil {
 		r.obs.OnFinish(r.res)
