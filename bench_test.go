@@ -507,51 +507,55 @@ func BenchmarkTrainBatchMiniResNet(b *testing.B) {
 	}
 }
 
-func BenchmarkVCASGDAssimilate(b *testing.B) {
+// vcasgdAssimilate blends n client vectors of 100k words into one
+// parameter server's copy by Equation 1.
+func vcasgdAssimilate(tb benchTB, n int) {
 	srv := ps.NewServer(0, store.NewStrong(), opt.Constant{V: 0.95})
 	params := make([]float64, 100_000)
 	srv.Publish(params)
 	client := make([]float64, 100_000)
-	b.SetBytes(8 * 100_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	tb.SetBytes(8 * 100_000)
+	tb.ResetTimer()
+	for i := 0; i < n; i++ {
 		if err := srv.Assimilate(client, 1); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkUploadAssimilate drives the server's whole result path for a
+func BenchmarkVCASGDAssimilate(b *testing.B) { vcasgdAssimilate(b, b.N) }
+
+// uploadAssimilate drives the server's whole result path n times for a
 // megabyte model — scheduler request, then upload → validate →
 // assimilate → evaluate — through the HTTP handlers without a socket
 // (the assim_storm shape, one connection). Its B/op is what the pooled
 // single-decode path is pinned by: a second decode or a dropped pool
 // shows as another 1.3 MB per operation.
-func BenchmarkUploadAssimilate(b *testing.B) {
+func uploadAssimilate(tb benchTB, n int) {
 	dc := data.DefaultSynthConfig()
 	dc.NTrain = 2000
 	corpus, err := data.GenerateSynth(dc)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	spec := core.MLPSpec(dc.C*dc.H*dc.W, []int{512, 128}, dc.Classes)
 	spec.Layers = append([]core.LayerSpec{{Kind: "flatten"}}, spec.Layers...)
 	builder, err := spec.Builder()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	job := core.DefaultJobConfig(builder)
 	job.Subtasks, job.MaxEpochs, job.ValSubset = 200, 1<<30, 16
 	d, err := core.NewDistributed(job, spec, corpus, 2, store.NewEventual(1, 0, 1))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	srv := d.Server()
 	do := func(method, url string, body []byte) *httptest.ResponseRecorder {
 		w := httptest.NewRecorder()
 		srv.ServeHTTP(w, httptest.NewRequest(method, url, bytes.NewReader(body)))
 		if w.Code != http.StatusOK {
-			b.Fatalf("%s %s: %d %s", method, url, w.Code, w.Body)
+			tb.Fatalf("%s %s: %d %s", method, url, w.Code, w.Body)
 		}
 		return w
 	}
@@ -559,23 +563,24 @@ func BenchmarkUploadAssimilate(b *testing.B) {
 	// own parameter file.
 	blob := do("GET", "/download?f=params_e001.h5", nil).Body.Bytes()
 	ask := []byte(`{"client_id":"c1","max_tasks":1}`)
-	b.SetBytes(int64(len(blob)))
-	b.ReportAllocs()
+	tb.SetBytes(int64(len(blob)))
 	// Scoring runs behind the ack, so at one proc the evaluator's queue
 	// fills before anything is scored; the first uploads allocate the
 	// vectors that then go round. They are the job's, not an upload's.
 	const warmup = 10
-	for i := -warmup; i < b.N; i++ {
+	for i := -warmup; i < n; i++ {
 		if i == 0 {
-			b.ResetTimer()
+			tb.ResetTimer()
 		}
 		var reply boinc.WorkReply
 		if err := json.Unmarshal(do("POST", "/scheduler", ask).Body.Bytes(), &reply); err != nil || len(reply.Assignments) != 1 {
-			b.Fatalf("scheduler reply: %v, %d assignments", err, len(reply.Assignments))
+			tb.Fatalf("scheduler reply: %v, %d assignments", err, len(reply.Assignments))
 		}
 		do("POST", fmt.Sprintf("/upload?result=%d", reply.Assignments[0].ResultID), blob)
 	}
 }
+
+func BenchmarkUploadAssimilate(b *testing.B) { b.ReportAllocs(); uploadAssimilate(b, b.N) }
 
 func BenchmarkParamCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
@@ -615,12 +620,13 @@ func BenchmarkShardEncodeDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkExecutorSubtask(b *testing.B) {
+// executorSubtask runs n MiniResNet subtasks over a 100-sample shard.
+func executorSubtask(tb benchTB, n int) {
 	dc := data.DefaultSynthConfig()
 	dc.NTrain, dc.NVal, dc.NTest = 100, 10, 10
 	corpus, err := data.GenerateSynth(dc)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := core.DefaultJobConfig(nn.MiniResNetV2Builder(3, 8, 8, 8, 1, 10))
 	cfg.BatchSize = 25
@@ -628,33 +634,37 @@ func BenchmarkExecutorSubtask(b *testing.B) {
 	net := nn.NewNetwork(cfg.Builder)
 	net.Init(rand.New(rand.NewSource(5)))
 	params := net.Parameters()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	tb.ResetTimer()
+	for i := 0; i < n; i++ {
 		exec.Run(params, corpus.Train, int64(i))
 	}
 }
 
-// BenchmarkEvaluatorAccuracy measures one validation pass at
-// live_train's shapes — MiniResNet of width 8 over 120 samples of
-// [3,8,8] in batches of 100 — which the live server pays once per
-// canonical result, on its evaluator goroutine.
-func BenchmarkEvaluatorAccuracy(b *testing.B) {
+func BenchmarkExecutorSubtask(b *testing.B) { executorSubtask(b, b.N) }
+
+// evaluatorAccuracy runs n validation passes at live_train's shapes —
+// MiniResNet of width 8 over 120 samples of [3,8,8] in batches of 100 —
+// which the live server pays once per canonical result, on its
+// evaluator goroutine.
+func evaluatorAccuracy(tb benchTB, n int) {
 	dc := data.DefaultSynthConfig()
 	dc.NTrain, dc.NVal, dc.NTest = 100, 120, 10
 	corpus, err := data.GenerateSynth(dc)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	builder := nn.MiniResNetV2Builder(3, 8, 8, 8, 1, 10)
 	ev := core.NewEvaluator(builder, corpus.Val, 120, 100)
 	net := nn.NewNetwork(builder)
 	net.Init(rand.New(rand.NewSource(5)))
 	params := net.Parameters()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	tb.ResetTimer()
+	for i := 0; i < n; i++ {
 		ev.Accuracy(params)
 	}
 }
+
+func BenchmarkEvaluatorAccuracy(b *testing.B) { evaluatorAccuracy(b, b.N) }
 
 // BenchmarkSerialBaselineEpoch measures the single-instance trainer's
 // per-epoch cost (experiment F6's baseline).

@@ -14,17 +14,25 @@ import (
 // queue's bucket index and cost O(distinct input lists), whatever the
 // backlog; random and reliability-weighted are handed the full view and
 // stay O(backlog).
-// Run with -benchmem; the CI guard (cmd/benchguard) pins paper's
-// allocs/op against BENCH_kernels.json.
+// TestAllocationPins holds paper's allocs/op at 100k through the same
+// loop.
 func BenchmarkRequestWork(b *testing.B) {
-	for _, name := range PolicyNames() {
-		b.Run(name, func(b *testing.B) { benchRequestWork(b, name, 100_000) })
+	run := func(name, policy string, backlog int) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			benchRequestWork(b, b.N, policy, backlog)
+		})
 	}
-	b.Run("paper@10k", func(b *testing.B) { benchRequestWork(b, "paper", 10_000) })
-	b.Run("paper@1k", func(b *testing.B) { benchRequestWork(b, "paper", 1_000) })
+	for _, name := range PolicyNames() {
+		run(name, name, 100_000)
+	}
+	run("paper@10k", "paper", 10_000)
+	run("paper@1k", "paper", 1_000)
 }
 
-func benchRequestWork(b *testing.B, name string, backlog int) {
+// benchRequestWork runs n work fetches against a backlog of the given
+// size under the named policy.
+func benchRequestWork(b benchTB, n int, name string, backlog int) {
 	const (
 		clients = 50
 		slots   = 8
@@ -56,9 +64,8 @@ func benchRequestWork(b *testing.B, name string, backlog int) {
 		s.NoteCached(ids[c], fmt.Sprintf("shard_%03d", (c*7)%200))
 	}
 	now := 0.0
-	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < n; i++ {
 		now += 0.5
 		asns := s.RequestWork(ids[i%clients], now, slots)
 		b.StopTimer()

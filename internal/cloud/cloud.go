@@ -29,10 +29,6 @@ type InstanceType struct {
 	// price (70–90% lower per the paper).
 	HourlyUSD      float64
 	PreemptibleUSD float64
-	// InterruptProb is the per-subtask probability of the instance being
-	// reclaimed while running one subtask ("frequency of interruption",
-	// <5% for every type used in the paper).
-	InterruptProb float64
 }
 
 // Speed returns the relative compute throughput of the instance in
@@ -55,27 +51,27 @@ var (
 	// servers, Redis, the BOINC web server and the BOINC database.
 	ServerInstance = InstanceType{
 		Name: "server-8x2.3", VCPU: 8, ClockGHz: 2.3, RAMGB: 61, BandwidthGbps: 10,
-		HourlyUSD: 0.40, PreemptibleUSD: 0.12, InterruptProb: 0,
+		HourlyUSD: 0.40, PreemptibleUSD: 0.12,
 	}
 	// ClientA is the 8 vCPU / 2.2 GHz / 32 GB / 5 Gbps client row.
 	ClientA = InstanceType{
 		Name: "client-8x2.2", VCPU: 8, ClockGHz: 2.2, RAMGB: 32, BandwidthGbps: 5,
-		HourlyUSD: 0.33, PreemptibleUSD: 0.10, InterruptProb: 0.03,
+		HourlyUSD: 0.33, PreemptibleUSD: 0.10,
 	}
 	// ClientB is the 8 vCPU / 2.5 GHz / 32 GB / 5 Gbps client row.
 	ClientB = InstanceType{
 		Name: "client-8x2.5", VCPU: 8, ClockGHz: 2.5, RAMGB: 32, BandwidthGbps: 5,
-		HourlyUSD: 0.35, PreemptibleUSD: 0.105, InterruptProb: 0.04,
+		HourlyUSD: 0.35, PreemptibleUSD: 0.105,
 	}
 	// ClientC is the 8 vCPU / 2.8 GHz / 15 GB / 2 Gbps client row.
 	ClientC = InstanceType{
 		Name: "client-8x2.8", VCPU: 8, ClockGHz: 2.8, RAMGB: 15, BandwidthGbps: 2,
-		HourlyUSD: 0.28, PreemptibleUSD: 0.084, InterruptProb: 0.045,
+		HourlyUSD: 0.28, PreemptibleUSD: 0.084,
 	}
 	// ClientD is the 16 vCPU / 2.8 GHz / 30 GB / 2 Gbps client row.
 	ClientD = InstanceType{
 		Name: "client-16x2.8", VCPU: 16, ClockGHz: 2.8, RAMGB: 30, BandwidthGbps: 2,
-		HourlyUSD: 0.31, PreemptibleUSD: 0.093, InterruptProb: 0.045,
+		HourlyUSD: 0.31, PreemptibleUSD: 0.093,
 	}
 )
 

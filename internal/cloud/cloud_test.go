@@ -34,16 +34,6 @@ func TestTableIMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestAllClientsLowInterrupt(t *testing.T) {
-	// "All the instances we use for training have a frequency of
-	// interruption < 5%."
-	for _, c := range ClientTypes() {
-		if c.InterruptProb >= 0.05 {
-			t.Fatalf("%s interrupt prob %v >= 5%%", c.Name, c.InterruptProb)
-		}
-	}
-}
-
 func TestSpeedOrdering(t *testing.T) {
 	// ClientD (16×2.8) must be the fastest; ClientA (8×2.2) the slowest.
 	cs := ClientTypes()

@@ -26,13 +26,35 @@ var (
 	matMulTransBBenchShapes = [][3]int{{128, 128, 128}, {convRows, 72, 8}}
 )
 
-// benchKernel runs one serial kernel per shape through caller-owned
+// kernelCase is one sub-benchmark: loop builds its operands, resets the
+// timer and runs the kernel n times, so the benchmark and
+// TestAllocationPins measure the same code.
+type kernelCase struct {
+	name  string
+	flops float64 // per call; 0 where no GFLOPS are reported
+	loop  func(tb benchTB, n int)
+}
+
+// runKernelCases runs each case as a sub-benchmark.
+func runKernelCases(bm *testing.B, cases []kernelCase) {
+	for _, c := range cases {
+		bm.Run(c.name, func(bm *testing.B) {
+			bm.ReportAllocs()
+			c.loop(bm, bm.N)
+			if c.flops > 0 {
+				bm.ReportMetric(c.flops*float64(bm.N)/bm.Elapsed().Seconds()/1e9, "GFLOPS")
+			}
+		})
+	}
+}
+
+// kernelCases runs one serial kernel per shape through caller-owned
 // scratch, the way the executor hot path calls it. operands maps
-// (m, k, n) to the kernel's two operand shapes. The pinned-zero alloc
-// guard in CI watches these benchmarks.
+// (m, k, n) to the kernel's two operand shapes.
 // Shapes in relu get an a operand with its negative entries zeroed and
 // "-relu" after their name.
-func benchKernel(bm *testing.B, seed int64, shapes, relu [][3]int, operands func(m, k, n int) (ar, ac, br, bc int), kernel func(dst, a, b *Tensor) *Tensor) {
+func kernelCases(seed int64, shapes, relu [][3]int, operands func(m, k, n int) (ar, ac, br, bc int), kernel func(dst, a, b *Tensor) *Tensor) []kernelCase {
+	var cases []kernelCase
 	for i, s := range slices.Concat(shapes, relu) {
 		m, k, n := s[0], s[1], s[2]
 		sparse := i >= len(shapes)
@@ -40,7 +62,7 @@ func benchKernel(bm *testing.B, seed int64, shapes, relu [][3]int, operands func
 		if sparse {
 			name += "-relu"
 		}
-		bm.Run(name, func(bm *testing.B) {
+		cases = append(cases, kernelCase{name, 2 * float64(m) * float64(k) * float64(n), func(tb benchTB, iters int) {
 			release := ReserveSerial()
 			defer release()
 			rng := rand.New(rand.NewSource(seed))
@@ -56,28 +78,30 @@ func benchKernel(bm *testing.B, seed int64, shapes, relu [][3]int, operands func
 				b.Data[i] = rng.NormFloat64()
 			}
 			dst := New(m, n)
-			bm.ReportAllocs()
-			bm.ResetTimer()
-			for i := 0; i < bm.N; i++ {
+			tb.ResetTimer()
+			for i := 0; i < iters; i++ {
 				kernel(dst, a, b)
 			}
-			flops := 2 * float64(m) * float64(k) * float64(n)
-			bm.ReportMetric(flops*float64(bm.N)/bm.Elapsed().Seconds()/1e9, "GFLOPS")
-		})
+		}})
 	}
+	return cases
 }
 
-func BenchmarkMatMulInto(bm *testing.B) {
-	benchKernel(bm, 1, matMulBenchShapes, matMulReLUBenchShapes, func(m, k, n int) (int, int, int, int) { return m, k, k, n }, MatMulInto)
+func matMulIntoCases() []kernelCase {
+	return kernelCases(1, matMulBenchShapes, matMulReLUBenchShapes, func(m, k, n int) (int, int, int, int) { return m, k, k, n }, MatMulInto)
 }
 
-func BenchmarkMatMulTransAInto(bm *testing.B) {
-	benchKernel(bm, 2, matMulTransABenchShapes, nil, func(m, k, n int) (int, int, int, int) { return k, m, k, n }, MatMulTransAInto)
+func matMulTransAIntoCases() []kernelCase {
+	return kernelCases(2, matMulTransABenchShapes, nil, func(m, k, n int) (int, int, int, int) { return k, m, k, n }, MatMulTransAInto)
 }
 
-func BenchmarkMatMulTransBInto(bm *testing.B) {
-	benchKernel(bm, 3, matMulTransBBenchShapes, nil, func(m, k, n int) (int, int, int, int) { return m, k, n, k }, MatMulTransBInto)
+func matMulTransBIntoCases() []kernelCase {
+	return kernelCases(3, matMulTransBBenchShapes, nil, func(m, k, n int) (int, int, int, int) { return m, k, n, k }, MatMulTransBInto)
 }
+
+func BenchmarkMatMulInto(bm *testing.B)       { runKernelCases(bm, matMulIntoCases()) }
+func BenchmarkMatMulTransAInto(bm *testing.B) { runKernelCases(bm, matMulTransAIntoCases()) }
+func BenchmarkMatMulTransBInto(bm *testing.B) { runKernelCases(bm, matMulTransBIntoCases()) }
 
 // convBenchGeoms are the lowering benchmarks' geometries (3×3, stride 1,
 // pad 1): the paper CNN's first layer, whose single channel makes the
@@ -92,79 +116,92 @@ var convBenchGeoms = []struct {
 	{"25x8x8x8", 25, 8, 8, 8, 8},
 }
 
-// benchConvLowering runs kernel(cols, x, d) on each geometry.
-// Alloc-pinned to 0.
-func benchConvLowering(bm *testing.B, kernel func(cols, x *Tensor, d ConvDims)) {
-	for _, g := range convBenchGeoms {
-		d, err := NewConvDims(g.batch, g.inC, g.h, g.w, g.c, 3, 3, 1, 1)
-		if err != nil {
-			bm.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(4))
-		x := New(d.Batch, d.InC, d.InH, d.InW)
-		cols := New(d.Batch*d.OutH*d.OutW, d.InC*d.KH*d.KW)
-		for _, t := range []*Tensor{x, cols} {
-			for i := range t.Data {
-				t.Data[i] = rng.NormFloat64()
+// benchConvDims is the 3×3, stride-1, pad-1 convolution over geometry g.
+func benchConvDims(tb benchTB, g int) ConvDims {
+	c := convBenchGeoms[g]
+	d, err := NewConvDims(c.batch, c.inC, c.h, c.w, c.c, 3, 3, 1, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
+// convLoweringCases runs kernel(cols, x, d) on each geometry.
+func convLoweringCases(kernel func(cols, x *Tensor, d ConvDims)) []kernelCase {
+	var cases []kernelCase
+	for g, geom := range convBenchGeoms {
+		cases = append(cases, kernelCase{geom.name, 0, func(tb benchTB, n int) {
+			d := benchConvDims(tb, g)
+			rng := rand.New(rand.NewSource(4))
+			x := New(d.Batch, d.InC, d.InH, d.InW)
+			cols := New(d.Batch*d.OutH*d.OutW, d.InC*d.KH*d.KW)
+			for _, t := range []*Tensor{x, cols} {
+				for i := range t.Data {
+					t.Data[i] = rng.NormFloat64()
+				}
 			}
-		}
-		bm.Run(g.name, func(bm *testing.B) {
-			bm.ReportAllocs()
-			for i := 0; i < bm.N; i++ {
+			tb.ResetTimer()
+			for i := 0; i < n; i++ {
 				kernel(cols, x, d)
 			}
-		})
+		}})
 	}
+	return cases
+}
+
+func im2ColIntoCases() []kernelCase {
+	return convLoweringCases(func(cols, x *Tensor, d ConvDims) { Im2ColInto(cols, x, d) })
+}
+
+func col2ImIntoCases() []kernelCase {
+	return convLoweringCases(func(cols, x *Tensor, d ConvDims) { Col2ImInto(x, cols, d) })
 }
 
 // BenchmarkIm2ColInto measures the unroll step of the convolution
 // lowering.
-func BenchmarkIm2ColInto(bm *testing.B) {
-	benchConvLowering(bm, func(cols, x *Tensor, d ConvDims) { Im2ColInto(cols, x, d) })
-}
+func BenchmarkIm2ColInto(bm *testing.B) { runKernelCases(bm, im2ColIntoCases()) }
 
 // BenchmarkCol2ImInto measures its adjoint, the input-gradient scatter.
-func BenchmarkCol2ImInto(bm *testing.B) {
-	benchConvLowering(bm, func(cols, x *Tensor, d ConvDims) { Col2ImInto(x, cols, d) })
-}
+func BenchmarkCol2ImInto(bm *testing.B) { runKernelCases(bm, col2ImIntoCases()) }
 
-// BenchmarkConv measures the direct convolution's three passes on the
-// lowering benchmarks' geometries, scratch warmed outside the timer.
-// Alloc-pinned to 0.
-func BenchmarkConv(bm *testing.B) {
-	for _, g := range convBenchGeoms {
-		d, err := NewConvDims(g.batch, g.inC, g.h, g.w, g.c, 3, 3, 1, 1)
-		if err != nil {
-			bm.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(4))
-		k := d.InC * d.KH * d.KW
-		x, dx := New(d.Batch, d.InC, d.InH, d.InW), New(d.Batch, d.InC, d.InH, d.InW)
-		w, b, dw, db := New(d.OutC, k), New(d.OutC), New(d.OutC, k), New(d.OutC)
-		out, grad := New(d.Batch, d.OutC, d.OutH, d.OutW), New(d.Batch, d.OutC, d.OutH, d.OutW)
-		for _, t := range []*Tensor{x, w, b, grad} {
-			for i := range t.Data {
-				t.Data[i] = rng.NormFloat64()
-			}
-		}
-		var cv Conv
-		passes := []struct {
-			name string
-			run  func()
-		}{
-			{"forward", func() { cv.Forward(out, x, w, b, d) }},
-			{"weightgrad", func() { cv.WeightGrad(dw, db, grad) }},
-			{"inputgrad", func() { cv.InputGrad(dx, grad, w) }},
-		}
-		for _, p := range passes {
-			bm.Run(p.name+"/"+g.name, func(bm *testing.B) {
-				p.run()
-				bm.ReportAllocs()
-				bm.ResetTimer()
-				for i := 0; i < bm.N; i++ {
-					p.run()
+// convCases are the direct convolution's three passes on the lowering
+// benchmarks' geometries, each after a Forward, scratch warmed before
+// the timer starts.
+func convCases() []kernelCase {
+	var cases []kernelCase
+	for g, geom := range convBenchGeoms {
+		for _, pass := range []string{"forward", "weightgrad", "inputgrad"} {
+			cases = append(cases, kernelCase{pass + "/" + geom.name, 0, func(tb benchTB, n int) {
+				d := benchConvDims(tb, g)
+				rng := rand.New(rand.NewSource(4))
+				k := d.InC * d.KH * d.KW
+				x, dx := New(d.Batch, d.InC, d.InH, d.InW), New(d.Batch, d.InC, d.InH, d.InW)
+				w, b, dw, db := New(d.OutC, k), New(d.OutC), New(d.OutC, k), New(d.OutC)
+				out, grad := New(d.Batch, d.OutC, d.OutH, d.OutW), New(d.Batch, d.OutC, d.OutH, d.OutW)
+				for _, t := range []*Tensor{x, w, b, grad} {
+					for i := range t.Data {
+						t.Data[i] = rng.NormFloat64()
+					}
 				}
-			})
+				var cv Conv
+				run := func() { cv.Forward(out, x, w, b, d) }
+				run()
+				switch pass {
+				case "weightgrad":
+					run = func() { cv.WeightGrad(dw, db, grad) }
+				case "inputgrad":
+					run = func() { cv.InputGrad(dx, grad, w) }
+				}
+				run()
+				tb.ResetTimer()
+				for i := 0; i < n; i++ {
+					run()
+				}
+			}})
 		}
 	}
+	return cases
 }
+
+// BenchmarkConv measures the direct convolution's three passes.
+func BenchmarkConv(bm *testing.B) { runKernelCases(bm, convCases()) }

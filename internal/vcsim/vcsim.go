@@ -80,7 +80,8 @@ type Config struct {
 	// scheduler starts with, as its default timeout.
 	TimeoutSeconds float64
 	// PreemptProb is the per-subtask-execution probability that the
-	// preemptible instance is reclaimed before uploading (p in §IV-E).
+	// preemptible instance is reclaimed before uploading (p in §IV-E; every
+	// instance the paper uses has "a frequency of interruption < 5%").
 	PreemptProb float64
 	// RecordTest also evaluates test accuracy at each epoch (Figure 6).
 	RecordTest bool

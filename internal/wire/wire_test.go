@@ -258,33 +258,36 @@ func benchParams(n int) []float64 {
 	return params
 }
 
-func BenchmarkParamsRoundTrip(b *testing.B) {
+// paramsRoundTrip encodes and decodes a 64k-word vector n times.
+func paramsRoundTrip(tb benchTB, n int) {
 	params := benchParams(64 * 1024)
-	b.SetBytes(int64(RawSize(len(params))))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	tb.SetBytes(int64(RawSize(len(params))))
+	tb.ResetTimer()
+	for i := 0; i < n; i++ {
 		blob, err := EncodeParams(params)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := DecodeParams(blob); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkEncodeCheckpoint(b *testing.B) {
+// encodeCheckpoint frames a 64k-word checkpoint n times.
+func encodeCheckpoint(tb benchTB, n int) {
 	params := benchParams(64 * 1024)
-	b.SetBytes(int64(RawSize(len(params))))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	tb.SetBytes(int64(RawSize(len(params))))
+	tb.ResetTimer()
+	for i := 0; i < n; i++ {
 		if _, err := EncodeCheckpoint(3, params); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
+
+func BenchmarkParamsRoundTrip(b *testing.B)  { b.ReportAllocs(); paramsRoundTrip(b, b.N) }
+func BenchmarkEncodeCheckpoint(b *testing.B) { b.ReportAllocs(); encodeCheckpoint(b, b.N) }
 
 // assimStormWords is the model size of the repository benchmark's
 // assim_storm workload, flatten + MLP(192, [512, 128], 10). ViewParams
@@ -293,21 +296,24 @@ func BenchmarkEncodeCheckpoint(b *testing.B) {
 // of the stored value.
 const assimStormWords = 165_770
 
-func BenchmarkDecodeParamsInto(b *testing.B) {
+// decodeParamsInto decodes an assim_storm upload into one vector n
+// times.
+func decodeParamsInto(tb benchTB, n int) {
 	blob, err := EncodeParams(benchParams(assimStormWords))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dst := make([]float64, assimStormWords)
-	b.SetBytes(int64(len(blob)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	tb.SetBytes(int64(len(blob)))
+	tb.ResetTimer()
+	for i := 0; i < n; i++ {
 		if err := DecodeParamsInto(dst, blob); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
+
+func BenchmarkDecodeParamsInto(b *testing.B) { b.ReportAllocs(); decodeParamsInto(b, b.N) }
 
 func BenchmarkViewParams(b *testing.B) {
 	blob, err := EncodeParams(benchParams(assimStormWords))
@@ -325,15 +331,18 @@ func BenchmarkViewParams(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeRawInto(b *testing.B) {
+// decodeRawInto reads an assim_storm stored value into one vector n
+// times.
+func decodeRawInto(tb benchTB, n int) {
 	blob := EncodeRaw(benchParams(assimStormWords))
 	dst := make([]float64, assimStormWords)
-	b.SetBytes(int64(len(blob)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	tb.SetBytes(int64(len(blob)))
+	tb.ResetTimer()
+	for i := 0; i < n; i++ {
 		if _, err := DecodeRawInto(dst, blob); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
+
+func BenchmarkDecodeRawInto(b *testing.B) { b.ReportAllocs(); decodeRawInto(b, b.N) }

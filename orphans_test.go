@@ -17,7 +17,7 @@ import (
 // orphanAllowlist names the exported identifiers under internal/ that no
 // non-test file references yet are kept on purpose, each with its reason.
 var orphanAllowlist = map[string]string{
-	"tensor.Col2ImInto":    "cmd/benchguard pins BenchmarkCol2ImInto (ROADMAP 10 (vii))",
+	"tensor.Col2ImInto":    "TestAllocationPins pins BenchmarkCol2ImInto (ROADMAP 10 (vii))",
 	"tensor.SetMaxThreads": "test hook: tests in other packages pin the kernel fan-out",
 	"tensor.KernelFanouts": "test hook: tests in other packages count kernel fan-outs",
 	"obs.NewTracer":        "only tests build the tracer the engines accept (ROADMAP 7 (ii))",
