@@ -292,11 +292,11 @@ func NewDistributedJob(cfg JobConfig, spec ModelSpec, corpus *data.Corpus, pn in
 	if err := d.publishFile(TrainParamsFile, jobBlob); err != nil {
 		return nil, err
 	}
-	for i, s := range d.shards {
-		enc, err := s.Encode()
-		if err != nil {
-			return nil, err
-		}
+	blobs, err := data.EncodeAll(d.shards)
+	if err != nil {
+		return nil, err
+	}
+	for i, enc := range blobs {
 		if err := d.publishFile(shardFileName(i), enc); err != nil {
 			return nil, err
 		}

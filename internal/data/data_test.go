@@ -1,10 +1,13 @@
 package data
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func smallConfig() SynthConfig {
@@ -241,6 +244,56 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if shard.Labels[i] != back.Labels[i] {
 			t.Fatal("label mismatch")
 		}
+	}
+}
+
+// EncodeAll must return, at every worker count, exactly the bytes Encode
+// returns for each shard, each blob in its own buffer.
+func TestEncodeAllMatchesEncode(t *testing.T) {
+	c, err := GenerateSynth(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := append(c.Train.Split(49), c.Train.Subset(0, 0))
+	empty := shards[49]
+	want := make(map[*Dataset][]byte)
+	for _, s := range shards {
+		if want[s], err = s.Encode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, set := range [][]*Dataset{nil, shards[:1], {shards[0], empty, shards[1]}, shards} {
+			blobs, err := EncodeAll(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if blobs == nil || len(blobs) != len(set) {
+				t.Fatalf("GOMAXPROCS %d: %d shards gave %d blobs (nil %v)", procs, len(set), len(blobs), blobs == nil)
+			}
+			for i, b := range blobs {
+				if !bytes.Equal(b, want[set[i]]) {
+					t.Fatalf("GOMAXPROCS %d, %d shards: blob %d differs from Encode", procs, len(set), i)
+				}
+			}
+			// No two blobs may share a backing array: compare the
+			// address ranges their capacities span.
+			for i, a := range blobs {
+				for j, b := range blobs[:i] {
+					a0, b0 := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+					if a0 < b0+uintptr(cap(b)) && b0 < a0+uintptr(cap(a)) {
+						t.Fatalf("GOMAXPROCS %d: blobs %d and %d share a backing array", procs, j, i)
+					}
+				}
+			}
+		}
+	}
+	// An empty input starts no worker: the workers' shared counter and
+	// wait group live on the heap, and the empty result allocates nothing.
+	if n := testing.AllocsPerRun(10, func() { EncodeAll(nil) }); n != 0 {
+		t.Fatalf("EncodeAll(nil) allocated %v times, want 0", n)
 	}
 }
 

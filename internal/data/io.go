@@ -6,6 +6,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"vcdl/internal/tensor"
 )
@@ -17,9 +20,55 @@ import (
 const shardMagic = 0x56534831 // "VSH1"
 
 // Encode serializes the dataset into a compressed byte blob.
-func (d *Dataset) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
+func (d *Dataset) Encode() ([]byte, error) { return new(shardEncoder).encode(d) }
+
+// EncodeAll encodes every shard, blob i byte for byte what
+// shards[i].Encode returns. The shards are spread over
+// min(GOMAXPROCS, len(shards)) workers that take the next index from a
+// shared counter, each reusing one compressor, and every blob gets its
+// own buffer. The workers exit before it returns; on an error it returns
+// the first one in index order.
+func EncodeAll(shards []*Dataset) ([][]byte, error) {
+	if len(shards) == 0 {
+		return [][]byte{}, nil
+	}
+	blobs := make([][]byte, len(shards))
+	errs := make([]error, len(shards))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(shards)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var e shardEncoder
+			for i := int(next.Add(1) - 1); i < len(shards); i = int(next.Add(1) - 1) {
+				blobs[i], errs[i] = e.encode(shards[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return blobs, nil
+}
+
+// shardEncoder writes VSH1 blobs through one gzip writer, reset for each
+// blob: a compressor costs about a megabyte to allocate and Reset brings
+// it back to exactly a new writer's state.
+type shardEncoder struct{ zw *gzip.Writer }
+
+func (e *shardEncoder) encode(d *Dataset) ([]byte, error) {
+	// Presized to the raw frame: the images barely compress (about 0.96).
+	buf := bytes.NewBuffer(make([]byte, 0, 8+8+4*d.X.Rank()+8*len(d.X.Data)+4*len(d.Labels)))
+	if e.zw == nil {
+		e.zw = gzip.NewWriter(buf)
+	} else {
+		e.zw.Reset(buf)
+	}
+	zw := e.zw
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:], shardMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(d.Labels)))

@@ -151,7 +151,11 @@ func sampleSet(cfg SynthConfig, protos []*tensor.Tensor, n int, rng *rand.Rand) 
 		if cfg.LabelNoise > 0 && rng.Float64() < cfg.LabelNoise {
 			ds.Labels[i] = rng.Intn(cfg.Classes)
 		}
-		amp := 1 + (rng.Float64()*2-1)*cfg.AmpJitter
+		// float64(...) rounds every product that feeds an add, so no
+		// compiler fuses one (DESIGN §13). That includes the scaling
+		// product inside the inlined Float64, which the doubling (x+x)
+		// would otherwise fuse.
+		amp := 1 + float64((float64(rng.Float64())*2-1)*cfg.AmpJitter)
 		sy := 0
 		sx := 0
 		if cfg.ShiftPixels > 0 {
@@ -162,11 +166,14 @@ func sampleSet(cfg SynthConfig, protos []*tensor.Tensor, n int, rng *rand.Rand) 
 		proto := protos[label]
 		for c := 0; c < cfg.C; c++ {
 			for y := 0; y < cfg.H; y++ {
-				for x := 0; x < cfg.W; x++ {
-					yy := mod(y+sy, cfg.H)
-					xx := mod(x+sx, cfg.W)
-					v := amp*proto.At(c, yy, xx) + rng.NormFloat64()*cfg.NoiseStd
-					dst[(c*cfg.H+y)*cfg.W+x] = v
+				src := proto.Data[(c*cfg.H+mod(y+sy, cfg.H))*cfg.W:][:cfg.W]
+				row := dst[(c*cfg.H+y)*cfg.W:][:cfg.W]
+				xx := mod(sx, cfg.W)
+				for x := range row {
+					row[x] = float64(amp*src[xx]) + float64(rng.NormFloat64()*cfg.NoiseStd)
+					if xx++; xx == cfg.W {
+						xx = 0
+					}
 				}
 			}
 		}

@@ -105,18 +105,20 @@ func synthSignal(cfg TimeSeriesConfig, n int, rng *rand.Rand) []float64 {
 	out := make([]float64, n)
 	phases := make([]float64, len(cfg.Periods))
 	amps := make([]float64, len(cfg.Periods))
+	// float64(...) rounds every product that feeds an add, as in
+	// sampleSet, so no compiler fuses one (DESIGN §13).
 	for i := range cfg.Periods {
-		phases[i] = rng.Float64() * 2 * math.Pi
-		amps[i] = 0.5 + rng.Float64()
+		phases[i] = float64(rng.Float64()) * 2 * math.Pi
+		amps[i] = 0.5 + float64(rng.Float64())
 	}
 	ar := 0.0
 	for t := 0; t < n; t++ {
 		v := 0.0
 		for i, p := range cfg.Periods {
-			v += amps[i] * math.Sin(2*math.Pi*float64(t)/float64(p)+phases[i])
+			v += float64(amps[i] * math.Sin(2*math.Pi*float64(t)/float64(p)+phases[i]))
 		}
-		v += 0.0005 * float64(t) // slow trend
-		ar = 0.7*ar + rng.NormFloat64()*cfg.NoiseStd
+		v += float64(0.0005 * float64(t)) // slow trend
+		ar = float64(0.7*ar) + float64(rng.NormFloat64()*cfg.NoiseStd)
 		out[t] = v + ar
 	}
 	return out
